@@ -4,6 +4,7 @@ package saphyra
 // dataset stand-ins -> preprocessing -> estimation -> ranking -> metrics.
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func TestIntegrationStandInsWithinEpsilon(t *testing.T) {
 			g := net.Build(0.03)
 			truth := exact.BCParallel(g, 0)
 			subset := datasets.RandomSubsets(g.NumNodes(), 30, 1, 5)[0]
-			res, err := RankSubset(g, subset, Options{Epsilon: 0.05, Delta: 0.01, Seed: 9})
+			res, err := rankGraph(g, Query{Targets: subset, Epsilon: 0.05, Delta: 0.01, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +43,7 @@ func TestIntegrationNoFalseZeros(t *testing.T) {
 		g := net.Build(0.03)
 		truth := exact.BCParallel(g, 0)
 		subset := datasets.RandomSubsets(g.NumNodes(), 50, 1, 7)[0]
-		res, err := RankSubset(g, subset, Options{Epsilon: 0.2, Delta: 0.1, Seed: 3})
+		res, err := rankGraph(g, Query{Targets: subset, Epsilon: 0.2, Delta: 0.1, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,24 +61,28 @@ func TestIntegrationNoFalseZeros(t *testing.T) {
 	}
 }
 
-// Concurrent subset rankings sharing one Preprocessed must be safe (the
+// Concurrent subset rankings sharing one Ranker must be safe (the
 // decomposition memoizes block diameters behind a mutex) and identical to
 // sequential runs.
 func TestIntegrationConcurrentPreprocessedUse(t *testing.T) {
 	g := Generate.PowerLawCluster(400, 4, 0.3, 11)
-	p := Preprocess(g)
+	ctx := context.Background()
+	mkQuery := func(i int, sub []Node) Query {
+		return Query{Targets: sub, Epsilon: 0.1, Delta: 0.1, Seed: int64(i), Workers: 1}
+	}
 	subsets := datasets.RandomSubsets(g.NumNodes(), 20, 8, 13)
 
+	r := NewRanker(g)
 	sequential := make([][]float64, len(subsets))
 	for i, sub := range subsets {
-		res, err := p.RankSubset(sub, Options{Epsilon: 0.1, Delta: 0.1, Seed: int64(i), Workers: 1})
+		res, err := r.Rank(ctx, mkQuery(i, sub))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sequential[i] = res.Scores
 	}
 
-	p2 := Preprocess(g)
+	r2 := NewRanker(g)
 	var wg sync.WaitGroup
 	concurrent := make([][]float64, len(subsets))
 	errs := make([]error, len(subsets))
@@ -85,7 +90,7 @@ func TestIntegrationConcurrentPreprocessedUse(t *testing.T) {
 		wg.Add(1)
 		go func(i int, sub []Node) {
 			defer wg.Done()
-			res, err := p2.RankSubset(sub, Options{Epsilon: 0.1, Delta: 0.1, Seed: int64(i), Workers: 1})
+			res, err := r2.Rank(ctx, mkQuery(i, sub))
 			if err != nil {
 				errs[i] = err
 				return
@@ -111,11 +116,11 @@ func TestIntegrationConcurrentPreprocessedUse(t *testing.T) {
 func TestIntegrationSubsetVsFullConsistency(t *testing.T) {
 	g := Generate.BarabasiAlbert(300, 3, 21)
 	subset := []Node{5, 50, 100, 200, 299}
-	resSub, err := RankSubset(g, subset, Options{Epsilon: 0.05, Delta: 0.01, Seed: 2})
+	resSub, err := rankGraph(g, Query{Targets: subset, Epsilon: 0.05, Delta: 0.01, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resFull, err := RankAll(g, Options{Epsilon: 0.05, Delta: 0.01, Seed: 2})
+	resFull, err := rankGraph(g, Query{Epsilon: 0.05, Delta: 0.01, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +141,7 @@ func TestIntegrationTreeExactness(t *testing.T) {
 	g := Generate.RandomTree(500, 8)
 	truth := exact.BC(g)
 	subset := datasets.RandomSubsets(500, 40, 1, 3)[0]
-	res, err := RankSubset(g, subset, Options{Epsilon: 0.05, Delta: 0.01, Seed: 1})
+	res, err := rankGraph(g, Query{Targets: subset, Epsilon: 0.05, Delta: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +164,9 @@ func TestIntegrationRoadAreas(t *testing.T) {
 	side := datasets.RoadSide(0.05)
 	g := datasets.USARoad.Build(0.05)
 	truth := exact.BCParallel(g, 0)
-	p := Preprocess(g)
+	r := NewRanker(g)
 	for _, area := range datasets.Areas(side) {
-		res, err := p.RankSubset(area.Nodes, Options{Epsilon: 0.1, Delta: 0.05, Seed: 4})
+		res, err := r.Rank(context.Background(), Query{Targets: area.Nodes, Epsilon: 0.1, Delta: 0.05, Seed: 4})
 		if err != nil {
 			t.Fatalf("%s: %v", area.Name, err)
 		}
@@ -186,8 +191,8 @@ func TestIntegrationTopHubAgreement(t *testing.T) {
 		}
 	}
 	subset := []Node{hub, 100, 200, 300, 399}
-	for _, m := range []Method{MethodSaPHyRa, MethodKADABRA, MethodABRA} {
-		res, err := RankSubset(g, subset, Options{Epsilon: 0.05, Delta: 0.01, Seed: 5, Method: m})
+	for _, m := range []Algorithm{AlgSaPHyRa, AlgKADABRA, AlgABRA} {
+		res, err := rankGraph(g, Query{Algorithm: m, Targets: subset, Epsilon: 0.05, Delta: 0.01, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ type Result struct {
 // pairSampler produces per-sample contributions. sampleOne adds the
 // contribution for one sampled pair into acc (sum) and accSq (sum of
 // squares, for the Bernstein variance); sampleBatch draws count pairs in one
-// call — the batched engine's unit of work, mirroring core.BatchSampler —
+// call — the batched engine's unit of work, mirroring core.Sampler —
 // letting implementations keep scratch hot and allocation-free.
 type pairSampler interface {
 	sampleOne(rng *rand.Rand, acc, accSq []float64)

@@ -388,10 +388,10 @@ func (sp *bcSpace) ExactPhase(context.Context) (float64, []float64, error) {
 
 // NewSampler implements Space: Algorithm Gen_bc (Algorithm 2), multistage
 // alias-table sampling with rejection of exact-subspace paths. The returned
-// sampler implements BatchSampler: DrawBatch pre-draws a batch of (src, dst)
-// pairs, groups them by source, and serves every pair sharing a source from
-// one truncated BFS DAG — on skewed graphs the stage-2 r(s)(S-r(s)) mass
-// concentrates on few hub sources, so grouping amortizes most BFS work.
+// sampler's DrawBatch pre-draws a batch of (src, dst) pairs, groups them by
+// source, and serves every pair sharing a source from one truncated BFS DAG
+// — on skewed graphs the stage-2 r(s)(S-r(s)) mass concentrates on few hub
+// sources, so grouping amortizes most BFS work.
 func (sp *bcSpace) NewSampler(seed int64) Sampler {
 	return &bcSampler{
 		sp:       sp,
@@ -580,7 +580,9 @@ func (s *bcSampler) countPath(path []graph.Node, hits []int64) bool {
 	return true
 }
 
-// Draw implements Sampler (the single-sample compatibility shim).
+// Draw draws one sample with its own bidirectional BFS and returns the
+// indices of the hypotheses it hits; the slice is valid until the next
+// Draw. It is the per-sample reference the batch tests hold DrawBatch to.
 func (s *bcSampler) Draw() []int32 {
 	g := s.sp.p.G
 	for {
@@ -620,7 +622,7 @@ func (s *bcSampler) roundQuota() int64 {
 	return q
 }
 
-// DrawBatch implements BatchSampler: n samples with per-source amortized
+// DrawBatch implements Sampler: n samples with per-source amortized
 // stage-4 work. Rejected samples (exact-subspace paths) are redrawn in the
 // next grouping round, so exactly n accepted samples are accumulated —
 // unless the wired stop fires, in which case the batch returns early with a
@@ -881,6 +883,6 @@ func (s *bcSampler) serveFromBiBFS(src, dst graph.Node, hits []int64) int64 {
 }
 
 var (
-	_ Space        = (*bcSpace)(nil)
-	_ BatchSampler = (*bcSampler)(nil)
+	_ Space   = (*bcSpace)(nil)
+	_ Sampler = (*bcSampler)(nil)
 )

@@ -282,7 +282,7 @@ func TestGenBCDistribution(t *testing.T) {
 			}
 		}
 	}
-	smp := sp.NewSampler(99)
+	smp := sp.NewSampler(99).(*bcSampler)
 	const N = 200000
 	got := make([]float64, len(nodes))
 	for i := 0; i < N; i++ {

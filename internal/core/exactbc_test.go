@@ -135,7 +135,7 @@ func TestClaim8VarianceReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		smp := sp.NewSampler(42)
+		smp := sp.NewSampler(42).(*bcSampler)
 		hits := make([]int64, len(nodesDedup))
 		for i := 0; i < N; i++ {
 			for _, h := range smp.Draw() {

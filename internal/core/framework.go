@@ -46,25 +46,14 @@ type Space interface {
 	NewSampler(seed int64) Sampler
 }
 
-// Sampler draws samples from the approximate subspace. Draw returns the
-// indices of the hypotheses whose loss is 1 on the drawn sample; the slice
-// is only valid until the next Draw.
+// Sampler draws samples from the approximate subspace. DrawBatch draws n
+// samples and accumulates hit counts directly into hits (hits[i] += number
+// of samples whose loss is 1 on hypothesis i). Implementations are free to
+// reorder the work inside a batch — e.g. group samples by BFS source so one
+// truncated traversal serves many samples — as long as the marginal sample
+// distribution is unchanged and the output is deterministic for a fixed
+// seed.
 type Sampler interface {
-	Draw() []int32
-}
-
-// BatchSampler is the amortized fast path of the sampling engine. DrawBatch
-// draws n samples from the same distribution as Draw and accumulates hit
-// counts directly into hits (hits[i] += number of samples whose loss is 1 on
-// hypothesis i). Implementations are free to reorder the work inside a batch
-// — e.g. group samples by BFS source so one truncated traversal serves many
-// samples — as long as the marginal sample distribution is unchanged and the
-// output is deterministic for a fixed seed.
-//
-// Samplers that implement BatchSampler are driven batch-wise by the
-// framework; plain Samplers keep working through the single-Draw shim.
-type BatchSampler interface {
-	Sampler
 	DrawBatch(n int64, hits []int64)
 }
 
@@ -76,20 +65,6 @@ type BatchSampler interface {
 // never surfaces.
 type stoppable interface {
 	SetStop(*sched.Stop)
-}
-
-// drawInto draws n samples with s, accumulating hit counts into hits via
-// DrawBatch when available and the single-Draw shim otherwise.
-func drawInto(s Sampler, n int64, hits []int64) {
-	if bs, ok := s.(BatchSampler); ok {
-		bs.DrawBatch(n, hits)
-		return
-	}
-	for j := int64(0); j < n; j++ {
-		for _, idx := range s.Draw() {
-			hits[idx]++
-		}
-	}
 }
 
 // Options configures Algorithm 1.
@@ -328,10 +303,9 @@ func drawParallel(ctx context.Context, space Space, seed int64, workers int, tot
 // not the physical — worker count), merging per-stream hit counts into
 // hits. Up to `workers` goroutines steal streams from an atomic counter;
 // hit counts are integers, so the merge is exact in any order and the
-// result depends only on the seed. Each stream drives its sampler through
-// DrawBatch when implemented (one batch per round — the sampler amortizes
-// BFS work and allocations internally) and through the single-Draw shim
-// otherwise. Batches smaller than smallBatch stay on the caller's goroutine
+// result depends only on the seed. Each stream draws its quota with one
+// DrawBatch per round (the sampler amortizes BFS work and allocations
+// internally). Batches smaller than smallBatch stay on the caller's goroutine
 // and on stream 0 alone: for the tiny budgets typical of subset ranking,
 // goroutine wakeups would dominate the sampling itself.
 //
@@ -352,7 +326,7 @@ func drawParallelWith(ctx context.Context, samplers *samplerSet, workers int, to
 	}
 	const smallBatch = 2048
 	if total < smallBatch {
-		drawInto(samplers.get(0), total, hits)
+		samplers.get(0).DrawBatch(total, hits)
 		return nil
 	}
 	stop := new(sched.Stop)
@@ -373,7 +347,7 @@ func drawParallelWith(ctx context.Context, samplers *samplerSet, workers int, to
 		if cs, ok := s.(stoppable); ok {
 			cs.SetStop(stop)
 		}
-		drawInto(s, quota[v], local)
+		s.DrawBatch(quota[v], local)
 		locals[v] = local
 		if drawSpan != nil {
 			drawSpan.SetExtra(quota[v])
@@ -415,11 +389,3 @@ func (d *DirectSpace) VCDim() int { return d.Dim }
 func (d *DirectSpace) NewSampler(seed int64) Sampler { return d.Make(seed) }
 
 var _ Space = (*DirectSpace)(nil)
-
-// SamplerFunc adapts a function to the Sampler interface.
-type SamplerFunc func() []int32
-
-// Draw implements Sampler.
-func (f SamplerFunc) Draw() []int32 { return f() }
-
-var _ Sampler = SamplerFunc(nil)

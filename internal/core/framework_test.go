@@ -28,7 +28,7 @@ func (c *coinSpace) ExactPhase(context.Context) (float64, []float64, error) {
 func (c *coinSpace) NewSampler(seed int64) Sampler {
 	rng := rand.New(rand.NewSource(seed))
 	hits := make([]int32, 0, len(c.approxRisk))
-	return SamplerFunc(func() []int32 {
+	return drawFunc(func() []int32 {
 		hits = hits[:0]
 		for i, p := range c.approxRisk {
 			if rng.Float64() < p {
@@ -37,6 +37,18 @@ func (c *coinSpace) NewSampler(seed int64) Sampler {
 		}
 		return hits
 	})
+}
+
+// drawFunc adapts a one-sample draw, returning the indices of the hit
+// hypotheses, to Sampler for the test fakes.
+type drawFunc func() []int32
+
+func (f drawFunc) DrawBatch(n int64, hits []int64) {
+	for j := int64(0); j < n; j++ {
+		for _, i := range f() {
+			hits[i]++
+		}
+	}
 }
 
 // trueRisk returns the combined risk of hypothesis i.
@@ -254,7 +266,7 @@ func TestDirectSpace(t *testing.T) {
 		Dim: 1,
 		Make: func(seed int64) Sampler {
 			rng := rand.New(rand.NewSource(seed))
-			return SamplerFunc(func() []int32 {
+			return drawFunc(func() []int32 {
 				if rng.Float64() < 0.25 {
 					return []int32{0}
 				}

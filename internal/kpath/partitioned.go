@@ -129,8 +129,7 @@ func (s *kpathSpace) ExactPhase(ctx context.Context) (float64, []float64, error)
 
 // NewSampler implements core.Space: walks of length l uniform in {2..k}
 // (the approximate-subspace conditional). For k == 1 the exact subspace is
-// the whole space and core.Run never calls the sampler. The returned
-// sampler implements core.BatchSampler.
+// the whole space and core.Run never calls the sampler.
 func (s *kpathSpace) NewSampler(seed int64) core.Sampler {
 	return newWalkSampler(s.g, s.aIndex, 2, s.k, seed)
 }

@@ -12,8 +12,7 @@ import (
 // uniform start nodes and reports first visits to target nodes. It backs
 // both the plain estimator (minLen 1: the whole sample space) and the
 // partitioned one (minLen 2: the approximate-subspace conditional), and
-// implements core.BatchSampler so the framework drives it batch-wise with an
-// allocation-free hot loop.
+// implements core.Sampler with an allocation-free hot loop.
 //
 // Steps index the sorted adjacency lists with uniform variates, so the walk
 // realized by a given rng stream depends on neighbor order — the reason
@@ -25,7 +24,6 @@ type walkSampler struct {
 	rng            *rand.Rand
 	visited        []int32
 	epochs         *sched.Epoch // over visited
-	hits           []int32
 
 	// stop is the framework-wired sub-round cancellation flag, polled every
 	// cancelPollWalks walks inside DrawBatch (see core.stoppable). Polls
@@ -49,14 +47,13 @@ func newWalkSampler(g *graph.Graph, aIndex []int32, minLen, maxLen int, seed int
 		maxLen:  maxLen,
 		rng:     rand.New(rand.NewPCG(uint64(seed), 0x6a09e667f3bcc909)),
 		visited: make([]int32, g.NumNodes()),
-		hits:    make([]int32, 0, maxLen),
 	}
 	s.epochs = sched.NewEpoch(s.visited)
 	return s
 }
 
-// walk performs one random walk. With counts == nil, hit indices are
-// appended to s.hits; otherwise counts[idx] is incremented directly.
+// walk performs one random walk, incrementing counts[idx] for each target
+// it visits for the first time.
 func (s *walkSampler) walk(counts []int64) {
 	ep := s.epochs.Next()
 	n := s.g.NumNodes()
@@ -75,24 +72,13 @@ func (s *walkSampler) walk(counts []int64) {
 		if s.visited[u] != ep {
 			s.visited[u] = ep
 			if ai := s.aIndex[u]; ai >= 0 {
-				if counts != nil {
-					counts[ai]++
-				} else {
-					s.hits = append(s.hits, ai)
-				}
+				counts[ai]++
 			}
 		}
 	}
 }
 
-// Draw implements core.Sampler.
-func (s *walkSampler) Draw() []int32 {
-	s.hits = s.hits[:0]
-	s.walk(nil)
-	return s.hits
-}
-
-// DrawBatch implements core.BatchSampler. A raised stop returns early with
+// DrawBatch implements core.Sampler. A raised stop returns early with
 // a short count — only ever observed by a canceled run, whose estimate the
 // framework discards whole.
 func (s *walkSampler) DrawBatch(n int64, hits []int64) {
@@ -104,4 +90,4 @@ func (s *walkSampler) DrawBatch(n int64, hits []int64) {
 	}
 }
 
-var _ core.BatchSampler = (*walkSampler)(nil)
+var _ core.Sampler = (*walkSampler)(nil)

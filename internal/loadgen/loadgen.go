@@ -9,7 +9,7 @@
 //     tiny/full/degradable/deadline-bearing queries, and scheduled reload
 //     storms — one seed yields a byte-identical request schedule
 //     (Schedule.Encode), so a run is reproducible end to end;
-//   - a lock-cheap latency recorder (internal/loadgen/hist): log-bucketed
+//   - a lock-cheap latency recorder (internal/obs/hist): log-bucketed
 //     histogram quantiles (p50/p99/p999) and per-outcome counters instead
 //     of sort-based percentiles;
 //   - an SLO spec evaluated after each run, plus optional bitwise

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"saphyra"
-	"saphyra/internal/loadgen/hist"
+	"saphyra/internal/obs/hist"
 	"saphyra/internal/serve"
 	"saphyra/internal/workload"
 )

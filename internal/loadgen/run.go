@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"saphyra/internal/loadgen/hist"
+	"saphyra/internal/obs/hist"
 	"saphyra/internal/serve"
 	"saphyra/internal/workload"
 )

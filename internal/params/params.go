@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Error reports an invalid caller-supplied option or target. It is the
@@ -102,10 +103,12 @@ func CheckEpsDelta(eps, delta float64) error {
 	return CheckDelta(delta)
 }
 
-// CheckK validates a k-path walk length: k must be >= 1.
+// CheckK validates a k-path walk length: k must be in [1, 2^32-1]. The
+// upper bound is the width of K in the query cache key, so two accepted
+// walk lengths never share a key.
 func CheckK(k int) error {
-	if k < 1 {
-		return Errorf("k", "must be >= 1, got %d", k)
+	if k < 1 || uint64(k) > math.MaxUint32 {
+		return Errorf("k", "must be in [1,%d], got %d", uint32(math.MaxUint32), k)
 	}
 	return nil
 }

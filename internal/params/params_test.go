@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -25,6 +26,8 @@ func TestChecks(t *testing.T) {
 		{"pair bad delta", CheckEpsDelta(0.1, 0), true},
 		{"k ok", CheckK(1), false},
 		{"k zero", CheckK(0), true},
+		{"k max", CheckK(math.MaxUint32), false},
+		{"k above uint32", CheckK(math.MaxUint32 + 1), true},
 		{"targets ok", CheckTargets([]int32{0, 4}, 5), false},
 		{"targets empty", CheckTargets([]int32{}, 5), true},
 		{"targets negative", CheckTargets([]int32{-1}, 5), true},

@@ -5,14 +5,9 @@
 // KADABRA), one canonicalization, one cache-key digest, and one Ranker that
 // dispatches any query to the right engine under a context.Context.
 //
-// Before this package the three estimators had three disjoint call shapes —
-// a betweenness-only Method enum on RankSubset, a positional k on RankKPath
-// that no canonical form covered, and a View/Preprocessed split — and the
-// serving layer re-implemented its own canonicalization next to the
-// library's. Query.Canonical and Query.Key subsume all of that: equal keys
-// guarantee bitwise-equal results (the engines' determinism contract,
-// DESIGN.md section 3), so Key is the one sound cache key for any layer.
-// DESIGN.md section 9 documents the model.
+// Equal keys guarantee bitwise-equal results (the engines' determinism
+// contract, DESIGN.md section 3), so Key is the one sound cache key for any
+// layer. DESIGN.md section 9 documents the model.
 package query
 
 import (
@@ -56,8 +51,7 @@ func (m Measure) String() string {
 // SaPHyRa-framework estimators.
 type Algorithm int
 
-// Available algorithms. The integer values match the legacy saphyra.Method
-// constants, so old code converts losslessly.
+// Available algorithms.
 const (
 	AlgSaPHyRa Algorithm = iota
 	AlgABRA
@@ -89,7 +83,7 @@ type Query struct {
 	Algorithm Algorithm
 
 	// Targets is the node set to rank (dense ids). Empty means every node
-	// of the graph — the RankAll / top-k-warmup shape.
+	// of the graph — the full-network / top-k-warmup shape.
 	Targets []graph.Node
 
 	// K is the k-path walk length (edges). Only meaningful for Measure
@@ -175,10 +169,8 @@ const keyMagic = "saphyra.Query/v1"
 // Key returns a stable 256-bit digest identifying the query up to bitwise
 // result equality: two queries with equal keys are guaranteed bitwise-equal
 // results on the same graph or view bytes (a serving layer additionally
-// tags the view generation; see internal/serve). It subsumes the legacy
-// (Options.Canonical, TargetSetHash) composition and — unlike it — also
-// covers the k-path walk length K, closing the cache-key gap where kpath
-// queries differing only in K collided.
+// tags the view generation; see internal/serve). It covers every
+// result-relevant field, including the k-path walk length K.
 //
 // The digest is sha256 over the canonical form, little-endian:
 //

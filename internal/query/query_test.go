@@ -2,25 +2,25 @@ package query
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 
 	"saphyra/internal/graph"
 	"saphyra/internal/params"
 )
 
-// TestQueryKeyDistinguishesK pins the fix for the legacy cache-key gap: the
-// (Options.Canonical, TargetSetHash) composition did not cover the k-path
-// walk length, so kpath queries differing only in K collided. Query.Key
-// must separate them — and must still identify K=0 with its documented
-// default 3.
+// TestQueryKeyDistinguishesK: kpath queries differing only in K must get
+// different keys, and K=0 must share the key of its documented default 3.
 func TestQueryKeyDistinguishesK(t *testing.T) {
 	targets := []graph.Node{1, 5, 9}
 	k3 := Query{Measure: KPath, Targets: targets, K: 3, Seed: 1}
 	k4 := Query{Measure: KPath, Targets: targets, K: 4, Seed: 1}
 	if k3.Key() == k4.Key() {
-		t.Fatal("kpath queries differing only in K share a key (the legacy gap)")
+		t.Fatal("kpath queries differing only in K share a key")
 	}
 	kDefault := Query{Measure: KPath, Targets: targets, Seed: 1}
 	if kDefault.Key() != k3.Key() {
@@ -76,6 +76,52 @@ func TestQueryKeyGolden(t *testing.T) {
 	}
 }
 
+// TestQueryKeyLayout pins, byte for byte, that Key is the sha256 of the
+// documented layout over the canonical form: defaults resolved, Workers
+// dropped, targets dedup-sorted and digested by TargetSetHash.
+func TestQueryKeyLayout(t *testing.T) {
+	q := Query{
+		Measure: Betweenness, Algorithm: AlgKADABRA, Targets: []graph.Node{9, 1, 5, 1},
+		Epsilon: 0.1, Delta: 0.02, Seed: 9, Workers: 7,
+	}
+	h := TargetSetHash([]graph.Node{1, 5, 9})
+	var b []byte
+	b = append(b, "saphyra.Query/v1"...)
+	b = append(b, 0, 2)                        // Betweenness, AlgKADABRA
+	b = binary.LittleEndian.AppendUint32(b, 0) // K: zeroed outside KPath
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.1))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.02))
+	b = binary.LittleEndian.AppendUint64(b, 9)
+	b = append(b, 0) // explicit target set
+	b = append(b, h[:]...)
+	b = binary.LittleEndian.AppendUint32(b, 3) // canonical target count
+	if q.Key() != sha256.Sum256(b) {
+		t.Fatal("Query.Key diverged from the documented layout")
+	}
+}
+
+// TestTargetSetHash: order- and duplicate-insensitive, set-sensitive.
+func TestTargetSetHash(t *testing.T) {
+	a := TargetSetHash([]graph.Node{5, 1, 9})
+	if b := TargetSetHash([]graph.Node{9, 5, 1, 5, 1}); b != a {
+		t.Fatal("hash depends on order or duplicates")
+	}
+	if c := TargetSetHash([]graph.Node{5, 1, 8}); c == a {
+		t.Fatal("different sets collide")
+	}
+	if d := TargetSetHash(nil); d == a {
+		t.Fatal("empty set collides")
+	}
+	// Stability across processes: pin one digest so accidental
+	// canonicalization changes are caught (the serving cache key depends
+	// on this being a pure function of the set).
+	h := TargetSetHash([]graph.Node{0, 1, 2})
+	const want = "ad5dc1478de06a4c"
+	if got := hex.EncodeToString(h[:8]); got != want {
+		t.Fatalf("TargetSetHash({0,1,2}) prefix = %s, want %s", got, want)
+	}
+}
+
 // TestQueryCanonical: defaults resolve, Workers is stripped, K is zeroed
 // outside KPath, targets dedup-sort.
 func TestQueryCanonical(t *testing.T) {
@@ -119,6 +165,7 @@ func TestQueryValidate(t *testing.T) {
 		{Measure: Betweenness, Epsilon: 1.5, Targets: []graph.Node{1}},
 		{Measure: Betweenness, Delta: -1, Targets: []graph.Node{1}},
 		{Measure: KPath, K: -2, Targets: []graph.Node{1}},
+		{Measure: KPath, K: 3 + 1<<32, Targets: []graph.Node{1}}, // would share K=3's key
 		{Measure: Betweenness, Targets: []graph.Node{99}},
 	}
 	for i, q := range bad {
@@ -158,7 +205,8 @@ func TestRankerPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestRankerEmptyTargetsMeansWholeNetwork: the unified API's RankAll shape.
+// TestRankerEmptyTargetsMeansWholeNetwork: an empty target set ranks every
+// node.
 func TestRankerEmptyTargetsMeansWholeNetwork(t *testing.T) {
 	g := graph.BarabasiAlbert(60, 2, 2)
 	r := NewRanker(g)

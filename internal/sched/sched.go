@@ -127,7 +127,9 @@ func DoWith[W any](chunks, workers int, acquire func() W, release func(W), fn fu
 // stop stealing chunks once ctx is done; a chunk already started always runs
 // to completion (fn is never interrupted mid-chunk), so per-chunk outputs
 // are whole — but the chunk *set* may be incomplete, and the caller must
-// treat any non-nil return as "no output".
+// treat any non-nil return as "no output". A ctx that is done when the run
+// ends is reported even if every chunk ran: a chunk may have cut its own
+// work short through a Stop watching the same ctx.
 func DoWithCtx[W any](ctx context.Context, chunks, workers int, acquire func() W, release func(W), fn func(w W, c int)) error {
 	if chunks <= 0 {
 		return nil
@@ -138,11 +140,11 @@ func DoWithCtx[W any](ctx context.Context, chunks, workers int, acquire func() W
 	if workers <= 1 {
 		w := acquire()
 		defer release(w)
-		for c := 0; c < chunks; c++ {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
+		for c := 0; c < chunks && ctx.Err() == nil; c++ {
 			fn(w, c)
+		}
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
 		}
 		return nil
 	}

@@ -262,6 +262,19 @@ func TestDoWithCtxStopsStealingMidRun(t *testing.T) {
 	if err != context.Canceled || seq != 2 {
 		t.Fatalf("sequential: err=%v ran=%d, want cancel after 2", err, seq)
 	}
+	// A cancel inside the last chunk is still reported on both paths: that
+	// chunk may have cut its work short through a Stop watching ctx.
+	for _, workers := range []int{1, 4} {
+		ctx3, cancel3 := context.WithCancel(context.Background())
+		err = DoCtx(ctx3, 4, workers, func(c int) {
+			if c == 3 {
+				cancel3()
+			}
+		})
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: cancel in the last chunk returned %v, want context.Canceled", workers, err)
+		}
+	}
 }
 
 // TestDoWithCtxReleasesScratchOnCancel: acquire/release stay paired even

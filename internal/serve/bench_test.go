@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"saphyra"
-	"saphyra/internal/loadgen/hist"
+	"saphyra/internal/obs/hist"
 )
 
 // benchServer builds a serving stack over a Fig-3-sized synthetic social

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -105,7 +106,16 @@ func TestServeChaosHammer(t *testing.T) {
 		want map[float64]chaosRef
 	}
 	var variants []variant
-	prep := view.Preprocess()
+	vr := view.Ranker()
+	rank := func(m saphyra.Measure, dense []saphyra.Node, eps float64) *saphyra.Result {
+		res, err := vr.Rank(context.Background(), saphyra.Query{
+			Measure: m, Targets: dense, K: 3, Epsilon: eps, Delta: 0.05, Seed: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for _, dense := range [][]saphyra.Node{{2, 77, 150}, {0, 1, 2, 3, 250}} {
 		raw := make([]int64, len(dense))
 		for i, v := range dense {
@@ -115,20 +125,9 @@ func TestServeChaosHammer(t *testing.T) {
 		kp := map[float64]chaosRef{}
 		cl := map[float64]chaosRef{}
 		for _, eps := range epses {
-			opt := saphyra.Options{Epsilon: eps, Delta: 0.05, Seed: 4}
-			r, err := prep.RankSubset(dense, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bc[eps] = refOf(ids, r)
-			if r, err = view.RankKPath(dense, 3, opt); err != nil {
-				t.Fatal(err)
-			}
-			kp[eps] = refOf(ids, r)
-			if r, err = view.RankCloseness(dense, opt); err != nil {
-				t.Fatal(err)
-			}
-			cl[eps] = refOf(ids, r)
+			bc[eps] = refOf(ids, rank(saphyra.Betweenness, dense, eps))
+			kp[eps] = refOf(ids, rank(saphyra.KPath, dense, eps))
+			cl[eps] = refOf(ids, rank(saphyra.Closeness, dense, eps))
 		}
 		variants = append(variants,
 			variant{RankRequest{Method: MethodSaPHyRa, Targets: raw, Eps: exactEps, Delta: 0.05, Seed: 4}, bc},
@@ -142,11 +141,7 @@ func TestServeChaosHammer(t *testing.T) {
 	}
 	topkWant := map[float64]chaosRef{}
 	for _, eps := range epses {
-		r, err := prep.RankSubset(allDense, saphyra.Options{Epsilon: eps, Delta: 0.05, Seed: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		topkWant[eps] = topkRef(ids, r, 5)
+		topkWant[eps] = topkRef(ids, rank(saphyra.Betweenness, allDense, eps), 5)
 	}
 	view.Close() // drop the reference mapping before counting leaks
 

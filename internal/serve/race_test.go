@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -37,7 +38,6 @@ func TestServeConcurrentHammerWithReloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer view.Close()
-	opt := saphyra.Options{Epsilon: 0.1, Delta: 0.05, Seed: 4}
 	type variant struct {
 		req  RankRequest
 		want *saphyra.Result
@@ -48,24 +48,22 @@ func TestServeConcurrentHammerWithReloads(t *testing.T) {
 		{42},
 	}
 	var variants []variant
-	prep := view.Preprocess()
+	vr := view.Ranker()
 	for _, dense := range denseSets {
 		raw := make([]int64, len(dense))
 		for i, v := range dense {
 			raw[i] = ids[v]
 		}
-		bc, err := prep.RankSubset(dense, opt)
-		if err != nil {
-			t.Fatal(err)
+		rank := func(m saphyra.Measure) *saphyra.Result {
+			res, err := vr.Rank(context.Background(), saphyra.Query{
+				Measure: m, Targets: dense, K: 3, Epsilon: 0.1, Delta: 0.05, Seed: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		kp, err := view.RankKPath(dense, 3, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := view.RankCloseness(dense, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bc, kp, cl := rank(saphyra.Betweenness), rank(saphyra.KPath), rank(saphyra.Closeness)
 		variants = append(variants,
 			variant{RankRequest{Method: MethodSaPHyRa, Targets: raw, Eps: 0.1, Delta: 0.05, Seed: 4}, bc},
 			variant{RankRequest{Method: MethodKPath, Targets: raw, Eps: 0.1, Delta: 0.05, Seed: 4, K: 3}, kp},

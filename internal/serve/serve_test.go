@@ -64,9 +64,8 @@ func postRank(t testing.TB, h http.Handler, req RankRequest) (*RankResponse, int
 // TestServeGoldenBitwise is the acceptance gate: for all three methods, the
 // daemon's scores for a persisted view must be bitwise-identical to what
 // `cmd/saphyra -view` computes — i.e. to the library serving path
-// (OpenView + Preprocess/RankKPath/RankCloseness) on the same file. JSON
-// float64 encoding is exact (shortest round-trip form), so the comparison
-// is on the decoded bits.
+// (OpenView + View.Ranker) on the same file. JSON float64 encoding is exact
+// (shortest round-trip form), so the comparison is on the decoded bits.
 func TestServeGoldenBitwise(t *testing.T) {
 	g := saphyra.Generate.BarabasiAlbert(800, 3, 12)
 	s, ids := newTestServer(t, g, Config{DisablePrecompute: true})
@@ -75,7 +74,7 @@ func TestServeGoldenBitwise(t *testing.T) {
 	// cmd/saphyra does.
 	rawTargets := []int64{ids[7], ids[100], ids[500], ids[777]}
 	dense := []saphyra.Node{7, 100, 500, 777}
-	opt := saphyra.Options{Epsilon: 0.05, Delta: 0.05, Seed: 5, Workers: 4}
+	q := saphyra.Query{Targets: dense, Epsilon: 0.05, Delta: 0.05, Seed: 5, Workers: 4}
 
 	view, err := saphyra.OpenView(s.viewPath)
 	if err != nil {
@@ -84,20 +83,21 @@ func TestServeGoldenBitwise(t *testing.T) {
 	defer view.Close()
 
 	want := map[string]*saphyra.Result{}
-	if want[MethodSaPHyRa], err = view.Preprocess().RankSubset(dense, opt); err != nil {
-		t.Fatal(err)
-	}
-	if want[MethodKPath], err = view.RankKPath(dense, 4, opt); err != nil {
-		t.Fatal(err)
-	}
-	if want[MethodCloseness], err = view.RankCloseness(dense, opt); err != nil {
-		t.Fatal(err)
+	vr := view.Ranker()
+	for method, m := range map[string]saphyra.Measure{
+		MethodSaPHyRa: saphyra.Betweenness, MethodKPath: saphyra.KPath, MethodCloseness: saphyra.Closeness,
+	} {
+		mq := q
+		mq.Measure, mq.K = m, 4
+		if want[method], err = vr.Rank(context.Background(), mq); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	for _, method := range methods {
 		resp, code := postRank(t, s.Handler(), RankRequest{
 			Method: method, Targets: rawTargets,
-			Eps: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, K: 4,
+			Eps: q.Epsilon, Delta: q.Delta, Seed: q.Seed, K: 4,
 		})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", method, code)
@@ -196,7 +196,9 @@ func TestServeTopK(t *testing.T) {
 	for i := range all {
 		all[i] = saphyra.Node(i)
 	}
-	ref, err := view.RankCloseness(all, saphyra.Options{Epsilon: 0.05, Delta: 0.01, Seed: 1})
+	ref, err := view.Ranker().Rank(context.Background(), saphyra.Query{
+		Measure: saphyra.Closeness, Targets: all, Epsilon: 0.05, Delta: 0.01, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +247,7 @@ func TestServeErrorClassification(t *testing.T) {
 		"bad eps":        {`{"method":"saphyra","targets":[1],"eps":1.5}`, "epsilon"},
 		"bad delta":      {`{"method":"saphyra","targets":[1],"delta":-1}`, "delta"},
 		"bad k":          {`{"method":"kpath","targets":[1],"k":-2}`, "k"},
+		"k above uint32": {`{"method":"kpath","targets":[1],"k":4294967299}`, "k"}, // would share k=3's cache key
 	} {
 		w := post(tc.body)
 		if w.Code != http.StatusBadRequest {

@@ -2,212 +2,51 @@ package saphyra
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"math"
-	"path/filepath"
 	"testing"
 )
 
-// compareBitwise fails unless two results carry identical nodes, scores
-// (bit for bit), ranks, and sample counts.
-func compareBitwise(t *testing.T, name string, got, want *Result) {
-	t.Helper()
-	if got.Samples != want.Samples {
-		t.Fatalf("%s: samples %d != %d", name, got.Samples, want.Samples)
-	}
-	if len(got.Nodes) != len(want.Nodes) {
-		t.Fatalf("%s: %d nodes, want %d", name, len(got.Nodes), len(want.Nodes))
-	}
-	for i := range want.Nodes {
-		if got.Nodes[i] != want.Nodes[i] {
-			t.Fatalf("%s: node[%d] = %d, want %d", name, i, got.Nodes[i], want.Nodes[i])
-		}
-		if got.Scores[i] != want.Scores[i] {
-			t.Fatalf("%s: score[%d] = %v, want %v — not bitwise-identical", name, i, got.Scores[i], want.Scores[i])
-		}
-		if got.Rank[i] != want.Rank[i] {
-			t.Fatalf("%s: rank[%d] = %d, want %d", name, i, got.Rank[i], want.Rank[i])
-		}
-	}
-}
-
-// TestRankerBitwiseEqualsDeprecatedWrappers is the redesign's
-// bit-preservation gate: every deprecated wrapper and its Ranker.Rank
-// equivalent must produce bitwise-identical results — on the in-memory
-// graph and on a reopened view, for every measure and algorithm.
+// TestRankerBitwiseEqualsDeprecatedWrappers checks that a Ranker's answer
+// does not depend on the Ranker's history: a fresh Ranker per call and a
+// Ranker prepared eagerly for betweenness must answer bitwise-identically
+// to one long-lived Ranker that serves all measures and algorithms in turn,
+// including the whole-network query (no targets). View Rankers against
+// graph Rankers are compared by TestViewBuildServeRoundTrip.
 func TestRankerBitwiseEqualsDeprecatedWrappers(t *testing.T) {
 	g := Generate.BarabasiAlbert(600, 3, 11)
 	targets := []Node{3, 77, 300, 599}
-	opt := Options{Epsilon: 0.05, Delta: 0.05, Seed: 5, Workers: 4}
 	ctx := context.Background()
-	r := NewRanker(g)
+	shared := NewRanker(g)
 
-	// Betweenness, all three algorithms.
-	for _, m := range []Method{MethodSaPHyRa, MethodABRA, MethodKADABRA} {
-		o := opt
-		o.Method = m
-		want, err := RankSubset(g, targets, o)
-		if err != nil {
-			t.Fatal(err)
+	prepared := func() *Ranker { r := NewRanker(g); r.Prepare(Betweenness); return r }
+	for _, q := range []Query{
+		{Measure: Betweenness, Algorithm: AlgSaPHyRa, Targets: targets},
+		{Measure: Betweenness, Algorithm: AlgABRA, Targets: targets},
+		{Measure: Betweenness, Algorithm: AlgKADABRA, Targets: targets},
+		{Measure: KPath, K: 4, Targets: targets},
+		{Measure: Closeness, Targets: targets},
+		{Measure: Betweenness, Algorithm: AlgSaPHyRa}, // no targets: the whole network
+	} {
+		q.Epsilon, q.Delta, q.Seed, q.Workers = 0.05, 0.05, 5, 4
+		if q.Targets == nil {
+			q.Epsilon, q.Delta, q.Seed, q.Workers = 0.1, 0.1, 2, 0
 		}
-		got, err := r.Rank(ctx, Query{
-			Measure: Betweenness, Algorithm: Algorithm(m), Targets: targets,
-			Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-		})
+		name := q.Measure.String() + "/" + q.Algorithm.String()
+		want, err := shared.Rank(ctx, q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: shared ranker: %v", name, err)
 		}
-		compareBitwise(t, "bc/"+m.String(), got, want)
-	}
-
-	// K-path and closeness.
-	wantKP, err := RankKPath(g, targets, 4, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotKP, err := r.Rank(ctx, Query{
-		Measure: KPath, Targets: targets, K: 4,
-		Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBitwise(t, "kpath", gotKP, wantKP)
-
-	wantCL, err := RankCloseness(g, targets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCL, err := r.Rank(ctx, Query{
-		Measure: Closeness, Targets: targets,
-		Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBitwise(t, "closeness", gotCL, wantCL)
-
-	// RankAll == empty Query.Targets.
-	wantAll, err := RankAll(g, Options{Epsilon: 0.1, Delta: 0.1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAll, err := r.Rank(ctx, Query{Measure: Betweenness, Epsilon: 0.1, Delta: 0.1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBitwise(t, "rankall", gotAll, wantAll)
-
-	// The view-served Ranker against the view-served wrappers.
-	path := filepath.Join(t.TempDir(), "g.sbcv")
-	if err := BuildView(g, nil).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	view, err := OpenView(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer view.Close()
-	vr := view.Ranker()
-
-	wantVBC, err := view.Preprocess().RankSubset(targets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVBC, err := vr.Rank(ctx, Query{
-		Measure: Betweenness, Targets: targets,
-		Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBitwise(t, "view/bc", gotVBC, wantVBC)
-	compareBitwise(t, "view-vs-graph/bc", gotVBC, func() *Result {
-		o := opt
-		res, err := RankSubset(g, targets, o)
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range []struct {
+			shape string
+			r     *Ranker
+		}{
+			{"fresh", NewRanker(g)},
+			{"prepared", prepared()},
+		} {
+			got, err := c.r.Rank(ctx, q)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, c.shape, err)
+			}
+			compareBitwise(t, name+"/"+c.shape, got, want)
 		}
-		return res
-	}())
-
-	wantVKP, err := view.RankKPath(targets, 4, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVKP, err := vr.Rank(ctx, Query{
-		Measure: KPath, Targets: targets, K: 4,
-		Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBitwise(t, "view/kpath", gotVKP, wantVKP)
-
-	wantVCL, err := view.RankCloseness(targets, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVCL, err := vr.Rank(ctx, Query{
-		Measure: Closeness, Targets: targets,
-		Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareBitwise(t, "view/closeness", gotVCL, wantVCL)
-}
-
-// TestQueryKeySubsumesLegacyComposition pins, byte for byte, that a
-// betweenness Query.Key is the sha256 of exactly the documented layout over
-// the legacy (Options.Canonical, TargetSetHash) composition — the migration
-// contract for caches that keyed on the old pair. (For kpath the key also
-// covers K, which the legacy pair never did; see the query package tests.)
-func TestQueryKeySubsumesLegacyComposition(t *testing.T) {
-	targets := []Node{9, 1, 5, 1}
-	opt := Options{Epsilon: 0.1, Delta: 0.02, Seed: 9, Workers: 7, Method: MethodKADABRA}
-
-	// The legacy composition, digested in the documented Query.Key layout.
-	c := opt.Canonical()
-	h := TargetSetHash(targets)
-	var b []byte
-	b = append(b, "saphyra.Query/v1"...)
-	b = append(b, byte(Betweenness), byte(Algorithm(c.Method)))
-	b = binary.LittleEndian.AppendUint32(b, 0) // K: never set for betweenness
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Epsilon))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Delta))
-	b = binary.LittleEndian.AppendUint64(b, uint64(c.Seed))
-	b = append(b, 0) // explicit target set
-	b = append(b, h[:]...)
-	b = binary.LittleEndian.AppendUint32(b, 3) // canonical target count
-	want := sha256.Sum256(b)
-
-	q := Query{
-		Measure: Betweenness, Algorithm: Algorithm(opt.Method), Targets: targets,
-		Epsilon: opt.Epsilon, Delta: opt.Delta, Seed: opt.Seed, Workers: opt.Workers,
-	}
-	if q.Key() != want {
-		t.Fatal("Query.Key diverged from the documented legacy-composition digest")
-	}
-}
-
-// TestDeprecatedWrappersRejectEmptyTargets: Ranker.Rank reads an empty
-// target set as "whole network", but the legacy wrappers documented it as
-// an error — the migration must not silently turn a bug into a full-network
-// computation.
-func TestDeprecatedWrappersRejectEmptyTargets(t *testing.T) {
-	g := Generate.Grid2D(3, 3)
-	if _, err := RankSubset(g, nil, Options{}); err == nil {
-		t.Error("RankSubset(nil) accepted")
-	}
-	if _, err := Preprocess(g).RankSubset(nil, Options{}); err == nil {
-		t.Error("Preprocessed.RankSubset(nil) accepted")
-	}
-	if _, err := RankKPath(g, nil, 3, Options{}); err == nil {
-		t.Error("RankKPath(nil) accepted")
-	}
-	if _, err := RankCloseness(g, nil, Options{}); err == nil {
-		t.Error("RankCloseness(nil) accepted")
 	}
 }

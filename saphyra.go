@@ -40,23 +40,15 @@
 // ceiling). The combination yields both the error guarantee and high rank
 // quality for low-centrality nodes — in particular, no target with positive
 // betweenness is ever estimated as zero.
-//
-// The pre-Query free functions (RankSubset, RankKPath, RankCloseness,
-// Preprocess) remain as thin deprecated wrappers over Ranker and return
-// bitwise-identical results.
 package saphyra
 
 import (
-	"context"
-	"crypto/sha256"
-	"fmt"
 	"io"
 
 	"saphyra/internal/bicomp"
 	"saphyra/internal/exact"
 	"saphyra/internal/graph"
 	"saphyra/internal/msbfs"
-	"saphyra/internal/params"
 	"saphyra/internal/query"
 	"saphyra/internal/rank"
 )
@@ -109,8 +101,7 @@ const (
 // sampling contract. Query.Canonical resolves defaults and strips the
 // result-irrelevant Workers field; Query.Key digests the canonical form
 // into the one cache key that identifies a query up to bitwise result
-// equality (subsuming the legacy Options.Canonical + TargetSetHash
-// composition, and covering K).
+// equality.
 type Query = query.Query
 
 // Result is a centrality ranking of a target node set.
@@ -122,153 +113,6 @@ type Ranker = query.Ranker
 
 // NewRanker returns a Ranker over an in-memory graph.
 func NewRanker(g *Graph) *Ranker { return query.NewRanker(g) }
-
-// Method selects the estimation algorithm used by the deprecated
-// RankSubset/RankAll wrappers.
-//
-// Deprecated: use Query.Algorithm (the values convert directly:
-// Algorithm(m)).
-type Method int
-
-// Available methods, value-compatible with the Algorithm constants.
-//
-// Deprecated: use AlgSaPHyRa, AlgABRA, AlgKADABRA.
-const (
-	MethodSaPHyRa Method = Method(query.AlgSaPHyRa)
-	MethodABRA    Method = Method(query.AlgABRA)
-	MethodKADABRA Method = Method(query.AlgKADABRA)
-)
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case MethodSaPHyRa, MethodABRA, MethodKADABRA:
-		return Algorithm(m).String()
-	}
-	return fmt.Sprintf("Method(%d)", int(m))
-}
-
-// Options configures the deprecated ranking wrappers. The zero value means
-// epsilon 0.05, delta 0.01, all CPUs, seed 0, SaPHyRa method.
-//
-// Deprecated: build a Query instead; it carries the same fields plus the
-// measure axis and the k-path K.
-type Options struct {
-	Epsilon float64 // additive error guarantee on centrality values
-	Delta   float64 // failure probability
-	Workers int     // parallel sampling workers; <= 0 means GOMAXPROCS
-	Seed    int64   // RNG seed; fixed seed + workers => deterministic output
-	Method  Method
-}
-
-// Canonical returns the options with every default resolved and every
-// result-irrelevant field cleared: a zero Epsilon/Delta becomes its
-// documented default (0.05 / 0.01) and Workers is zeroed — the worker count
-// multiplexes fixed virtual sampler streams and never affects output bits
-// (DESIGN.md section 3).
-//
-// Deprecated: use Query.Canonical, and Query.Key for cache keys — unlike
-// the (Canonical, TargetSetHash) composition, Key also covers the k-path K.
-func (o Options) Canonical() Options {
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.05
-	}
-	if o.Delta == 0 {
-		o.Delta = 0.01
-	}
-	o.Workers = 0
-	return o
-}
-
-// query converts the legacy options to a Query for the given measure.
-func (o Options) query(m Measure, targets []Node, k int) Query {
-	return Query{
-		Measure:   m,
-		Algorithm: Algorithm(o.Method),
-		Targets:   targets,
-		K:         k,
-		Epsilon:   o.Epsilon,
-		Delta:     o.Delta,
-		Seed:      o.Seed,
-		Workers:   o.Workers,
-	}
-}
-
-// TargetSetHash returns a stable 256-bit digest of the canonicalized target
-// set: the nodes are de-duplicated and sorted (exactly the normalization
-// RankSubset applies), then hashed as little-endian 32-bit values. The
-// digest is a pure function of the set — independent of input order,
-// duplicates, machine, and process.
-//
-// Migration note: TargetSetHash identifies the target *set* only. It does
-// not cover the measure, algorithm, eps/delta/seed, or the k-path walk
-// length K — keying a cache by (Options.Canonical, TargetSetHash) therefore
-// collides kpath queries that differ only in K. Use Query.Key, which
-// subsumes this hash and covers every result-relevant field.
-func TargetSetHash(targets []Node) [sha256.Size]byte {
-	return query.TargetSetHash(targets)
-}
-
-// nonEmptyTargets preserves the legacy contract of the deprecated wrappers:
-// they reject an empty target set, whereas Ranker.Rank reads it as "rank
-// the whole network".
-func nonEmptyTargets(targets []Node) error {
-	if len(targets) == 0 {
-		return fmt.Errorf("saphyra: %w", params.Errorf("targets", "empty target set"))
-	}
-	return nil
-}
-
-// RankSubset estimates and ranks the betweenness centrality of the target
-// nodes with the configured method.
-//
-// Deprecated: use NewRanker(g).Rank(ctx, Query{Measure: Betweenness, ...});
-// the results are bitwise-identical.
-func RankSubset(g *Graph, targets []Node, opt Options) (*Result, error) {
-	if err := nonEmptyTargets(targets); err != nil {
-		return nil, err
-	}
-	return NewRanker(g).Rank(context.Background(), opt.query(Betweenness, targets, 0))
-}
-
-// RankAll ranks every node of the graph (SaPHyRa_bc-full when the method is
-// MethodSaPHyRa).
-//
-// Deprecated: use NewRanker(g).Rank with an empty Query.Targets.
-func RankAll(g *Graph, opt Options) (*Result, error) {
-	return NewRanker(g).Rank(context.Background(), opt.query(Betweenness, nil, 0))
-}
-
-// Preprocessed caches the target-independent SaPHyRa preprocessing so that
-// many subsets can be ranked on one graph cheaply.
-//
-// Deprecated: a Ranker caches the same preprocessing across Rank calls (and
-// across measures); use NewRanker or View.Ranker.
-type Preprocessed struct {
-	r *Ranker
-}
-
-// Preprocess decomposes the graph once for repeated RankSubset calls.
-//
-// Deprecated: use NewRanker; the preprocessing is built on first use (or
-// eagerly via Ranker.Prepare).
-func Preprocess(g *Graph) *Preprocessed {
-	r := NewRanker(g)
-	r.Prepare(Betweenness)
-	return &Preprocessed{r: r}
-}
-
-// RankSubset ranks a target set using the cached preprocessing (always the
-// SaPHyRa method).
-//
-// Deprecated: use Ranker.Rank; the results are bitwise-identical.
-func (p *Preprocessed) RankSubset(targets []Node, opt Options) (*Result, error) {
-	if err := nonEmptyTargets(targets); err != nil {
-		return nil, err
-	}
-	opt.Method = MethodSaPHyRa
-	return p.r.Rank(context.Background(), opt.query(Betweenness, targets, 0))
-}
 
 // View is the shared graph-view layer (DESIGN.md section 7): the
 // block-annotated adjacency arrays that power the exact 2-hop phase, the
@@ -349,40 +193,6 @@ func (v *View) DistanceSketch(k int) (*DistanceSketch, error) { return v.v.Dista
 // was built from.
 func (v *View) Ranker() *Ranker { return query.NewRankerView(v.v) }
 
-// Preprocess adapts the view for repeated betweenness ranking.
-//
-// Deprecated: use View.Ranker; the results are bitwise-identical.
-func (v *View) Preprocess() *Preprocessed {
-	r := v.Ranker()
-	r.Prepare(Betweenness)
-	return &Preprocessed{r: r}
-}
-
-// RankKPath estimates and ranks k-path centrality from the view.
-//
-// Deprecated: use View.Ranker and Rank with Measure KPath; the results are
-// bitwise-identical.
-func (v *View) RankKPath(targets []Node, k int, opt Options) (*Result, error) {
-	if err := nonEmptyTargets(targets); err != nil {
-		return nil, err
-	}
-	opt.Method = MethodSaPHyRa
-	return v.Ranker().Rank(context.Background(), opt.query(KPath, targets, k))
-}
-
-// RankCloseness estimates and ranks harmonic closeness from the view (the
-// BFS pricing streams the view's grouped adjacency arrays).
-//
-// Deprecated: use View.Ranker and Rank with Measure Closeness; the results
-// are bitwise-identical.
-func (v *View) RankCloseness(targets []Node, opt Options) (*Result, error) {
-	if err := nonEmptyTargets(targets); err != nil {
-		return nil, err
-	}
-	opt.Method = MethodSaPHyRa
-	return v.Ranker().Rank(context.Background(), opt.query(Closeness, targets, 0))
-}
-
 // ExactBC computes exact betweenness centrality for every node with
 // parallel Brandes (Eq 3 normalization). O(n*m): ground truth for small and
 // medium graphs.
@@ -397,32 +207,6 @@ func Spearman(truth, estimate []float64, ids []int32) float64 {
 // KendallTau returns Kendall's rank correlation with the same conventions.
 func KendallTau(truth, estimate []float64, ids []int32) float64 {
 	return rank.KendallTau(truth, estimate, ids)
-}
-
-// RankKPath estimates k-path centrality (the paper's Section II-A example)
-// for the target nodes and ranks them.
-//
-// Deprecated: use NewRanker(g).Rank with Measure KPath; the results are
-// bitwise-identical.
-func RankKPath(g *Graph, targets []Node, k int, opt Options) (*Result, error) {
-	if err := nonEmptyTargets(targets); err != nil {
-		return nil, err
-	}
-	opt.Method = MethodSaPHyRa
-	return NewRanker(g).Rank(context.Background(), opt.query(KPath, targets, k))
-}
-
-// RankCloseness estimates harmonic closeness centrality (the paper's stated
-// future-work extension) for the target nodes and ranks them.
-//
-// Deprecated: use NewRanker(g).Rank with Measure Closeness; the results are
-// bitwise-identical.
-func RankCloseness(g *Graph, targets []Node, opt Options) (*Result, error) {
-	if err := nonEmptyTargets(targets); err != nil {
-		return nil, err
-	}
-	opt.Method = MethodSaPHyRa
-	return NewRanker(g).Rank(context.Background(), opt.query(Closeness, targets, 0))
 }
 
 // Generate exposes the deterministic synthetic generators used by the

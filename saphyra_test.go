@@ -1,16 +1,45 @@
 package saphyra
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
 
+// rankGraph answers q with a fresh Ranker over g.
+func rankGraph(g *Graph, q Query) (*Result, error) {
+	return NewRanker(g).Rank(context.Background(), q)
+}
+
+// compareBitwise fails unless two results carry identical nodes, scores
+// (bit for bit), ranks, and sample counts.
+func compareBitwise(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if got.Samples != want.Samples {
+		t.Fatalf("%s: samples %d != %d", name, got.Samples, want.Samples)
+	}
+	if len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("%s: %d nodes, want %d", name, len(got.Nodes), len(want.Nodes))
+	}
+	for i := range want.Nodes {
+		if got.Nodes[i] != want.Nodes[i] {
+			t.Fatalf("%s: node[%d] = %d, want %d", name, i, got.Nodes[i], want.Nodes[i])
+		}
+		if got.Scores[i] != want.Scores[i] {
+			t.Fatalf("%s: score[%d] = %v, want %v — not bitwise-identical", name, i, got.Scores[i], want.Scores[i])
+		}
+		if got.Rank[i] != want.Rank[i] {
+			t.Fatalf("%s: rank[%d] = %d, want %d", name, i, got.Rank[i], want.Rank[i])
+		}
+	}
+}
+
 func TestRankSubsetSaPHyRa(t *testing.T) {
 	g := Generate.BarabasiAlbert(200, 3, 1)
 	truth := ExactBC(g, 2)
 	targets := []Node{3, 50, 100, 150, 199}
-	res, err := RankSubset(g, targets, Options{Epsilon: 0.05, Delta: 0.01, Seed: 1})
+	res, err := rankGraph(g, Query{Targets: targets, Epsilon: 0.05, Delta: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +67,8 @@ func TestRankSubsetSaPHyRa(t *testing.T) {
 func TestRankSubsetBaselines(t *testing.T) {
 	g := Generate.BarabasiAlbert(100, 3, 2)
 	truth := ExactBC(g, 2)
-	for _, m := range []Method{MethodABRA, MethodKADABRA} {
-		res, err := RankSubset(g, []Node{1, 20, 40}, Options{Epsilon: 0.05, Delta: 0.01, Seed: 2, Method: m})
+	for _, m := range []Algorithm{AlgABRA, AlgKADABRA} {
+		res, err := rankGraph(g, Query{Algorithm: m, Targets: []Node{1, 20, 40}, Epsilon: 0.05, Delta: 0.01, Seed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -54,7 +83,7 @@ func TestRankSubsetBaselines(t *testing.T) {
 func TestRankAll(t *testing.T) {
 	g := Generate.ErdosRenyi(60, 150, 3)
 	truth := ExactBC(g, 2)
-	res, err := RankAll(g, Options{Epsilon: 0.05, Delta: 0.01, Seed: 3})
+	res, err := rankGraph(g, Query{Epsilon: 0.05, Delta: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,34 +99,21 @@ func TestRankAll(t *testing.T) {
 
 func TestRankSubsetErrors(t *testing.T) {
 	g := Generate.Grid2D(3, 3)
-	if _, err := RankSubset(g, nil, Options{}); err == nil {
-		t.Error("empty targets: want error")
-	}
-	if _, err := RankSubset(g, []Node{100}, Options{}); err == nil {
+	if _, err := rankGraph(g, Query{Targets: []Node{100}}); err == nil {
 		t.Error("out of range: want error")
 	}
-	if _, err := RankSubset(g, []Node{1}, Options{Method: Method(42)}); err == nil {
-		t.Error("unknown method: want error")
-	}
-}
-
-func TestMethodString(t *testing.T) {
-	if MethodSaPHyRa.String() != "SaPHyRa" || MethodABRA.String() != "ABRA" ||
-		MethodKADABRA.String() != "KADABRA" {
-		t.Error("method names wrong")
-	}
-	if !strings.Contains(Method(9).String(), "9") {
-		t.Error("unknown method string should include the value")
+	if _, err := rankGraph(g, Query{Algorithm: Algorithm(42), Targets: []Node{1}}); err == nil {
+		t.Error("unknown algorithm: want error")
 	}
 }
 
 func TestPreprocessedReuse(t *testing.T) {
 	g := Generate.PowerLawCluster(150, 4, 0.3, 4)
 	truth := ExactBC(g, 2)
-	p := Preprocess(g)
+	r := NewRanker(g)
 	for trial := 0; trial < 3; trial++ {
 		targets := []Node{Node(trial * 10), Node(trial*10 + 5), Node(trial*10 + 9)}
-		res, err := p.RankSubset(targets, Options{Epsilon: 0.05, Delta: 0.01, Seed: int64(trial)})
+		res, err := r.Rank(context.Background(), Query{Targets: targets, Epsilon: 0.05, Delta: 0.01, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +137,7 @@ func TestReadEdgeListFacade(t *testing.T) {
 
 func TestRankKPath(t *testing.T) {
 	g := Generate.WattsStrogatz(80, 3, 0.1, 5)
-	res, err := RankKPath(g, []Node{1, 10, 20}, 3, Options{Epsilon: 0.05, Delta: 0.05, Seed: 5})
+	res, err := rankGraph(g, Query{Measure: KPath, Targets: []Node{1, 10, 20}, K: 3, Epsilon: 0.05, Delta: 0.05, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +153,7 @@ func TestRankKPath(t *testing.T) {
 
 func TestRankCloseness(t *testing.T) {
 	g := Generate.BarabasiAlbert(90, 3, 6)
-	res, err := RankCloseness(g, []Node{0, 44, 89}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 6})
+	res, err := rankGraph(g, Query{Measure: Closeness, Targets: []Node{0, 44, 89}, Epsilon: 0.05, Delta: 0.05, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +193,7 @@ func TestRankingOrderMatchesTruthOnEasyCase(t *testing.T) {
 		b.AddEdge(10, 5)
 		return b.Build()
 	}()
-	res, err := RankSubset(g, []Node{1, 6, 10}, Options{Epsilon: 0.05, Delta: 0.01, Seed: 7})
+	res, err := rankGraph(g, Query{Targets: []Node{1, 6, 10}, Epsilon: 0.05, Delta: 0.01, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,19 +1,19 @@
 package saphyra
 
 import (
-	"fmt"
+	"context"
 	"path/filepath"
 	"testing"
 )
 
 // TestViewBuildServeRoundTrip exercises the public build-once/serve-many
 // flow: build a view, serialize it, reopen it mmap-backed, and check that
-// all three engines (betweenness, k-path, closeness) return results
-// bitwise-identical to serving from the in-memory graph.
+// the view's Ranker answers every measure (betweenness under all three
+// algorithms, k-path, closeness) bitwise-identically to a Ranker over the
+// in-memory graph.
 func TestViewBuildServeRoundTrip(t *testing.T) {
 	g := Generate.BarabasiAlbert(800, 3, 12)
 	targets := []Node{7, 100, 500, 777}
-	opt := Options{Epsilon: 0.05, Delta: 0.05, Seed: 5, Workers: 4}
 
 	ids := make([]int64, g.NumNodes())
 	for i := range ids {
@@ -43,109 +43,44 @@ func TestViewBuildServeRoundTrip(t *testing.T) {
 		}
 	}
 
-	compare := func(name string, got, want *Result, err1, err2 error) {
-		t.Helper()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: %v / %v", name, err1, err2)
+	gr, vr := NewRanker(g), view.Ranker()
+	for _, q := range []Query{
+		{Measure: Betweenness, Algorithm: AlgSaPHyRa},
+		{Measure: Betweenness, Algorithm: AlgABRA},
+		{Measure: Betweenness, Algorithm: AlgKADABRA},
+		{Measure: KPath, K: 4},
+		{Measure: Closeness},
+	} {
+		q.Targets = targets
+		q.Epsilon, q.Delta, q.Seed, q.Workers = 0.05, 0.05, 5, 4
+		name := q.Measure.String() + "/" + q.Algorithm.String()
+		want, err := gr.Rank(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: graph: %v", name, err)
 		}
-		if got.Samples != want.Samples {
-			t.Fatalf("%s: samples %d != %d", name, got.Samples, want.Samples)
+		got, err := vr.Rank(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: view: %v", name, err)
 		}
-		for i := range want.Scores {
-			if got.Scores[i] != want.Scores[i] {
-				t.Fatalf("%s: score[%d] = %v, want %v", name, i, got.Scores[i], want.Scores[i])
-			}
-			if got.Rank[i] != want.Rank[i] {
-				t.Fatalf("%s: rank[%d] = %d, want %d", name, i, got.Rank[i], want.Rank[i])
-			}
-		}
-	}
-
-	gotBC, err1 := view.Preprocess().RankSubset(targets, opt)
-	wantBC, err2 := RankSubset(g, targets, opt)
-	compare("bc", gotBC, wantBC, err1, err2)
-
-	gotKP, err1 := view.RankKPath(targets, 4, opt)
-	wantKP, err2 := RankKPath(g, targets, 4, opt)
-	compare("kpath", gotKP, wantKP, err1, err2)
-
-	gotCL, err1 := view.RankCloseness(targets, opt)
-	wantCL, err2 := RankCloseness(g, targets, opt)
-	compare("closeness", gotCL, wantCL, err1, err2)
-}
-
-// TestOptionsCanonical: the canonical form resolves defaults and strips the
-// result-irrelevant worker count, so equal canonical forms really do imply
-// bitwise-equal results (the caching contract).
-func TestOptionsCanonical(t *testing.T) {
-	c := Options{}.Canonical()
-	if c.Epsilon != 0.05 || c.Delta != 0.01 {
-		t.Fatalf("zero options canonicalized to eps=%g delta=%g", c.Epsilon, c.Delta)
-	}
-	a := Options{Epsilon: 0.1, Delta: 0.02, Workers: 1, Seed: 9}.Canonical()
-	b := Options{Epsilon: 0.1, Delta: 0.02, Workers: 64, Seed: 9}.Canonical()
-	if a != b {
-		t.Fatal("worker count survived canonicalization")
-	}
-	if a.Seed != 9 || a.Method != MethodSaPHyRa {
-		t.Fatal("result-relevant fields were not preserved")
-	}
-
-	// The contract itself: equal canonical forms, equal bits.
-	g := Generate.BarabasiAlbert(300, 3, 2)
-	targets := []Node{3, 14, 159}
-	r1, err1 := RankSubset(g, targets, Options{Epsilon: 0.1, Delta: 0.02, Workers: 1, Seed: 9})
-	r2, err2 := RankSubset(g, targets, Options{Epsilon: 0.1, Delta: 0.02, Workers: 5, Seed: 9})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	for i := range r1.Scores {
-		if r1.Scores[i] != r2.Scores[i] {
-			t.Fatal("equal canonical options produced different bits")
-		}
-	}
-}
-
-// TestTargetSetHash: order- and duplicate-insensitive, set-sensitive.
-func TestTargetSetHash(t *testing.T) {
-	a := TargetSetHash([]Node{5, 1, 9})
-	if b := TargetSetHash([]Node{9, 5, 1, 5, 1}); b != a {
-		t.Fatal("hash depends on order or duplicates")
-	}
-	if c := TargetSetHash([]Node{5, 1, 8}); c == a {
-		t.Fatal("different sets collide")
-	}
-	if d := TargetSetHash(nil); d == a {
-		t.Fatal("empty set collides")
-	}
-	// Stability across processes: pin one digest so accidental
-	// canonicalization changes are caught (the serving cache key depends
-	// on this being a pure function of the set).
-	h := TargetSetHash([]Node{0, 1, 2})
-	got := fmt.Sprintf("%x", h[:8])
-	const want = "ad5dc1478de06a4c"
-	if got != want {
-		t.Fatalf("TargetSetHash({0,1,2}) prefix = %s, want %s", got, want)
+		compareBitwise(t, name, got, want)
 	}
 }
 
 // TestRankSubsetRejectsBadTargets: the typed validation surfaces through
-// the public API for every method.
+// the public API for every measure and algorithm.
 func TestRankSubsetRejectsBadTargets(t *testing.T) {
 	g := Generate.BarabasiAlbert(50, 2, 1)
-	for _, m := range []Method{MethodSaPHyRa, MethodABRA, MethodKADABRA} {
-		if _, err := RankSubset(g, nil, Options{Method: m}); err == nil {
-			t.Errorf("%v: empty target set accepted", m)
+	for _, q := range []Query{
+		{Measure: Betweenness, Algorithm: AlgSaPHyRa},
+		{Measure: Betweenness, Algorithm: AlgABRA},
+		{Measure: Betweenness, Algorithm: AlgKADABRA},
+		{Measure: KPath},
+		{Measure: Closeness},
+	} {
+		q.Targets = []Node{999}
+		if _, err := rankGraph(g, q); err == nil {
+			t.Errorf("%v/%v: out-of-range target accepted", q.Measure, q.Algorithm)
 		}
-		if _, err := RankSubset(g, []Node{999}, Options{Method: m}); err == nil {
-			t.Errorf("%v: out-of-range target accepted", m)
-		}
-	}
-	if _, err := RankKPath(g, []Node{999}, 3, Options{}); err == nil {
-		t.Error("kpath: out-of-range target accepted")
-	}
-	if _, err := RankCloseness(g, []Node{999}, Options{}); err == nil {
-		t.Error("closeness: out-of-range target accepted")
 	}
 }
 
@@ -155,7 +90,7 @@ func TestRankSubsetWorkerIndependent(t *testing.T) {
 	g := Generate.PowerLawCluster(500, 3, 0.3, 3)
 	targets := []Node{1, 9, 99, 420}
 	run := func(workers int) *Result {
-		res, err := RankSubset(g, targets, Options{Epsilon: 0.05, Delta: 0.05, Seed: 6, Workers: workers})
+		res, err := rankGraph(g, Query{Targets: targets, Epsilon: 0.05, Delta: 0.05, Seed: 6, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
