@@ -16,7 +16,7 @@
 //	GET  /v1/topk?method=closeness&k=10
 //	GET  /healthz                                  # liveness: 200 while the process runs
 //	GET  /readyz                                   # readiness: 503 until a view generation serves
-//	GET  /statusz
+//	GET  /statusz                                  # the /metricsz counters and gauges as one JSON object
 //	GET  /metricsz                                 # Prometheus text format
 //	POST /admin/reload                             # also: kill -HUP <pid>
 //
@@ -100,10 +100,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "worker-goroutine pool shared by all computations (0 = all CPUs)")
 		reqWorkers  = flag.Int("request-workers", 0, "max workers one computation may take from the pool (0 = half the pool)")
 		cacheSize   = flag.Int("cache", 0, "result cache entries (0 = default 1024)")
-		eps         = flag.Float64("eps", 0.05, "default additive error guarantee")
-		delta       = flag.Float64("delta", 0.01, "default failure probability")
-		seed        = flag.Int64("seed", 1, "default RNG seed (responses are seed-deterministic)")
-		kflag       = flag.Int("k", 3, "default walk length for method kpath")
 		timeout     = flag.Duration("timeout", 0, "default per-request compute deadline (e.g. 30s; 0 = none); a Timeout-Ms request header may tighten but never extend it. Expired requests get 504 and their computation is canceled")
 		noWarm      = flag.Bool("no-precompute", false, "skip warming the per-method top-k index at startup/reload")
 
@@ -160,10 +156,6 @@ func main() {
 		TotalWorkers:       *workers,
 		RequestWorkers:     *reqWorkers,
 		CacheEntries:       *cacheSize,
-		DefaultEpsilon:     *eps,
-		DefaultDelta:       *delta,
-		DefaultSeed:        *seed,
-		DefaultK:           *kflag,
 		DefaultTimeout:     *timeout,
 		DisablePrecompute:  *noWarm,
 		FastLaneSlots:      *fastSlots,

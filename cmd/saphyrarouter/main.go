@@ -30,8 +30,9 @@
 //
 // API: same as saphyrad for /v1/rank, /v1/topk, /healthz, /metricsz.
 // GET /readyz is 200 while at least one replica looks healthy.
-// GET /statusz reports per-replica health EWMAs. POST /admin/reload rolls
-// the whole fleet (409 while another roll is in progress).
+// GET /statusz is the router's /metricsz counters and gauges (per-replica
+// route outcomes and health EWMAs) as one JSON object. POST /admin/reload
+// rolls the whole fleet (409 while another roll is in progress).
 package main
 
 import (

@@ -171,11 +171,16 @@ func main() {
 		fmt.Printf("same deadline without Degrade-Ms: %v\n", err)
 	}
 
-	status := getJSON[serve.Statusz](base + "/statusz")
-	fmt.Printf("\nstatusz: gen=%d cache{hits=%d misses=%d} requests{rank=%d quota_denied=%d deadline=%d} degraded{coarse=%d stale=%d} open_mappings=%d\n",
-		status.Generation, status.Cache.Hits, status.Cache.Misses,
-		status.Requests.Rank, status.Requests.QuotaDenied, status.Requests.DeadlineExceeded,
-		status.Degraded, status.StaleServed, status.OpenMappings)
+	// /statusz is the registry's counters and gauges as one JSON object,
+	// keyed exactly as their /metricsz sample lines.
+	status := *getJSON[map[string]float64](base + "/statusz")
+	fmt.Printf("\nstatusz: gen=%g cache{hits=%g misses=%g} requests{rank=%g quota_denied=%g deadline=%g} degraded{coarse=%g stale=%g} open_mappings=%g\n",
+		status["saphyra_generation"],
+		status[`saphyra_cache_events_total{kind="hit"}`], status[`saphyra_cache_events_total{kind="miss"}`],
+		status[`saphyra_requests_total{endpoint="rank"}`],
+		status[`saphyra_request_errors_total{reason="quota"}`], status[`saphyra_request_errors_total{reason="deadline"}`],
+		status[`saphyra_degraded_total{rung="coarse"}`], status[`saphyra_degraded_total{rung="stale"}`],
+		status["saphyra_open_mappings"])
 
 	// The same counters in Prometheus text format, ready to scrape.
 	mresp, err := http.Get(base + "/metricsz")

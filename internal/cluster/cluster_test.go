@@ -1,16 +1,15 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -79,41 +78,24 @@ func postRankURL(t testing.TB, base string, req serve.RankRequest) (*serve.RankR
 	return &out, resp.StatusCode, resp.Header
 }
 
-func statuszOf(t testing.TB, base string) *serve.Statusz {
+// statusz reads a replica's or the router's GET /statusz: every counter and
+// gauge sample, keyed as its /metricsz line (`saphyra_generation`,
+// `saphyra_peer_fill_total{result="hit"}`).
+func statusz(t testing.TB, base string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(base + "/statusz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st serve.Statusz
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/statusz: status %d", base, resp.StatusCode)
+	}
+	var st map[string]float64
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	return &st
-}
-
-// promCounter reads one counter sample (by its exact name{labels} prefix)
-// from a replica's /metricsz.
-func promCounter(t testing.TB, base, series string) float64 {
-	t.Helper()
-	resp, err := http.Get(base + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, series+" "); ok {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-			if err != nil {
-				t.Fatalf("bad sample %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	return 0
+	return st
 }
 
 // computesOf returns the fleet-wide count of actual engine computations
@@ -123,9 +105,8 @@ func computesOf(t testing.TB, bases []string) int64 {
 	t.Helper()
 	var total int64
 	for _, base := range bases {
-		st := statuszOf(t, base)
-		hits := promCounter(t, base, `saphyra_peer_fill_total{result="hit"}`)
-		total += st.Cache.Misses - int64(hits)
+		st := statusz(t, base)
+		total += int64(st[`saphyra_cache_events_total{kind="miss"}`] - st[`saphyra_peer_fill_total{result="hit"}`])
 	}
 	return total
 }
@@ -295,8 +276,8 @@ func TestClusterBitwiseUnderReloadAndKill(t *testing.T) {
 		check(resp)
 	}
 	for i, base := range f.ReplicaURLs {
-		if st := statuszOf(t, base); st.Generation != 2 {
-			t.Fatalf("replica %d still at generation %d after the roll", i, st.Generation)
+		if gen := statusz(t, base)["saphyra_generation"]; gen != 2 {
+			t.Fatalf("replica %d still at generation %v after the roll", i, gen)
 		}
 	}
 
@@ -458,7 +439,7 @@ func TestClusterPeerFillSingleCompute(t *testing.T) {
 	fills := 0.0
 	for i, u := range f.ReplicaURLs {
 		if i != home {
-			fills += promCounter(t, u, `saphyra_peer_fill_total{result="hit"}`)
+			fills += statusz(t, u)[`saphyra_peer_fill_total{result="hit"}`]
 		}
 	}
 	if fills < 2 {
@@ -537,16 +518,24 @@ func TestRouterRelaysBackpressure(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("hops-exhausted 503 must carry Retry-After")
 	}
-	var st RouterStatusz
-	r2, err := http.Get(f.RouterURL + "/statusz")
+	st := statusz(t, f.RouterURL)
+	if st["saphyra_router_exhausted_total"] == 0 {
+		t.Fatal("router statusz should count the exhausted request")
+	}
+	// Every router /statusz entry is a /metricsz sample with the same value.
+	r2, err := http.Get(f.RouterURL + "/metricsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Body.Close()
-	if err := json.NewDecoder(r2.Body).Decode(&st); err != nil {
+	metricsz, err := io.ReadAll(r2.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Exhausted == 0 {
-		t.Fatal("router statusz should count the exhausted request")
+	for key, v := range st {
+		line := fmt.Sprintf("\n%s %s\n", key, strconv.FormatFloat(v, 'g', -1, 64))
+		if !bytes.Contains(metricsz, []byte(line)) {
+			t.Errorf("router statusz %s = %v is not a /metricsz sample", key, v)
+		}
 	}
 }

@@ -112,9 +112,6 @@ func StartFleet(viewPath string, cfg FleetConfig) (*Fleet, error) {
 	return f, nil
 }
 
-// Router returns the fleet's router (for its registry and statusz).
-func (f *Fleet) Router() *Router { return f.router }
-
 // Server returns replica i's serving layer (nil once killed) — the handle
 // the tests use to read cache counters and compute bitwise references.
 func (f *Fleet) Server(i int) *serve.Server {

@@ -336,35 +336,11 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, &serve.ReadyzResponse{Status: "no healthy replicas"})
 }
 
-// RouterStatusz is the router's GET /statusz body.
-type RouterStatusz struct {
-	Replicas  []ReplicaStatus `json:"replicas"`
-	HopBudget int             `json:"hop_budget"`
-	VNodes    int             `json:"vnodes"`
-	Exhausted int64           `json:"exhausted"`
-}
-
-// ReplicaStatus is one replica's health as the router sees it.
-type ReplicaStatus struct {
-	URL     string  `json:"url"`
-	Health  float64 `json:"health"`
-	Healthy bool    `json:"healthy"`
-}
-
+// handleStatusz renders the router's counters and gauges (per-replica
+// route outcomes and health, exhausted requests) as one JSON object, keyed
+// as their /metricsz sample lines.
 func (rt *Router) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	st := &RouterStatusz{
-		HopBudget: rt.cfg.HopBudget,
-		VNodes:    rt.cfg.VNodes,
-		Exhausted: rt.m.exhausted.Value(),
-	}
-	for i, url := range rt.cfg.Replicas {
-		st.Replicas = append(st.Replicas, ReplicaStatus{
-			URL:     url,
-			Health:  rt.health[i].score(),
-			Healthy: rt.health[i].healthy(),
-		})
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, rt.reg.Snapshot())
 }
 
 func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
@@ -372,9 +348,6 @@ func (rt *Router) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rt.reg.WritePrometheus(w)
 }
-
-// Registry exposes the router's metrics registry for embedding and tests.
-func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 // handleReload rolls a reload across the whole fleet, one replica at a
 // time (RollingReload), so operators and load harnesses drive a fleet

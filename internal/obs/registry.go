@@ -3,8 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,7 +77,6 @@ type series struct {
 	labels string // rendered label pairs without braces, e.g. `endpoint="rank"`
 
 	c  atomic.Int64    // KindCounter
-	g  atomic.Uint64   // KindGauge: float64 bits
 	fn func() float64  // CounterFunc/GaugeFunc: computed on render
 	h  *hist.Histogram // KindHistogram
 }
@@ -145,15 +143,6 @@ func (c *Counter) Add(n int64) { c.s.c.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.s.c.Load() }
 
-// Gauge is a series that can go up and down.
-type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.s.g.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.g.Load()) }
-
 // Hist is a registered histogram series. Observations are recorded in the
 // wait-free fine histogram and coalesced onto the family's bucket ladder
 // at render time.
@@ -164,9 +153,6 @@ func (h *Hist) Observe(d time.Duration) { h.s.h.Observe(d) }
 
 // ObserveN records one dimensionless count (for UnitCount families).
 func (h *Hist) ObserveN(n int64) { h.s.h.Observe(time.Duration(n)) }
-
-// Raw exposes the underlying fine histogram (for /statusz quantiles).
-func (h *Hist) Raw() *hist.Histogram { return h.s.h }
 
 // Counter registers (or fetches) a counter series. labels is either "" or
 // rendered pairs like `endpoint="rank"`.
@@ -180,11 +166,6 @@ func (r *Registry) CounterFunc(name, help, labels string, fn func() float64) {
 	r.ser(name, help, KindCounter, UnitCount, labels).fn = fn
 }
 
-// Gauge registers (or fetches) a gauge series.
-func (r *Registry) Gauge(name, help, labels string) *Gauge {
-	return &Gauge{r.ser(name, help, KindGauge, UnitCount, labels)}
-}
-
 // GaugeFunc registers a gauge computed at render time.
 func (r *Registry) GaugeFunc(name, help, labels string, fn func() float64) {
 	r.ser(name, help, KindGauge, UnitCount, labels).fn = fn
@@ -196,7 +177,7 @@ func (r *Registry) Histogram(name, help, labels string, unit Unit) *Hist {
 	return &Hist{r.ser(name, help, KindHistogram, unit, labels)}
 }
 
-// Label renders one label pair for the Counter/Gauge/Histogram labels
+// Label renders one label pair for the Counter/GaugeFunc/Histogram labels
 // argument, escaping the value per the Prometheus text exposition rules
 // (backslash, double quote, newline). Static label sets are written as
 // literals (`endpoint="rank"`); Label is for values that arrive at runtime
@@ -219,18 +200,13 @@ func Label(k, v string) string {
 	return string(append(b, '"'))
 }
 
-// fmtVal renders a float the way the pre-registry /metricsz rendered
-// integers: %g, so `saphyra_generation 1` stays exactly that.
+// fmtVal renders a float in its shortest exact form, so integers carry
+// no exponent or trailing zeros: `saphyra_generation 1`.
 func fmtVal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// value reads a counter or gauge series: the render-time function when one
+// is registered, else the counter's atomic.
 func (s *series) value() float64 {
-	if s.fn != nil {
-		return s.fn()
-	}
-	return math.Float64frombits(s.g.Load())
-}
-
-func (s *series) counterValue() float64 {
 	if s.fn != nil {
 		return s.fn()
 	}
@@ -256,21 +232,12 @@ func withLabels(base, extra string) string {
 // gauge family carrying p50/p90/p99/p999 read from the fine histogram
 // (relative error <= 1/32).
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-
-	for _, f := range fams {
+	for _, f := range r.families() {
 		switch f.kind {
 		case KindCounter, KindGauge:
 			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
 			for _, s := range f.series {
-				v := s.counterValue()
-				if f.kind == KindGauge {
-					v = s.value()
-				}
-				fmt.Fprintf(w, "%s%s %s\n", f.name, withLabels(s.labels, ""), fmtVal(v))
+				fmt.Fprintf(w, "%s%s %s\n", f.name, withLabels(s.labels, ""), fmtVal(s.value()))
 			}
 		case KindHistogram:
 			f.writeHistogram(w)
@@ -308,15 +275,26 @@ func (f *family) writeHistogram(w io.Writer) {
 	}
 }
 
-// SortedNames returns every registered family name, sorted — test helper
-// for exposition linting.
-func (r *Registry) SortedNames() []string {
+// Snapshot returns every counter and gauge series' current value, keyed
+// exactly as the series' sample line in WritePrometheus
+// (`saphyra_cache_events_total{kind="miss"}`, `saphyra_generation`) — the
+// GET /statusz body. Histograms are left to the Prometheus exposition.
+func (r *Registry) Snapshot() map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range r.families() {
+		if f.kind == KindHistogram {
+			continue
+		}
+		for _, s := range f.series {
+			out[f.name+withLabels(s.labels, "")] = s.value()
+		}
+	}
+	return out
+}
+
+// families copies the family list so renders run without the registry lock.
+func (r *Registry) families() []*family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Clone(r.fams)
 }

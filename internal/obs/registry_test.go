@@ -16,8 +16,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	c := r.Counter("t_requests_total", "Requests.", `endpoint="rank"`)
 	c.Add(2)
 	r.Counter("t_requests_total", "Requests.", `endpoint="topk"`).Inc()
-	g := r.Gauge("t_depth", "Depth.", "")
-	g.Set(3)
+	r.GaugeFunc("t_depth", "Depth.", "", func() float64 { return 3 })
 	r.GaugeFunc("t_uptime", "Up.", "", func() float64 { return 1.5 })
 	r.CounterFunc("t_hits_total", "Hits.", `kind="hit"`, func() float64 { return 9 })
 
@@ -40,9 +39,6 @@ func TestCounterGaugeRender(t *testing.T) {
 	if c.Value() != 2 {
 		t.Errorf("Counter.Value = %d", c.Value())
 	}
-	if g.Value() != 3 {
-		t.Errorf("Gauge.Value = %v", g.Value())
-	}
 }
 
 // TestRegistryReusesSeries pins that registering the same (name, labels)
@@ -61,7 +57,47 @@ func TestRegistryReusesSeries(t *testing.T) {
 			t.Error("kind mismatch did not panic")
 		}
 	}()
-	r.Gauge("t_total", "h", "")
+	r.GaugeFunc("t_total", "h", "", func() float64 { return 0 })
+}
+
+// TestSnapshotMatchesExposition pins Snapshot as the JSON twin of the
+// exposition: every counter and gauge sample line of WritePrometheus is in
+// the snapshot under the same key with the same value, and the snapshot
+// holds nothing else — no histogram series and none of their quantiles.
+func TestSnapshotMatchesExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("t_requests_total", "Requests.", `endpoint="rank"`).Add(7)
+	r.Counter("t_requests_total", "Requests.", `endpoint="topk"`)
+	r.CounterFunc("t_hits_total", "Hits.", Label("replica", `a"b`), func() float64 { return 9 })
+	r.GaugeFunc("t_uptime", "Up.", "", func() float64 { return 1.5 })
+	r.GaugeFunc("t_stamp", "Stamp.", "", func() float64 { return 1.7e9 + 0.25 })
+	h := r.Histogram("t_seconds", "Latency.", `outcome="ok"`, UnitSeconds)
+	h.Observe(3 * time.Millisecond)
+	r.Histogram("t_fanin", "Fan-in.", "", UnitCount).ObserveN(4)
+
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	snap := r.Snapshot()
+	seen := 0
+	for _, line := range strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") || strings.HasPrefix(line, "t_seconds") || strings.HasPrefix(line, "t_fanin") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		key, val := line[:i], line[i+1:]
+		got, ok := snap[key]
+		if !ok {
+			t.Errorf("snapshot has no %q", key)
+			continue
+		}
+		if fmtVal(got) != val {
+			t.Errorf("snapshot[%q] = %s, exposition says %s", key, fmtVal(got), val)
+		}
+		seen++
+	}
+	if seen != 5 || len(snap) != seen {
+		t.Errorf("exposition has %d counter/gauge samples, snapshot %d keys, want 5 each: %v", seen, len(snap), snap)
+	}
 }
 
 // TestHistogramRenderInvariants is the registry-level half of the

@@ -87,7 +87,6 @@ func TestServeChaosHammer(t *testing.T) {
 		DisablePrecompute: true,
 		MaxInFlight:       2, MaxQueue: 2,
 		FastLaneSlots: 1, FastLaneCost: 300,
-		DefaultEpsilon: 0.1, DefaultDelta: 0.05,
 		DefaultTimeout: 2 * time.Second,
 	})
 
@@ -230,7 +229,7 @@ func TestServeChaosHammer(t *testing.T) {
 					checkError(where, w.Code, w.Body.Bytes())
 				}
 				if i%8 == 7 { // sprinkle full-network reads (the panic point)
-					r := httptest.NewRequest("GET", "/v1/topk?k=5&seed=4", nil)
+					r := httptest.NewRequest("GET", "/v1/topk?k=5&eps=0.1&delta=0.05&seed=4", nil)
 					if hdrs != nil {
 						r.Header.Set("Degrade-Ms", "1000")
 					}

@@ -193,8 +193,8 @@ func TestFlightCanceledWhenLastWaiterLeaves(t *testing.T) {
 	}
 }
 
-// TestServeMetricsz: the Prometheus endpoint mirrors the /statusz counters,
-// including the new deadline/cancellation series.
+// TestServeMetricsz: the Prometheus endpoint renders the request, error and
+// cache counters, including the deadline/cancellation series.
 func TestServeMetricsz(t *testing.T) {
 	g := saphyra.Generate.BarabasiAlbert(150, 2, 8)
 	s, ids := newTestServer(t, g, Config{DisablePrecompute: true})

@@ -28,14 +28,12 @@ var outcomes = []string{
 	outcomeQuota, outcomeDeadline, outcomeClientClosed, outcomeInternal,
 }
 
-// metrics is the server's view of its obs.Registry: every counter the
-// pre-registry serving layer kept as an ad-hoc atomic.Int64 now lives in a
-// registered family (same exposition names as before — dashboards keep
-// working), plus the latency/cost histograms the flat counters could never
-// express. Counters owned by other structs (cache hits, admission depth,
-// the compute EWMA) are bridged with CounterFunc/GaugeFunc rather than
-// moved — their owners keep their atomics, the registry reads them at
-// scrape time.
+// metrics is the server's view of its obs.Registry, the one source of
+// both /metricsz and /statusz: the request counters, the operational
+// gauges, and the latency/cost histograms. Counters owned by other structs
+// (cache hits, admission depth, the compute EWMA) are bridged with
+// CounterFunc/GaugeFunc rather than moved — their owners keep their
+// atomics, the registry reads them at scrape time.
 type metrics struct {
 	reg *obs.Registry
 
@@ -130,6 +128,12 @@ func newMetrics(s *Server) *metrics {
 	reg.GaugeFunc("saphyra_view_edges", "Edges in the served view.", "", func() float64 {
 		if lv := s.cur.Load(); lv != nil {
 			return float64(lv.g.NumEdges())
+		}
+		return 0
+	})
+	reg.GaugeFunc("saphyra_view_loaded_timestamp_seconds", "Unix time the served view generation was loaded.", "", func() float64 {
+		if lv := s.cur.Load(); lv != nil {
+			return float64(lv.loaded.UnixNano()) / 1e9
 		}
 		return 0
 	})

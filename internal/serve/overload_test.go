@@ -220,10 +220,9 @@ func TestFastLaneBoundsTinyLatency(t *testing.T) {
 	s, ids := newTestServer(t, g, Config{
 		DisablePrecompute: true, MaxInFlight: 2, MaxQueue: 4,
 		FastLaneSlots: 1, FastLaneCost: 300,
-		DefaultEpsilon: 0.1, DefaultDelta: 0.05,
 	})
 	lv := s.cur.Load()
-	full, err := s.buildQuery(lv, MethodSaPHyRa, nil, 0, 0, 0, 0, true)
+	full, err := s.buildQuery(lv, MethodSaPHyRa, nil, 0.1, 0.05, 0, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,7 @@ func TestFastLaneBoundsTinyLatency(t *testing.T) {
 			defer wg.Done()
 			w := httptest.NewRecorder()
 			s.Handler().ServeHTTP(w, httptest.NewRequest("GET",
-				"/v1/topk?method=saphyra&k=5&seed="+strconv.Itoa(101+i), nil))
+				"/v1/topk?method=saphyra&k=5&eps=0.1&delta=0.05&seed="+strconv.Itoa(101+i), nil))
 			if w.Code != http.StatusOK {
 				t.Errorf("full job %d: status %d: %s", i, w.Code, w.Body.String())
 			}

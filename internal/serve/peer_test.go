@@ -239,12 +239,8 @@ func TestReloadResponseGeneration(t *testing.T) {
 			t.Fatalf("readyz after reload: code=%d gen=%d, want %d", w.Code, ready.Generation, want)
 		}
 
-		st, err := s.statusz()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Generation != want {
-			t.Fatalf("statusz generation %d, want %d", st.Generation, want)
+		if got := s.Registry().Snapshot()["saphyra_generation"]; got != float64(want) {
+			t.Fatalf("statusz generation %v, want %d", got, want)
 		}
 	}
 }

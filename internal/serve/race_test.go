@@ -24,10 +24,8 @@ import (
 func TestServeConcurrentHammerWithReloads(t *testing.T) {
 	g := saphyra.Generate.BarabasiAlbert(300, 3, 21)
 	s, ids := newTestServer(t, g, Config{
-		CacheEntries:   3, // force evictions so recomputation paths stay hot
-		MaxInFlight:    4,
-		DefaultEpsilon: 0.1,
-		DefaultDelta:   0.05,
+		CacheEntries: 3, // force evictions so recomputation paths stay hot
+		MaxInFlight:  4,
 	})
 
 	// Reference results straight from the library on the same file — the
@@ -112,7 +110,7 @@ func TestServeConcurrentHammerWithReloads(t *testing.T) {
 				}
 				if i%10 == 9 { // sprinkle top-k reads over the same cache
 					w := httptest.NewRecorder()
-					s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/topk?k=5", nil))
+					s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/topk?k=5&eps=0.1&delta=0.05", nil))
 					if w.Code != http.StatusOK {
 						t.Errorf("hammer %d: topk status %d", h, w.Code)
 						return
@@ -120,6 +118,15 @@ func TestServeConcurrentHammerWithReloads(t *testing.T) {
 					var tk RankResponse
 					if err := json.Unmarshal(w.Body.Bytes(), &tk); err != nil || len(tk.Nodes) != 5 {
 						t.Errorf("hammer %d: bad topk response (%v)", h, err)
+						return
+					}
+					// /statusz reads every counter and gauge while the
+					// hammers and the reloader move them.
+					w = httptest.NewRecorder()
+					s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/statusz", nil))
+					var st map[string]float64
+					if err := json.Unmarshal(w.Body.Bytes(), &st); w.Code != http.StatusOK || err != nil || st["saphyra_generation"] < 1 {
+						t.Errorf("hammer %d: statusz %d (%v): %s", h, w.Code, err, w.Body.String())
 						return
 					}
 				}

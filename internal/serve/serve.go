@@ -33,20 +33,22 @@
 //     in-flight query on it drains, per the mmap lifetime rules of
 //     DESIGN.md section 7.
 //
-// Telemetry rides on internal/obs: every counter lives in a metrics
-// Registry rendered by /metricsz (Prometheus text format, with latency and
-// cost histograms), request handlers thread trace spans through admission,
-// cache, flight, and the compute layers (returned in the response envelope
-// on ?trace=1 or a Trace-Id header), and requests slower than
-// Config.SlowQueryThreshold emit a structured JSON slow-query line with
-// the full span tree. Instrumentation is strictly read-only: spans never
-// reach a result bit, and with no trace active each instrumented site is
-// one atomic load.
+// Telemetry rides on internal/obs: every counter and gauge lives in one
+// metrics Registry, rendered by /metricsz (Prometheus text format, with
+// latency and cost histograms) and by /statusz (the same counter and
+// gauge samples as one JSON object), request handlers thread trace spans
+// through admission, cache, flight, and the compute layers (returned in
+// the response envelope on ?trace=1 or a Trace-Id header), and requests
+// slower than Config.SlowQueryThreshold emit a structured JSON slow-query
+// line with the full span tree. Instrumentation is strictly read-only:
+// spans never reach a result bit, and with no trace active each
+// instrumented site is one atomic load.
 //
 // The API surface is JSON over HTTP: POST /v1/rank, GET /v1/topk,
 // GET /healthz (liveness: 200 once listening), GET /readyz (readiness:
-// 503 until a view generation is loaded), GET /statusz, GET /metricsz
-// (Prometheus text format), POST /admin/reload.
+// 503 until a view generation is loaded), GET /statusz (the registry's
+// counters and gauges as JSON), GET /metricsz (Prometheus text format),
+// POST /admin/reload.
 package serve
 
 import (
@@ -126,12 +128,6 @@ type Config struct {
 	// then only ever get a coarsened recompute, never a prior generation.
 	DisableStale bool
 
-	// Request defaults, applied when a field is absent from the request.
-	DefaultEpsilon float64 // default 0.05
-	DefaultDelta   float64 // default 0.01
-	DefaultSeed    int64   // default 1
-	DefaultK       int     // k-path walk length, default 3
-
 	// DefaultTimeout is the per-request compute deadline. A request's
 	// Timeout-Ms header can only tighten it (the effective deadline is the
 	// minimum of the two), never extend it past the operator's bound. Zero
@@ -202,18 +198,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.DegradeMaxEps <= 0 {
 		c.DegradeMaxEps = 0.25
-	}
-	if c.DefaultEpsilon == 0 {
-		c.DefaultEpsilon = 0.05
-	}
-	if c.DefaultDelta == 0 {
-		c.DefaultDelta = 0.01
-	}
-	if c.DefaultSeed == 0 {
-		c.DefaultSeed = 1
-	}
-	if c.DefaultK == 0 {
-		c.DefaultK = 3
 	}
 	if c.SlowQueryThreshold > 0 && c.SlowQueryLog == nil {
 		c.SlowQueryLog = os.Stderr
@@ -428,28 +412,21 @@ func (s *Server) acquire() (*loadedView, error) {
 	return nil, errors.New("serve: could not pin a view generation")
 }
 
-// buildQuery assembles the canonical query.Query for one request: server
-// defaults applied, original-id targets translated to dense nodes, and the
-// result validated through the shared Query.Validate — the serving layer
-// has no canonicalization or parameter rules of its own. topk requests
-// carry no targets: the empty canonical target set IS the whole-network
-// query, and Query.Key distinguishes it from any explicit set.
+// buildQuery assembles the canonical query.Query for one request:
+// original-id targets translated to dense nodes, defaults applied by
+// Query.Canonical, and the result validated through the shared
+// Query.Validate — the serving layer's only rule of its own is the wire
+// one that an omitted seed means 1 (Query treats seed 0 as a real seed).
+// topk requests carry no targets: the empty canonical target set IS the
+// whole-network query, and Query.Key distinguishes it from any explicit
+// set.
 func (s *Server) buildQuery(lv *loadedView, method string, targets []int64, eps, delta float64, k int, seed int64, topk bool) (query.Query, error) {
 	m, err := measureOf(method)
 	if err != nil {
 		return query.Query{}, err
 	}
-	if eps == 0 {
-		eps = s.cfg.DefaultEpsilon
-	}
-	if delta == 0 {
-		delta = s.cfg.DefaultDelta
-	}
 	if seed == 0 {
-		seed = s.cfg.DefaultSeed
-	}
-	if m == query.KPath && k == 0 {
-		k = s.cfg.DefaultK
+		seed = 1
 	}
 	q := query.Query{Measure: m, K: k, Epsilon: eps, Delta: delta, Seed: seed}
 	if !topk {
@@ -748,17 +725,19 @@ func (s *Server) precomputeTopK(lv *loadedView) {
 
 // RankRequest is the body of POST /v1/rank. Targets are original node ids
 // (the id space of the edge list the view was built from). Zero-valued
-// fields take the server's configured defaults. A compute deadline can be
-// tightened per request with the Timeout-Ms header (it never extends the
-// server default); on expiry the response is 504 and the computation is
-// canceled once no other request waits on it.
+// fields take Query.Canonical's defaults (eps 0.05, delta 0.01, k-path
+// walk length 3). A compute deadline can be tightened per request with
+// the Timeout-Ms header (it never extends the server default); on expiry
+// the response is 504 and the computation is canceled once no other
+// request waits on it.
 type RankRequest struct {
 	Method  string  `json:"method"`
 	Targets []int64 `json:"targets"`
 	Eps     float64 `json:"eps,omitempty"`
 	Delta   float64 `json:"delta,omitempty"`
 	K       int     `json:"k,omitempty"`
-	Seed    int64   `json:"seed,omitempty"`
+	// Seed 0 (omitted) means seed 1; send a nonzero seed for any other.
+	Seed int64 `json:"seed,omitempty"`
 }
 
 // RankResponse is the body of POST /v1/rank and GET /v1/topk responses.
@@ -1123,103 +1102,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &ReadyzResponse{Status: "ready", Generation: lv.gen()})
 }
 
-// Statusz is the GET /statusz body: operational counters for dashboards
-// and the serving tests.
-type Statusz struct {
-	Generation     uint64    `json:"generation"`
-	View           string    `json:"view"`
-	Nodes          int       `json:"nodes"`
-	Edges          int64     `json:"edges"`
-	LoadedAt       time.Time `json:"loaded_at"`
-	UptimeSeconds  float64   `json:"uptime_seconds"`
-	InFlight       int       `json:"inflight"`
-	Waiting        int64     `json:"waiting"`
-	WorkersTotal   int       `json:"workers_total"`
-	WorkersPerCall int       `json:"workers_per_request"`
-	Cache          struct {
-		Entries   int   `json:"entries"`
-		Capacity  int   `json:"capacity"`
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Collapsed int64 `json:"collapsed"`
-	} `json:"cache"`
-	Requests struct {
-		Rank             int64 `json:"rank"`
-		TopK             int64 `json:"topk"`
-		BadRequest       int64 `json:"bad_request"`
-		Shed             int64 `json:"shed"`
-		QuotaDenied      int64 `json:"quota_denied"`
-		DeadlineExceeded int64 `json:"deadline_exceeded"`
-		Canceled         int64 `json:"canceled"`
-		InternalErrors   int64 `json:"internal_errors"`
-	} `json:"requests"`
-	// Degraded counts coarsened-eps responses, StaleServed prior-generation
-	// cache responses (both flagged degraded on the wire); FastLaneAdmits
-	// counts computations admitted through the tiny-query fast lane.
-	Degraded       int64 `json:"degraded"`
-	StaleServed    int64 `json:"stale_served"`
-	FastLaneAdmits int64 `json:"fastlane_admits"`
-	Reloads        int64 `json:"reloads"`
-	ReloadFailures int64 `json:"reload_failures"`
-	// OpenMappings is the process-wide count of live mmapped views — the
-	// refcount-leak canary (steady state: one per retained generation).
-	OpenMappings int64 `json:"open_mappings"`
-}
-
-func (s *Server) statusz() (*Statusz, error) {
-	lv, err := s.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer lv.handle.Release()
-	st := &Statusz{
-		Generation:     lv.gen(),
-		View:           s.viewPath,
-		Nodes:          lv.g.NumNodes(),
-		Edges:          lv.g.NumEdges(),
-		LoadedAt:       lv.loaded,
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		InFlight:       s.adm.inFlight(),
-		Waiting:        s.adm.waitingNow(),
-		WorkersTotal:   s.cfg.TotalWorkers,
-		WorkersPerCall: s.cfg.RequestWorkers,
-		Reloads:        s.m.reloads.Value(),
-	}
-	st.Cache.Entries = s.cache.len()
-	st.Cache.Capacity = s.cfg.CacheEntries
-	st.Cache.Hits = s.cache.hits.Load()
-	st.Cache.Misses = s.cache.misses.Load()
-	st.Cache.Collapsed = s.cache.collapsed.Load()
-	st.Requests.Rank = s.m.ranks.Value()
-	st.Requests.TopK = s.m.topks.Value()
-	st.Requests.BadRequest = s.m.badRequests.Value()
-	st.Requests.Shed = s.m.shed.Value()
-	st.Requests.QuotaDenied = s.m.quotaDenied.Value()
-	st.Requests.DeadlineExceeded = s.m.deadlines.Value()
-	st.Requests.Canceled = s.m.canceled.Value()
-	st.Requests.InternalErrors = s.m.internalErrors.Value()
-	st.Degraded = s.m.degraded.Value()
-	st.StaleServed = s.m.staleServed.Value()
-	st.FastLaneAdmits = s.adm.fastAdmits()
-	st.ReloadFailures = s.m.reloadFailures.Value()
-	st.OpenMappings = bicomp.OpenMappings()
-	return st, nil
-}
-
+// handleStatusz renders the registry's counters and gauges as one JSON
+// object, keyed as their /metricsz sample lines.
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	st, err := s.statusz()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	writeJSON(w, http.StatusOK, s.m.reg.Snapshot())
 }
 
-// handleMetricsz renders the obs.Registry in the Prometheus text
-// exposition format: every counter family the pre-registry handler
-// emitted (same names and labels), the operational gauges — now including
-// the compute EWMA and queue depth behind Retry-After — and the latency /
-// cost histograms with `_bucket` series plus companion quantile gauges.
+// handleMetricsz renders the registry in the Prometheus text exposition
+// format: the counter and gauge families, and the latency / cost
+// histograms with `_bucket` series plus companion quantile gauges.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

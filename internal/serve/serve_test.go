@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -279,12 +280,23 @@ func TestServeErrorClassification(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("statusz = %d", w.Code)
 	}
-	var st Statusz
+	var st map[string]float64
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Generation != 1 || st.Nodes != g.NumNodes() || st.Requests.BadRequest < 7 {
-		t.Errorf("statusz = %+v", st)
+	if st["saphyra_generation"] != 1 || st["saphyra_view_nodes"] != float64(g.NumNodes()) ||
+		st[`saphyra_request_errors_total{reason="bad_request"}`] < 7 {
+		t.Errorf("statusz = %v", st)
+	}
+	// Every /statusz entry is a /metricsz sample with the same value (uptime
+	// moves between the two reads).
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/metricsz", nil))
+	for key, v := range st {
+		line := fmt.Sprintf("\n%s %s\n", key, strconv.FormatFloat(v, 'g', -1, 64))
+		if key != "saphyra_uptime_seconds" && !strings.Contains(w.Body.String(), line) {
+			t.Errorf("statusz %s = %v is not a /metricsz sample", key, v)
+		}
 	}
 }
 
