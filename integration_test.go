@@ -147,8 +147,8 @@ func TestIntegrationTreeExactness(t *testing.T) {
 	}
 	if res.Samples != 0 {
 		// Trees have no inner-node mass, so the adaptive sampler should
-		// stop at its pilot-certified zero-variance round with no or very
-		// few samples; the estimates must still be exact.
+		// stop at its first, zero-variance round with no or very few
+		// samples; the estimates must still be exact.
 		t.Logf("tree run used %d samples (expected ~0)", res.Samples)
 	}
 	for i, v := range res.Nodes {

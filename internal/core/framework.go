@@ -96,19 +96,18 @@ type Estimate struct {
 	EpsPrime     float64   // eps / (1 - lambdaHat): per-sample tolerance
 	VCDim        int
 	N0, NMax     int64 // initial and ceiling sample counts
-	Samples      int64 // samples actually drawn (excluding the pilot)
-	PilotN       int64 // pilot samples used for the delta allocation
+	Samples      int64 // samples actually drawn
 	Rounds       int   // doubling rounds executed
 	StoppedEarly bool  // true if Bernstein certified eps' before NMax
 }
 
 // Run executes Algorithm 1 on the given space.
 //
-// Cancellation: ctx is polled at round boundaries (before the pilot and
-// before every adaptive doubling round) and between the per-round virtual
-// sampler streams; a done ctx aborts with a *params.CanceledError and no
-// estimate. The checkpoints never touch the sampler streams, so a run that
-// completes is bitwise-identical to one under a context that never fires.
+// Cancellation: ctx is polled before every adaptive doubling round and
+// between the per-round virtual sampler streams; a done ctx aborts with a
+// *params.CanceledError and no estimate. The checkpoints never touch the
+// sampler streams, so a run that completes is bitwise-identical to one
+// under a context that never fires.
 func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 	if err := params.CheckEpsDelta(opt.Epsilon, opt.Delta); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -173,21 +172,11 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 		rounds = int64(math.Ceil(math.Log2(float64(nmax) / float64(n0))))
 	}
 
-	// Pilot phase (Section III-C): draw n0 independent samples to estimate
-	// per-hypothesis variances, derive the per-hypothesis error-probability
-	// allocation delta_i (Eq 13), rescaled so sum_i 2 delta_i = delta/rounds.
-	pilotHits := make([]int64, k)
-	pctx, pilotSpan := obs.StartSpan(ctx, "core.pilot")
-	if err := drawParallel(pctx, space, opt.Seed+7_777_777, workers, n0, pilotHits); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if pilotSpan != nil {
-		pilotSpan.SetExtra(n0)
-		pilotSpan.End()
-	}
-	est.PilotN = n0
-	deltaBudget := opt.Delta / (2 * float64(rounds))
-	deltas := allocateDeltas(pilotHits, n0, nmax, epsPrime, deltaBudget)
+	// Uniform union-bound split of delta instead of the paper's Eq 13
+	// (DESIGN §15): each of the k hypotheses gets one Bernstein check per
+	// round, a check fails with probability at most 2 delta_i, and the
+	// shares over rounds and hypotheses sum to delta.
+	deltaI := opt.Delta / (2 * float64(rounds) * float64(k))
 
 	// Main adaptive loop: double until Bernstein certifies eps' for every
 	// hypothesis or the VC ceiling is reached.
@@ -211,7 +200,7 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 			worst := 0.0
 			for i := range hits {
 				v := stats.BernoulliSampleVariance(hits[i], n)
-				if e := stats.EpsilonBernstein(n, deltas[i], v); e > worst {
+				if e := stats.EpsilonBernstein(n, deltaI, v); e > worst {
 					worst = e
 				}
 			}
@@ -234,36 +223,6 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 		est.Risks[i] = exact[i] + lambda*est.ApproxRisks[i]
 	}
 	return est, nil
-}
-
-// allocateDeltas implements the Eq 13-15 allocation: each hypothesis gets
-// delta_i proportional to the largest failure probability under which its
-// pilot variance already meets epsPrime at the sample ceiling, rescaled to
-// sum to budget. Falls back to a uniform split when the pilot is degenerate.
-func allocateDeltas(pilotHits []int64, pilotN, nmax int64, epsPrime, budget float64) []float64 {
-	k := len(pilotHits)
-	deltas := make([]float64, k)
-	var sum float64
-	for i, h := range pilotHits {
-		v := stats.BernoulliSampleVariance(h, pilotN)
-		d := stats.DeltaForEpsilon(nmax, v, epsPrime)
-		deltas[i] = d
-		sum += d
-	}
-	if sum <= 0 {
-		for i := range deltas {
-			deltas[i] = budget / float64(k)
-		}
-		return deltas
-	}
-	scale := budget / sum
-	for i := range deltas {
-		deltas[i] *= scale
-		if deltas[i] >= 1 {
-			deltas[i] = 0.999999
-		}
-	}
-	return deltas
 }
 
 // samplerSet is the engine's fixed set of sched.VirtualWorkers independent
@@ -290,12 +249,6 @@ func (s *samplerSet) get(v int) Sampler {
 		s.ss[v] = s.space.NewSampler(s.seed + int64(v+1)*1_000_003)
 	}
 	return s.ss[v]
-}
-
-// drawParallel draws total samples with fresh samplers and accumulates hit
-// counts (used for the pilot).
-func drawParallel(ctx context.Context, space Space, seed int64, workers int, total int64, hits []int64) error {
-	return drawParallelWith(ctx, makeSamplers(space, seed), workers, total, hits)
 }
 
 // drawParallelWith draws `total` samples across the virtual sampler streams

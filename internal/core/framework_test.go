@@ -5,6 +5,7 @@ import (
 
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -101,30 +102,49 @@ func TestRunEstimatesWithinEpsilon(t *testing.T) {
 
 func TestRunRepeatedCoverage(t *testing.T) {
 	// Across many independent runs, the fraction violating eps must stay
-	// well under delta (here delta = 0.1, and in practice bounds are loose).
-	sp := &coinSpace{
-		lambdaHat:  0,
-		exactRisk:  []float64{0, 0},
-		approxRisk: []float64{0.3, 0.05},
-		dim:        2,
+	// under delta. The uniform delta split gives each hypothesis the least
+	// at large k, so the table covers a realistic subset size too.
+	spread := make([]float64, 100)
+	for i := range spread {
+		spread[i] = 0.4 * float64(i) / float64(len(spread)-1)
 	}
-	const eps, delta = 0.08, 0.1
-	bad := 0
-	const runs = 60
-	for r := 0; r < runs; r++ {
-		est, err := Run(context.Background(), sp, Options{Epsilon: eps, Delta: delta, Workers: 2, Seed: int64(1000 + r)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sp.approxRisk {
-			if math.Abs(est.Risks[i]-sp.trueRisk(i)) > eps {
-				bad++
-				break
+	for _, tc := range []struct {
+		name string
+		sp   *coinSpace
+	}{
+		{"k=2", &coinSpace{exactRisk: make([]float64, 2), approxRisk: []float64{0.3, 0.05}, dim: 2}},
+		// VC dimension of a finite class of k hypotheses is at most log2 k.
+		{"k=100", &coinSpace{exactRisk: make([]float64, len(spread)), approxRisk: spread, dim: 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := tc.sp
+			const eps, delta = 0.08, 0.1
+			const runs = 60
+			bad, early := 0, 0
+			worst := 0.0
+			for r := 0; r < runs; r++ {
+				est, err := Run(context.Background(), sp, Options{Epsilon: eps, Delta: delta, Workers: 2, Seed: int64(1000 + r)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est.StoppedEarly {
+					early++
+				}
+				violated := false
+				for i := range sp.approxRisk {
+					d := math.Abs(est.Risks[i] - sp.trueRisk(i))
+					worst = math.Max(worst, d)
+					violated = violated || d > eps
+				}
+				if violated {
+					bad++
+				}
 			}
-		}
-	}
-	if frac := float64(bad) / runs; frac > delta {
-		t.Errorf("violations in %g of runs, budget %g", frac, delta)
+			t.Logf("%d/%d runs violated eps, %d stopped early, max |error|/eps = %.3f", bad, runs, early, worst/eps)
+			if frac := float64(bad) / runs; frac > delta {
+				t.Errorf("violations in %g of runs, budget %g", frac, delta)
+			}
+		})
 	}
 }
 
@@ -231,32 +251,53 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestAllocateDeltasSumsToBudget(t *testing.T) {
-	pilot := []int64{0, 5, 50, 100}
-	deltas := allocateDeltas(pilot, 100, 10000, 0.05, 0.01)
-	var sum float64
-	for _, d := range deltas {
-		if d <= 0 || d >= 1 {
-			t.Errorf("delta out of range: %g", d)
-		}
-		sum += d
-	}
-	if math.Abs(sum-0.01) > 1e-12 {
-		t.Errorf("sum = %g, want 0.01", sum)
-	}
+// countingSampler counts every sample drawn through it, on any stream.
+type countingSampler struct {
+	Sampler
+	drawn *atomic.Int64
 }
 
-func TestAllocateDeltasDegeneratePilot(t *testing.T) {
-	// When DeltaForEpsilon returns ~0 everywhere the allocation must fall
-	// back to a uniform split rather than dividing by zero.
-	pilot := []int64{50, 50}
-	deltas := allocateDeltas(pilot, 100, 10, 1e-9, 0.02) // eps' unreachably small
-	var sum float64
-	for _, d := range deltas {
-		sum += d
-	}
-	if sum <= 0 || sum > 0.02+1e-12 {
-		t.Errorf("fallback sum = %g", sum)
+func (c countingSampler) DrawBatch(n int64, hits []int64) {
+	c.drawn.Add(n)
+	c.Sampler.DrawBatch(n, hits)
+}
+
+// TestRunDrawsNoPilot pins that Run draws exactly the samples it reports:
+// no sampling happens outside the doubling rounds, whether the run stops
+// early, draws the full VC budget, or hits the sample cap.
+func TestRunDrawsNoPilot(t *testing.T) {
+	coins := &coinSpace{exactRisk: make([]float64, 3), approxRisk: []float64{0, 0.01, 0.05}, dim: 20}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		stop func(*Estimate) bool // the stopping shape the case must exercise
+	}{
+		{"adaptive", Options{Epsilon: 0.05, Delta: 0.01},
+			func(e *Estimate) bool { return e.StoppedEarly && e.Samples < e.NMax }},
+		{"full budget", Options{Epsilon: 0.02, Delta: 0.01, DisableAdaptive: true},
+			func(e *Estimate) bool { return e.Samples == e.NMax && e.Rounds > 1 }},
+		{"max samples", Options{Epsilon: 0.01, Delta: 0.01, MaxSamples: 3000},
+			func(e *Estimate) bool { return e.Samples == 3000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var drawn atomic.Int64
+			ds := &DirectSpace{K: 3, Dim: coins.dim, Make: func(seed int64) Sampler {
+				return countingSampler{coins.NewSampler(seed), &drawn}
+			}}
+			opt := tc.opt
+			opt.Workers, opt.Seed = 2, 11
+			est, err := Run(context.Background(), ds, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.stop(est) {
+				t.Fatalf("run did not take the %s path: samples %d of nmax %d in %d rounds, stopped early %v",
+					tc.name, est.Samples, est.NMax, est.Rounds, est.StoppedEarly)
+			}
+			if got := drawn.Load(); got != est.Samples {
+				t.Errorf("drew %d samples, estimate reports %d", got, est.Samples)
+			}
+		})
 	}
 }
 

@@ -164,17 +164,25 @@ func TargetSetHash(targets []graph.Node) [sha256.Size]byte {
 
 // keyMagic versions the Key layout: any change to the digested byte layout
 // must bump it, or persistent caches would silently mix incompatible keys.
-const keyMagic = "saphyra.Query/v1"
+const keyMagic = "saphyra.Query/v2"
+
+// engineEpoch versions the estimators' bits: any commit that changes any
+// estimate's bits bumps engineEpoch, so binaries with different engines
+// never share a key (a mixed fleet's peer fill or stale rung would
+// otherwise serve the other engine's bits under an equal key).
+const engineEpoch uint32 = 2
 
 // Key returns a stable 256-bit digest identifying the query up to bitwise
 // result equality: two queries with equal keys are guaranteed bitwise-equal
 // results on the same graph or view bytes (a serving layer additionally
 // tags the view generation; see internal/serve). It covers every
-// result-relevant field, including the k-path walk length K.
+// result-relevant field, including the k-path walk length K, and the
+// engine epoch: any commit that changes any estimate's bits bumps
+// engineEpoch, which changes every key.
 //
 // The digest is sha256 over the canonical form, little-endian:
 //
-//	"saphyra.Query/v1" | measure byte | algorithm byte |
+//	"saphyra.Query/v2" | engineEpoch uint32 | measure byte | algorithm byte |
 //	K uint32 | Epsilon bits uint64 | Delta bits uint64 | Seed uint64 |
 //	allNodes byte | TargetSetHash [32] | target count uint32
 //
@@ -183,9 +191,10 @@ const keyMagic = "saphyra.Query/v1"
 // persistent-format contract.
 func (q Query) Key() [sha256.Size]byte {
 	c := q.Canonical()
-	var buf [len(keyMagic) + 2 + 4 + 8 + 8 + 8 + 1 + sha256.Size + 4]byte
+	var buf [len(keyMagic) + 4 + 2 + 4 + 8 + 8 + 8 + 1 + sha256.Size + 4]byte
 	b := buf[:0]
 	b = append(b, keyMagic...)
+	b = binary.LittleEndian.AppendUint32(b, engineEpoch)
 	b = append(b, byte(c.Measure), byte(c.Algorithm))
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.K))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Epsilon))

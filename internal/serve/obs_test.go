@@ -342,7 +342,7 @@ func TestSlowQueryLog(t *testing.T) {
 	if cover := topUs / (e.DurationMs * 1e3); cover < 0.90 {
 		t.Errorf("span tree covers %.0f%% of %.2fms wall time, want >= 90%%", 100*cover, e.DurationMs)
 	}
-	for _, want := range []string{"request", "cache", "flight", "compute", "rank", "core.exact", "core.pilot"} {
+	for _, want := range []string{"request", "cache", "flight", "compute", "rank", "core.exact", "core.round"} {
 		if !names[want] {
 			t.Errorf("span %q missing from the slow-query tree (have %v)", want, names)
 		}

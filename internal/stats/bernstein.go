@@ -1,8 +1,7 @@
 // Package stats implements the statistical machinery of the SaPHyRa
 // framework: the empirical Bernstein inequality (Lemma 3, from Maurer &
-// Pontil [13]), its inverse for error-probability allocation (Eq 13-15), the
-// VC sample-size bound (Lemma 4), and small accumulators used by the
-// adaptive sampler.
+// Pontil [13]), the VC sample-size bound (Lemma 4), and small accumulators
+// used by the adaptive sampler.
 package stats
 
 import (
@@ -24,37 +23,10 @@ func EpsilonBernstein(n int64, delta0, variance float64) float64 {
 		return math.Inf(1)
 	}
 	// ln(2/delta0) computed as ln 2 - ln delta0: the naive quotient
-	// overflows to +Inf for subnormal delta0 (which the DeltaForEpsilon
-	// inverse legitimately produces for very tight epsilon targets).
+	// overflows to +Inf for subnormal delta0, which a union-bound split of
+	// a tiny delta over many hypotheses and rounds can produce.
 	l := math.Ln2 - math.Log(delta0)
 	return math.Sqrt(2*variance*l/float64(n)) + 7*l/(3*float64(n))
-}
-
-// DeltaForEpsilon inverts EpsilonBernstein: it returns the largest delta0
-// such that EpsilonBernstein(n, delta0, variance) <= eps. Closed form: with
-// L = ln(2/delta0), a = sqrt(2v/N), b = 7/(3N), solving a sqrt(L) + b L = eps
-// gives sqrt(L) = 2 eps / (a + sqrt(a^2 + 4 b eps)) — the numerically stable
-// root (the textbook (-a + sqrt(...))/(2b) form cancels catastrophically
-// when a^2 >> 4 b eps).
-func DeltaForEpsilon(n int64, variance, eps float64) float64 {
-	if n <= 0 || eps <= 0 {
-		return 0
-	}
-	a := math.Sqrt(2 * variance / float64(n))
-	b := 7.0 / (3 * float64(n))
-	y := 2 * eps / (a + math.Sqrt(a*a+4*b*eps))
-	l := y * y
-	if l > 700 {
-		// delta would be subnormal (< ~1e-304): too few mantissa bits to
-		// invert accurately, and meaningless as a failure probability.
-		// Report "unachievable" instead.
-		return 0
-	}
-	d := 2 * math.Exp(-l)
-	if d > 1 {
-		d = 1
-	}
-	return d
 }
 
 // EpsilonHoeffding returns the Hoeffding deviation bound for N samples in

@@ -45,29 +45,6 @@ func TestEpsilonBernsteinNoSamples(t *testing.T) {
 	}
 }
 
-func TestDeltaForEpsilonInvertsEpsilon(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int64(10 + rng.Intn(100000))
-		v := rng.Float64() * 0.25
-		eps := 0.001 + rng.Float64()*0.5
-		d := DeltaForEpsilon(n, v, eps)
-		if d <= 0 {
-			return true // eps unreachable at any delta < 1... d>0 always here
-		}
-		if d >= 1 {
-			// Clamped: the unconstrained solution needed delta0 > 1, which
-			// happens exactly when even delta0 = 1 cannot reach eps.
-			return EpsilonBernstein(n, 1, v) >= eps-1e-12
-		}
-		back := EpsilonBernstein(n, d, v)
-		return math.Abs(back-eps) < 1e-9*math.Max(1, eps/1e-3)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestVCSampleSize(t *testing.T) {
 	n := VCSampleSize(0.1, 0.01, 3)
 	want := int64(math.Ceil(0.5 / 0.01 * (3 + math.Log(100))))
