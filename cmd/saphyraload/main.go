@@ -9,40 +9,32 @@
 //	saphyraload -view net.sbcv -base http://host:8372   # live daemon
 //
 // With no -view, a deterministic synthetic network is built, so
-// `saphyraload` alone produces a meaningful serving benchmark. Each named
-// mix (hit-dominated, miss-heavy, reload-storm; -mix selects one, default
-// all) is expanded from one seed into a byte-identical open-loop request
-// schedule, replayed, and reported: p50/p99/p999 served latency, hit and
-// shed and error rates, and bitwise verification of every -verify-every'th
-// 200 against the library reference for its reported (eps, delta, seed)
-// contract. Results land in versioned JSON (-out, default
-// BENCH_serving.json; scripts/bench.sh uploads it in CI) and the exit
-// status is non-zero when any mix violates its SLO or any sampled response
-// is not bitwise-equal to the reference.
+// `saphyraload` alone is a complete serving check. Each named mix
+// (hit-dominated, miss-heavy, reload-storm; -mix selects one, default all)
+// is expanded from one seed into a byte-identical open-loop request
+// schedule, replayed, and summarized on stderr: p50/p99/p999 served
+// latency, hit and shed and error rates, and bitwise verification of every
+// -verify-every'th 200 against the library reference for its reported
+// (eps, delta, seed) contract. The exit status is the gate: non-zero when
+// any mix violates its SLO or any sampled response is not bitwise-equal to
+// the reference. CI runs `saphyraload -cluster 3`; the recorded, compared
+// serving numbers come from bench/run.sh.
 //
 // -cluster N additionally boots an in-process N-replica fleet behind a
 // consistent-hash router (internal/cluster: peer cache fill wired, rolling
-// reload via the router) over the same view, replays the
+// reload via the router) over the same view and replays the
 // cluster-hit-dominated mix through the router under the same SLO and
-// bitwise gates, and records two cluster microbenchmark rows — the
-// full route-hit path and one peer cache-fill round trip — in the same
-// JSON under "cluster".
+// bitwise gates.
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"time"
 
 	"saphyra"
@@ -50,38 +42,6 @@ import (
 	"saphyra/internal/loadgen"
 	"saphyra/internal/serve"
 )
-
-type output struct {
-	Schema string `json:"schema"`
-	Date   string `json:"date"`
-	Go     string `json:"go"`
-	OS     string `json:"os"`
-	Arch   string `json:"arch"`
-	CPUs   int    `json:"cpus"`
-
-	View  string            `json:"view"`
-	Nodes int               `json:"nodes"`
-	Edges int64             `json:"edges"`
-	Seed  int64             `json:"seed"`
-	Mixes []*loadgen.Report `json:"mixes"`
-
-	Cluster *clusterReport `json:"cluster,omitempty"`
-}
-
-// clusterReport records the -cluster fleet's microbenchmark rows; the
-// cluster mix replay itself lands in Mixes like any other mix.
-type clusterReport struct {
-	Replicas   int        `json:"replicas"`
-	Benchmarks []benchRow `json:"benchmarks"`
-}
-
-type benchRow struct {
-	Name   string  `json:"name"`
-	N      int     `json:"n"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P99Us  float64 `json:"p99_us"`
-}
 
 func main() {
 	var (
@@ -94,9 +54,8 @@ func main() {
 		speed       = flag.Float64("speed", 1, "schedule-clock compression factor (2 = replay twice as fast)")
 		verifyEvery = flag.Int("verify-every", 8, "bitwise-verify every Nth scheduled request's 200 response (0 = off)")
 		noWarm      = flag.Bool("no-warm", false, "skip pre-firing the cacheable working set before the clock starts")
-		out         = flag.String("out", "BENCH_serving.json", "JSON report path (\"-\" = stdout)")
 
-		clusterN    = flag.Int("cluster", 0, "also boot an in-process N-replica fleet behind a consistent-hash router, replay the cluster-hit-dominated mix through it, and record the cluster benchmark rows (0 = no cluster section)")
+		clusterN    = flag.Int("cluster", 0, "also boot an in-process N-replica fleet behind a consistent-hash router and replay the cluster-hit-dominated mix through it (0 = no fleet)")
 		synthNodes  = flag.Int("synth-nodes", 2000, "synthetic network size when no -view is given")
 		maxInFlight = flag.Int("max-inflight", 0, "in-process server: concurrent computations admitted (0 = default)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "in-process server: default per-request compute deadline")
@@ -104,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*viewPath, *base, *mixName, *rate, *duration, *seed, *speed,
-		*verifyEvery, !*noWarm, *out, *clusterN, *synthNodes, *maxInFlight, *timeout,
+		*verifyEvery, !*noWarm, *clusterN, *synthNodes, *maxInFlight, *timeout,
 		time.Duration(*slowMs)*time.Millisecond); err != nil {
 		fmt.Fprintln(os.Stderr, "saphyraload:", err)
 		os.Exit(1)
@@ -112,7 +71,7 @@ func main() {
 }
 
 func run(viewPath, base, mixName string, rate float64, duration time.Duration,
-	seed int64, speed float64, verifyEvery int, warm bool, out string,
+	seed int64, speed float64, verifyEvery int, warm bool,
 	clusterN, synthNodes, maxInFlight int, timeout, slowQuery time.Duration) error {
 	if clusterN > 0 && base != "" {
 		return fmt.Errorf("-cluster boots its own in-process fleet; it cannot be combined with -base")
@@ -137,19 +96,18 @@ func run(viewPath, base, mixName string, rate float64, duration time.Duration,
 		return err
 	}
 	ids := viewIDs(view)
-	nodes := view.Graph().NumNodes()
-	edges := view.Graph().NumEdges()
 	view.Close()
 
 	// Resolve the target: a live daemon, or an in-process server on a
 	// loopback listener (a real HTTP hop, so in-process numbers include the
 	// same transport cost the daemon pays).
+	cfg := serve.Config{
+		MaxInFlight:        maxInFlight,
+		DefaultTimeout:     timeout,
+		SlowQueryThreshold: slowQuery,
+	}
 	if base == "" {
-		srv, err := serve.New(viewPath, serve.Config{
-			MaxInFlight:        maxInFlight,
-			DefaultTimeout:     timeout,
-			SlowQueryThreshold: slowQuery,
-		})
+		srv, err := serve.New(viewPath, cfg)
 		if err != nil {
 			return err
 		}
@@ -184,72 +142,25 @@ func run(viewPath, base, mixName string, rate float64, duration time.Duration,
 		mixes = []loadgen.Mix{m}
 	}
 
-	rep := &output{
-		Schema: "saphyra/bench-serving/v1",
-		Date:   time.Now().UTC().Format(time.RFC3339),
-		Go:     runtime.Version(),
-		OS:     runtime.GOOS,
-		Arch:   runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-		View:   viewPath,
-		Nodes:  nodes,
-		Edges:  edges,
-		Seed:   seed,
+	opt := loadgen.Options{
+		Base: base, Speed: speed, Warm: warm,
+		VerifyEvery: verifyEvery, Verifier: verifier,
 	}
 	failed := false
 	for _, m := range mixes {
-		m = m.Scale(rate, duration)
-		sched, err := loadgen.Build(m, ids, seed)
+		pass, err := replay(m.Scale(rate, duration), ids, seed, opt)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "saphyraload: %s: %d requests over %v (rate %.0f/s)\n",
-			m.Name, sched.Requests(), m.Duration, m.Rate)
-		r, err := loadgen.Run(context.Background(), sched, loadgen.Options{
-			Base: base, Speed: speed, Warm: warm,
-			VerifyEvery: verifyEvery, Verifier: verifier,
-		})
-		if err != nil {
-			return fmt.Errorf("mix %s: %w", m.Name, err)
-		}
-		rep.Mixes = append(rep.Mixes, r)
-		status := "PASS"
-		if !r.Pass {
-			status = "FAIL"
-			failed = true
-		}
-		fmt.Fprintf(os.Stderr,
-			"saphyraload: %s: %s  p50 %.2fms p99 %.2fms p999 %.2fms  hit %.0f%% shed %.1f%% degraded %.1f%% err %.1f%%  verified %d (%d failed)\n",
-			m.Name, status, r.P50Ms, r.P99Ms, r.P999Ms,
-			100*r.HitRate, 100*r.ShedRate, 100*r.DegradedRate, 100*r.ErrorRate,
-			r.Verified, r.VerifyFailed)
-		for _, v := range r.SLOViolations {
-			fmt.Fprintf(os.Stderr, "saphyraload: %s: SLO violation: %s\n", m.Name, v)
-		}
-		for _, v := range r.VerifyErrors {
-			fmt.Fprintf(os.Stderr, "saphyraload: %s: verify: %s\n", m.Name, v)
-		}
+		failed = failed || !pass
 	}
-
 	if clusterN > 0 {
-		if err := runCluster(rep, &failed, viewPath, ids, clusterN, rate, duration,
-			seed, speed, verifyEvery, warm, verifier,
-			maxInFlight, timeout, slowQuery); err != nil {
+		m := loadgen.ClusterHitDominated().Scale(rate, duration)
+		pass, err := runCluster(viewPath, clusterN, cfg, m, ids, seed, opt)
+		if err != nil {
 			return err
 		}
-	}
-
-	enc, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if out == "-" {
-		os.Stdout.Write(enc)
-	} else if err := os.WriteFile(out, enc, 0o644); err != nil {
-		return err
-	} else {
-		fmt.Fprintf(os.Stderr, "saphyraload: wrote %s\n", out)
+		failed = failed || !pass
 	}
 	if failed {
 		return fmt.Errorf("one or more mixes failed their SLO or bitwise verification")
@@ -258,48 +169,38 @@ func run(viewPath, base, mixName string, rate float64, duration time.Duration,
 }
 
 // runCluster is the -cluster section: boot an in-process fleet over the
-// same view, replay the cluster-hit-dominated mix through the router under
-// the same SLO and bitwise gates as the single-box mixes, then measure the
-// two cluster microbenchmark rows. The replay report is appended to Mixes
-// (it is a mix like any other); only the bench rows land under "cluster".
-func runCluster(rep *output, failed *bool, viewPath string, ids []int64,
-	clusterN int, rate float64, duration time.Duration, seed int64,
-	speed float64, verifyEvery int, warm bool, verifier *loadgen.Verifier,
-	maxInFlight int, timeout, slowQuery time.Duration) error {
-	f, err := cluster.StartFleet(viewPath, cluster.FleetConfig{
-		Replicas: clusterN,
-		Serve: serve.Config{
-			MaxInFlight:        maxInFlight,
-			DefaultTimeout:     timeout,
-			SlowQueryThreshold: slowQuery,
-		},
-	})
+// same view and replay m through its router under the same SLO and bitwise
+// gates as the single-box mixes. It reports whether the mix passed.
+func runCluster(viewPath string, replicas int, cfg serve.Config, m loadgen.Mix,
+	ids []int64, seed int64, opt loadgen.Options) (bool, error) {
+	f, err := cluster.StartFleet(viewPath, cluster.FleetConfig{Replicas: replicas, Serve: cfg})
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer f.Close()
 	fmt.Fprintf(os.Stderr, "saphyraload: cluster: %d replicas behind router %s\n",
-		clusterN, f.RouterURL)
+		replicas, f.RouterURL)
+	opt.Base = f.RouterURL
+	return replay(m, ids, seed, opt)
+}
 
-	m := loadgen.ClusterHitDominated().Scale(rate, duration)
+// replay builds the mix's schedule, runs it against opt.Base and prints the
+// stderr summary: one verdict line, then every SLO violation and every
+// failed bitwise check. It reports whether the mix passed.
+func replay(m loadgen.Mix, ids []int64, seed int64, opt loadgen.Options) (bool, error) {
 	sched, err := loadgen.Build(m, ids, seed)
 	if err != nil {
-		return err
+		return false, err
 	}
 	fmt.Fprintf(os.Stderr, "saphyraload: %s: %d requests over %v (rate %.0f/s)\n",
 		m.Name, sched.Requests(), m.Duration, m.Rate)
-	r, err := loadgen.Run(context.Background(), sched, loadgen.Options{
-		Base: f.RouterURL, Speed: speed, Warm: warm,
-		VerifyEvery: verifyEvery, Verifier: verifier,
-	})
+	r, err := loadgen.Run(context.Background(), sched, opt)
 	if err != nil {
-		return fmt.Errorf("mix %s: %w", m.Name, err)
+		return false, fmt.Errorf("mix %s: %w", m.Name, err)
 	}
-	rep.Mixes = append(rep.Mixes, r)
 	status := "PASS"
 	if !r.Pass {
 		status = "FAIL"
-		*failed = true
 	}
 	fmt.Fprintf(os.Stderr,
 		"saphyraload: %s: %s  p50 %.2fms p99 %.2fms p999 %.2fms  hit %.0f%% shed %.1f%% degraded %.1f%% err %.1f%%  verified %d (%d failed)\n",
@@ -312,171 +213,7 @@ func runCluster(rep *output, failed *bool, viewPath string, ids []int64,
 	for _, v := range r.VerifyErrors {
 		fmt.Fprintf(os.Stderr, "saphyraload: %s: verify: %s\n", m.Name, v)
 	}
-
-	rows, err := clusterBenchRows(f, ids)
-	if err != nil {
-		return err
-	}
-	rep.Cluster = &clusterReport{Replicas: clusterN, Benchmarks: rows}
-	for _, row := range rows {
-		fmt.Fprintf(os.Stderr, "saphyraload: cluster: %s  n=%d mean %.0fµs p50 %.0fµs p99 %.0fµs\n",
-			row.Name, row.N, row.MeanUs, row.P50Us, row.P99Us)
-	}
-	return nil
-}
-
-// clusterBenchRows measures the two distributed-tier microbenchmarks
-// (mirrors internal/cluster's BenchmarkClusterRouteHit / BenchmarkPeerFill,
-// but as measured rows in the JSON report so CI trends them):
-//
-//   - ClusterRouteHit: a cache hit through the whole cluster path — client
-//     hop to the router, ring placement, router hop to the replica, replica
-//     cache hit, two relays back.
-//   - PeerFill: one peer cache-fill round trip — the GET /internal/cache
-//     probe plus envelope decode against the replica that owns the entry.
-func clusterBenchRows(f *cluster.Fleet, ids []int64) ([]benchRow, error) {
-	n := len(ids)
-	if n < 4 {
-		return nil, fmt.Errorf("cluster bench: view too small (%d nodes)", n)
-	}
-	targets := []int64{ids[17%n], ids[99%n], ids[n/3], ids[2*n/3]}
-	body, err := json.Marshal(serve.RankRequest{
-		Method: serve.MethodSaPHyRa, Targets: targets,
-		Eps: 0.05, Delta: 0.05, Seed: 7,
-	})
-	if err != nil {
-		return nil, err
-	}
-	client := &http.Client{}
-	routerURL := f.RouterURL + "/v1/rank"
-
-	// Warm the entry at its route home and capture the response: its
-	// reported contract reconstructs the canonical cache key for the
-	// peer-fill row.
-	var resp *serve.RankResponse
-	{
-		r, err := client.Post(routerURL, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("cluster bench warm: status %d", r.StatusCode)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
-			return nil, err
-		}
-	}
-
-	const reps = 1000
-	routeHit, err := measureRow("ClusterRouteHit", reps, func() error {
-		return postDiscard(client, routerURL, body)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Peer fill: warm the entry at its TRUE ring home (the router's
-	// placement is affinity only), then probe from outside the fleet
-	// (self = -1 probes whoever owns the key).
-	key, err := canonicalKey(resp, ids)
-	if err != nil {
-		return nil, err
-	}
-	ring, err := cluster.NewRing(f.ReplicaURLs, 0)
-	if err != nil {
-		return nil, err
-	}
-	home := ring.Owner(cluster.KeyHash(key))
-	if err := postDiscard(client, f.ReplicaURLs[home]+"/v1/rank", body); err != nil {
-		return nil, err
-	}
-	peers, err := cluster.NewPeers(f.ReplicaURLs, -1, 0, client, time.Second)
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
-	peerFill, err := measureRow("PeerFill", reps, func() error {
-		if _, ok := peers.Fill(ctx, resp.Generation, key); !ok {
-			return fmt.Errorf("cluster bench: peer fill missed a warmed entry")
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return []benchRow{routeHit, peerFill}, nil
-}
-
-// measureRow times n sequential runs of fn and folds them into one report
-// row (mean/p50/p99 in microseconds).
-func measureRow(name string, n int, fn func() error) (benchRow, error) {
-	lat := make([]time.Duration, 0, n)
-	var total time.Duration
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if err := fn(); err != nil {
-			return benchRow{}, err
-		}
-		d := time.Since(t0)
-		lat = append(lat, d)
-		total += d
-	}
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return benchRow{
-		Name:   name,
-		N:      n,
-		MeanUs: us(total / time.Duration(n)),
-		P50Us:  us(lat[n/2]),
-		P99Us:  us(lat[n*99/100]),
-	}, nil
-}
-
-func postDiscard(client *http.Client, url string, body []byte) error {
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster bench: status %d from %s", resp.StatusCode, url)
-	}
-	return nil
-}
-
-// canonicalKey rebuilds the canonical cache key from a response's reported
-// contract: the response echoes every result-relevant field (measure,
-// canonical target set as original ids, K, eps, delta, seed), and
-// saphyra.Query.Key canonicalizes identically on every replica.
-func canonicalKey(resp *serve.RankResponse, ids []int64) ([sha256.Size]byte, error) {
-	var m saphyra.Measure
-	switch resp.Method {
-	case serve.MethodSaPHyRa:
-		m = saphyra.Betweenness
-	case serve.MethodKPath:
-		m = saphyra.KPath
-	case serve.MethodCloseness:
-		m = saphyra.Closeness
-	default:
-		return [sha256.Size]byte{}, fmt.Errorf("cluster bench: unknown method %q", resp.Method)
-	}
-	pos := make(map[int64]saphyra.Node, len(ids))
-	for i, id := range ids {
-		pos[id] = saphyra.Node(i)
-	}
-	targets := make([]saphyra.Node, len(resp.Nodes))
-	for i, id := range resp.Nodes {
-		nd, ok := pos[id]
-		if !ok {
-			return [sha256.Size]byte{}, fmt.Errorf("cluster bench: response node %d not in the view", id)
-		}
-		targets[i] = nd
-	}
-	q := saphyra.Query{Measure: m, Targets: targets, K: resp.K,
-		Epsilon: resp.Eps, Delta: resp.Delta, Seed: resp.Seed}
-	return q.Key(), nil
+	return r.Pass, nil
 }
 
 // viewIDs returns the view's original id space (identity when dense).

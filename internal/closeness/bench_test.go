@@ -27,8 +27,10 @@ var benchOpt = Options{Epsilon: 0.1, Delta: 0.1, Seed: 7, Workers: 4, MaxSamples
 
 // BenchmarkCloseness measures the estimator end to end (virtual-worker
 // MS-BFS pricing, deterministic merge) on the raw CSR in its serving
-// configuration — Engine built once, workspaces pooled — the row to compare
-// against BENCH_sampling.json history when the engine changes.
+// configuration — Engine built once, workspaces pooled. It is not
+// allocation-free: the per-round worker fan-out allocates (DESIGN.md
+// section 11). bench/run.sh's rank-session workload is the recorded
+// end-to-end number.
 func BenchmarkCloseness(b *testing.B) {
 	g := benchGraph()
 	targets := benchTargets(g, 50)
@@ -64,7 +66,7 @@ func BenchmarkClosenessView(b *testing.B) {
 
 // BenchmarkClosenessLegacy pins the pre-MS-BFS engine — one scalar BFS per
 // sampled source (legacy_test.go) — so the bit-parallel win stays
-// measurable in BENCH_sampling.json after the production code moved on.
+// measurable against BenchmarkCloseness after the production code moved on.
 func BenchmarkClosenessLegacy(b *testing.B) {
 	g := benchGraph()
 	targets := benchTargets(g, 50)
@@ -92,5 +94,27 @@ func BenchmarkClosenessSampleBatch(b *testing.B) {
 	s.sampleBatch(context.Background(), eng, sc.aIndex, len(nodes), nil, int64(b.N))
 	if s.err != nil {
 		b.Fatal(s.err)
+	}
+}
+
+// TestSampleBatchAllocatesNothing pins the hot loop
+// BenchmarkClosenessSampleBatch prices: 4,096 samples — 64 MS-BFS passes
+// with fresh random sources — allocate nothing.
+func TestSampleBatchAllocatesNothing(t *testing.T) {
+	g := benchGraph()
+	targets := benchTargets(g, 50)
+	eng := NewEngine(g)
+	nodes := graph.DedupSorted(targets)
+	sc := eng.acquire(nodes)
+	defer eng.release(sc, nodes)
+	s := sc.activate(eng, 0, benchOpt.Seed, len(nodes))
+	allocs := testing.AllocsPerRun(1, func() {
+		s.sampleBatch(context.Background(), eng, sc.aIndex, len(nodes), nil, 4096)
+	})
+	if s.err != nil {
+		t.Fatal(s.err)
+	}
+	if allocs != 0 {
+		t.Errorf("sampleBatch(4096) allocates %.0f times, want 0", allocs)
 	}
 }

@@ -362,3 +362,22 @@ func BenchmarkSamplerDrawBatch(b *testing.B) {
 	b.ResetTimer()
 	s.DrawBatch(int64(b.N), hits)
 }
+
+// TestDrawBatchAllocatesNothing pins the steady state
+// BenchmarkSamplerDrawBatch prices: once the grouping scratch has grown to
+// its working size, batches of 4,096 samples allocate nothing. The pair
+// buffer grows past the first batch's size when rejected samples are
+// redrawn, so AllocsPerRun's warm-up call covers several batches.
+func TestDrawBatchAllocatesNothing(t *testing.T) {
+	sp := testSpace(t, skewedGraph(), 100, 7)
+	s := sp.NewSampler(1).(*bcSampler)
+	hits := make([]int64, sp.NumHypotheses())
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 4; i++ {
+			s.DrawBatch(4096, hits)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("4 batches of 4,096 samples allocate %.0f times, want 0", allocs)
+	}
+}

@@ -167,3 +167,16 @@ func BenchmarkExactPhaseRangeLegacy(b *testing.B) {
 		legacyExact(o, targets, aIndex, wA)
 	}
 }
+
+// TestRunIntoAllocatesNothing pins the steady state
+// BenchmarkExactPhaseRange prices: a single-worker RunInto on pooled
+// scratch allocates nothing.
+func TestRunIntoAllocatesNothing(t *testing.T) {
+	e, _, targets, aIndex, wA := benchFixture(t)
+	exact := make([]float64, len(targets))
+	if allocs := testing.AllocsPerRun(1, func() {
+		e.RunInto(context.Background(), exact, targets, aIndex, wA, 1)
+	}); allocs != 0 {
+		t.Errorf("RunInto at 1 worker allocates %.0f times, want 0", allocs)
+	}
+}

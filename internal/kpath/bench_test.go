@@ -27,8 +27,8 @@ var benchOpt = Options{K: 4, Epsilon: 0.1, Delta: 0.1, Seed: 7, Workers: 4}
 
 // BenchmarkKPathPartitioned measures the partitioned estimator end to end
 // (exact closed-form phase + virtual-worker walk sampling) on the raw
-// graph — the row to compare against BENCH_sampling.json history when the
-// engine changes.
+// graph. Compare it across an engine change with
+// `go test -bench KPathPartitioned -count 10` on both sides.
 func BenchmarkKPathPartitioned(b *testing.B) {
 	g := benchGraph()
 	targets := benchTargets(g, 100)
@@ -72,4 +72,20 @@ func BenchmarkKPathWalks(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.DrawBatch(int64(b.N), hits)
+}
+
+// TestWalksAllocateNothing pins the hot loop BenchmarkKPathWalks prices: a
+// batch of walks allocates nothing.
+func TestWalksAllocateNothing(t *testing.T) {
+	g := benchGraph()
+	targets := benchTargets(g, 100)
+	nodes, aIndex, err := targetIndex(g, targets, &Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newWalkSampler(g, aIndex, 2, 4, 1)
+	hits := make([]int64, len(nodes))
+	if allocs := testing.AllocsPerRun(1, func() { s.DrawBatch(4096, hits) }); allocs != 0 {
+		t.Errorf("DrawBatch(4096) allocates %.0f times, want 0", allocs)
+	}
 }

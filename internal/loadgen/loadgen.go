@@ -23,9 +23,10 @@
 // load down and hide its own shed rate — the classic closed-loop
 // coordinated-omission trap.
 //
-// cmd/saphyraload drives a live daemon or an in-process Server and emits
-// versioned JSON (BENCH_serving.json via scripts/bench.sh); the in-process
-// replay smoke test in this package is the CI regression gate.
+// cmd/saphyraload drives a live daemon or an in-process Server and exits
+// non-zero on any SLO or bitwise failure; CI runs it, and the in-process
+// replay smoke test in this package gates tier-1. The recorded serving
+// numbers come from bench/run.sh.
 package loadgen
 
 import (

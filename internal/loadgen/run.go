@@ -43,7 +43,6 @@ type Options struct {
 
 // Report is one run's outcome: latency quantiles over served responses,
 // per-outcome counts and rates, verification results, and the SLO verdict.
-// The JSON form is what BENCH_serving.json records per mix.
 type Report struct {
 	Mix      string  `json:"mix"`
 	Seed     int64   `json:"seed"`

@@ -43,3 +43,30 @@ func BenchmarkMSBFSSketch(b *testing.B) {
 		}
 	}
 }
+
+// TestRunAllocatesNothing pins the pooled steady state BenchmarkMSBFSPass
+// prices: on its graph, 64 passes with fresh random sources allocate
+// nothing. Fresh sources matter: one fixed batch can miss the level shapes
+// that would overflow a frontier buffer.
+func TestRunAllocatesNothing(t *testing.T) {
+	g := graph.BarabasiAlbert(2000, 3, 42)
+	off, nbr := g.CSR()
+	n := g.NumNodes()
+	rng := rand.New(rand.NewPCG(1, 2))
+	srcs := make([]graph.Node, MaxLanes)
+	tr := New(n)
+	onSettle := func(u graph.Node, lanes uint64, depth int32) {}
+	allocs := testing.AllocsPerRun(1, func() {
+		for pass := 0; pass < 64; pass++ {
+			for i := range srcs {
+				srcs[i] = graph.Node(rng.IntN(n))
+			}
+			if err := tr.Run(off, nbr, srcs, nil, onSettle); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("64 passes allocate %.0f times, want 0", allocs)
+	}
+}

@@ -70,8 +70,10 @@ type Traversal struct {
 	seen      []uint64
 	visit     []uint64
 	visitNext []uint64
-	// frontier/next are capped at n nodes each, so the appends below never
-	// grow them after New.
+	// frontier/next hold the current level's nodes and the next level's
+	// candidates. A level lists each node at most once and the swap hands
+	// the candidate list back empty, so neither outgrows its n-node
+	// capacity and the appends never reallocate after New.
 	frontier []graph.Node
 	next     []graph.Node
 
@@ -228,7 +230,7 @@ func (t *Traversal) Run(off []int64, nbr []graph.Node, sources []graph.Node, sto
 				}
 			}
 		}
-		fr, nx = nx2, fr
+		fr, nx = nx2, fr[:0]
 	}
 	return nil
 }
