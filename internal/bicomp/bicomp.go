@@ -16,10 +16,9 @@
 // for build-once/serve-many deployments.
 //
 // Determinism: Decompose assigns block ids by a fixed DFS, so the
-// decomposition — and with it every view annotation — is a pure function of
-// the graph. That is what lets core.PreprocessBCFromView recompute the
-// tables for a mapped view and get ids consistent with the serialized
-// arrays.
+// decomposition — and with it every view annotation and the view file's
+// decomposition and out-reach sections — is a pure function of the graph.
+// Two builds of one graph write the same bytes.
 package bicomp
 
 import (

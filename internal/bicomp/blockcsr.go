@@ -3,7 +3,6 @@ package bicomp
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"saphyra/internal/graph"
 )
@@ -30,38 +29,20 @@ import (
 // at 8 each — 48m bytes total) plus ~24 bytes per run; the number of runs
 // is sum_u |NodeBlocks[u]| <= n + (cutpoint memberships), i.e. barely
 // above n for real networks.
+//
 // A BlockCSR is built either in memory by NewBlockCSR or opened zero-copy
-// from a serialized file by OpenMapped (see persist.go). Mapped views carry
-// only the arrays and the embedded graph: D and O are nil, because no
-// engine consuming the view needs them — consumers that do (the bc
-// sampler's per-target alias tables) recompute them via
-// core.PreprocessBCFromView.
+// from a serialized file by OpenMapped (see persist.go). Either way it
+// carries its validated decomposition and out-reach tables: OpenMapped
+// rebuilds both from the file's sections before it returns.
 type BlockCSR struct {
 	G *graph.Graph
-	D *Decomposition // nil for mapped views until EnsureDecomposition
-	O *OutReach      // nil for mapped views until EnsureDecomposition
-
-	// backfill serializes EnsureDecomposition on mapped views; BlockCSR
-	// values are always handled by pointer, so the mutex is never copied.
-	backfill sync.Mutex
+	D *Decomposition
+	O *OutReach
 
 	// sketchState holds the lazily-built landmark distance sketches
-	// (sketch.go); same by-pointer-only discipline as backfill.
+	// (sketch.go). BlockCSR values are always handled by pointer, so its
+	// mutex is never copied.
 	sketchState
-
-	// rFlat is the serialized out-reach table of a mapped view (persist.go
-	// flag bit 1): R flattened in (block, member) order, aliasing the mapped
-	// file. EnsureDecomposition rebuilds O from it in O(runs) instead of
-	// rerunning the NewOutReach DP; nil for views from files without the
-	// section (and for in-memory builds, which carry O directly).
-	rFlat []int64
-
-	// dFlat is the serialized decomposition section of a mapped view
-	// (persist.go flag bit 3), aliasing the mapped file.
-	// EnsureDecomposition rebuilds D from it via NewDecompositionFromView
-	// instead of rerunning the Decompose DFS; nil for views from files
-	// without the section (and for in-memory builds, which carry D).
-	dFlat *decompFlat
 
 	// Nbr is the grouped adjacency: node u's neighbors, permuted block by
 	// block. RNbr[i] = r_b(Nbr[i]) for the block b of the run containing i.
@@ -191,62 +172,15 @@ func (v *BlockCSR) Runs(u graph.Node) (lo, hi int64) {
 	return v.RunOff[u], v.RunOff[u+1]
 }
 
-// EnsureDecomposition returns the view's decomposition and out-reach
-// tables, recomputing and backfilling them from the embedded graph when the
-// view was opened from a file (mapped views never carry them in memory —
-// no engine consuming the view needs them; see persist.go). Decompose is a
-// deterministic function of the graph, so the recomputed block ids agree
-// with the serialized annotations. Files written with the decomposition
-// section (persist.go flag bit 3) skip the O(n+m) Decompose DFS entirely:
-// the tables are reconstructed from the section and the run arrays in
-// O(n + runs) via NewDecompositionFromView, and files with the out-reach
-// section (flag bit 1) likewise skip the NewOutReach block-cut-tree DP,
-// rebuilding from the serialized r-values in O(runs) with a Claim 9
-// consistency check. Either section failing validation falls back to the
-// recomputation — a corrupt section costs cold-start time, never
-// correctness. Safe for concurrent use: the common serving pattern hands
-// one mapped view to many goroutines.
-func (v *BlockCSR) EnsureDecomposition() (*Decomposition, *OutReach) {
-	v.backfill.Lock()
-	defer v.backfill.Unlock()
-	if v.D == nil || v.O == nil {
-		var d *Decomposition
-		if v.dFlat != nil {
-			d, _ = NewDecompositionFromView(v)
-		}
-		if d == nil {
-			d = Decompose(v.G)
-		}
-		var o *OutReach
-		if v.rFlat != nil {
-			o, _ = NewOutReachFromFlat(d, v.rFlat)
-		}
-		if o == nil {
-			o = NewOutReach(d)
-		}
-		v.D, v.O = d, o
-	}
-	return v.D, v.O
-}
-
 // GroupedAdj is the view's adjacency in block-grouped order (node u's
 // neighbors are v.Nbr over u's CSR segment: per-block runs in ascending
-// block id, sorted within each run). It implements graph.Adjacency for
-// order-invariant traversals — BFS distance labels do not depend on
-// neighbor order, so running them on the grouped arrays keeps an
-// mmap-served engine on the view's pages without consulting the original
-// CSR. Order-sensitive consumers (anything that indexes a neighbor list
-// with a random variate) must keep reading v.G, whose sorted order is part
-// of the determinism contract.
+// block id, sorted within each run). BFS distance labels do not depend on
+// neighbor order, so order-invariant traversals (the closeness engine's
+// MS-BFS) run on the grouped arrays and stay on the view's pages without
+// consulting the original CSR. Order-sensitive consumers (anything that
+// indexes a neighbor list with a random variate) must keep reading v.G,
+// whose sorted order is part of the determinism contract.
 type GroupedAdj struct{ V *BlockCSR }
-
-// NumNodes implements graph.Adjacency.
-func (a GroupedAdj) NumNodes() int { return a.V.G.NumNodes() }
-
-// Neighbors implements graph.Adjacency: u's neighbors in grouped order.
-func (a GroupedAdj) Neighbors(u graph.Node) []graph.Node {
-	return a.V.Nbr[a.V.G.AdjOffset(u):a.V.G.AdjOffset(u+1)]
-}
 
 // CSR exposes the grouped adjacency as raw CSR arrays: the graph's offsets
 // (runs tile the same per-node segments) over the view's block-grouped Nbr
@@ -256,37 +190,6 @@ func (a GroupedAdj) Neighbors(u graph.Node) []graph.Node {
 func (a GroupedAdj) CSR() (offsets []int64, nbr []graph.Node) {
 	off, _ := a.V.G.CSR()
 	return off, a.V.Nbr
-}
-
-// BFSDistancesInto is graph.BFSDistancesAdj specialized to the grouped
-// arrays: the inner loop slices v.Nbr directly, so serving hot loops (the
-// closeness pricer) pay one dispatch per traversal, not per node. Distances
-// are bitwise-identical to BFS over the sorted CSR — labels depend only on
-// the edge set.
-func (a GroupedAdj) BFSDistancesInto(source graph.Node, dist []int32) []int32 {
-	v := a.V
-	g := v.G
-	n := g.NumNodes()
-	if len(dist) != n {
-		dist = make([]int32, n)
-	}
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]graph.Node, 0, n)
-	queue = append(queue, source)
-	dist[source] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, w := range v.Nbr[g.AdjOffset(u):g.AdjOffset(u+1)] {
-			if dist[w] == -1 {
-				dist[w] = du + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
 }
 
 // RunEdges returns the edge index range of run j into Nbr/RNbr.
@@ -320,19 +223,15 @@ func (v *BlockCSR) FindRun(u graph.Node, b int32) int64 {
 
 // Validate checks the view's invariants. For tests and debugging.
 //
-// The structural half needs no decomposition and therefore runs on mapped
-// views too: runs tile the CSR segments in ascending block order, grouped
-// adjacency is a per-node permutation of the graph's, the NbrRun/Mate
-// reciprocal index round-trips, per-edge r-annotations agree with the
-// reciprocal run's owner annotation, and RunDegSum matches the graph. When
-// the view carries its decomposition (D and O non-nil), every annotation is
-// additionally cross-checked against EdgeBlock and OutReach.Of.
+// The structural half needs no decomposition: runs tile the CSR segments in
+// ascending block order, grouped adjacency is a per-node permutation of the
+// graph's, the NbrRun/Mate reciprocal index round-trips, per-edge
+// r-annotations agree with the reciprocal run's owner annotation, and
+// RunDegSum matches the graph. Every annotation is then cross-checked
+// against the view's decomposition (EdgeBlock) and out-reach (OutReach.Of).
 func (v *BlockCSR) Validate() error {
 	if err := v.validateStructure(); err != nil {
 		return err
-	}
-	if v.D == nil || v.O == nil {
-		return nil // mapped view: no decomposition to cross-check against
 	}
 	g, d, o := v.G, v.D, v.O
 	n := g.NumNodes()

@@ -6,48 +6,44 @@ import (
 	"saphyra/internal/graph"
 )
 
-// decompFlat is the raw decomposition section of a mapped view (persist.go
-// flag bit 3). The slices alias the mapped file and must be treated as
-// read-only. Together with the run arrays already in the view it determines
-// the full Decomposition: NodeBlocks[u] is RunBlock over u's run range,
-// Blocks inverts it, and IsCut falls out of the per-node run count.
-type decompFlat struct {
-	numBlocks int64
-	numComps  int64
-	edgeBlock []int32 // len 2m, original-CSR edge index -> block id
-	compLabel []int32 // len n, node -> connected-component label
-	compSize  []int64 // len numComps
-}
-
-// NewDecompositionFromView reconstructs the Decomposition of a view opened
-// from a file written with the decomposition section, without rerunning the
-// Decompose DFS. NodeBlocks alias the view's RunBlock array and EdgeBlock /
-// CompLabel / CompSize alias the mapped section directly, so the only
+// NewDecompositionFromView reconstructs the Decomposition of a view from
+// the file's decomposition section (persist.go flag bit 3) without
+// rerunning the Decompose DFS. The section carries what the view's own
+// arrays cannot reproduce — the block count, the per-directed-edge block
+// map, and the connected-component labeling; everything else derives from
+// the run arrays: NodeBlocks[u] is RunBlock over u's run range, Blocks
+// inverts it, and IsCut is "two or more runs". NodeBlocks alias RunBlock
+// and EdgeBlock / CompLabel / CompSize alias the section, so the only
 // allocations are the Blocks inversion and the IsCut bitmap — O(n + runs)
 // work versus the O(n + m) Hopcroft–Tarjan pass.
 //
-// The section is validated against the structurally-verified run arrays
-// before use: every run's block id must be in range, no block may be empty,
-// each node's per-block edge counts in EdgeBlock must match its run lengths,
-// and the component labeling must recount to CompSize exactly. Any mismatch
-// returns an error and the caller (EnsureDecomposition) falls back to the
-// recomputation — a corrupt section degrades cold-start time, never answers.
-func NewDecompositionFromView(v *BlockCSR) (*Decomposition, error) {
-	f := v.dFlat
-	if f == nil {
-		return nil, fmt.Errorf("bicomp: view has no decomposition section")
-	}
+// The section is validated against the run arrays before use: the run
+// index must tile [0, runs) in order, every run's block id must be in
+// range, no block may be empty, each node's per-block edge counts in
+// EdgeBlock must match its run lengths, and the component labeling must
+// recount to CompSize exactly. Any mismatch is an error — OpenMapped then
+// rejects the file.
+func NewDecompositionFromView(v *BlockCSR, numBlocks int64, edgeBlock, compLabel []int32, compSize []int64) (*Decomposition, error) {
 	g := v.G
 	n := g.NumNodes()
 	m2 := int64(2 * g.NumEdges())
-	if int64(len(f.edgeBlock)) != m2 || int64(len(f.compLabel)) != int64(n) ||
-		int64(len(f.compSize)) != f.numComps {
-		return nil, fmt.Errorf("bicomp: decomposition section shape mismatch (%d edge blocks, %d labels, %d sizes)",
-			len(f.edgeBlock), len(f.compLabel), len(f.compSize))
+	if int64(len(edgeBlock)) != m2 || len(compLabel) != n {
+		return nil, fmt.Errorf("bicomp: decomposition section shape mismatch (%d edge blocks for 2m = %d, %d labels for n = %d)",
+			len(edgeBlock), m2, len(compLabel), n)
 	}
-	numBlocks := f.numBlocks
-	if numBlocks < 0 || numBlocks > int64(len(v.RunBlock)) {
-		return nil, fmt.Errorf("bicomp: implausible block count %d for %d runs", numBlocks, len(v.RunBlock))
+	runs := int64(len(v.RunBlock))
+	if numBlocks < 0 || numBlocks > runs {
+		return nil, fmt.Errorf("bicomp: implausible block count %d for %d runs", numBlocks, runs)
+	}
+	// The run index is sliced below; check it tiles [0, runs) in order
+	// first, so a bad RunOff is an error rather than a bounds panic.
+	if len(v.RunOff) != n+1 || v.RunOff[0] != 0 || v.RunOff[n] != runs {
+		return nil, fmt.Errorf("bicomp: run index does not span [0, %d)", runs)
+	}
+	for u := 0; u < n; u++ {
+		if v.RunOff[u] > v.RunOff[u+1] {
+			return nil, fmt.Errorf("bicomp: run index not monotone at node %d", u)
+		}
 	}
 
 	// Invert the runs into Blocks: count, place, fill. Nodes are visited in
@@ -76,12 +72,12 @@ func NewDecompositionFromView(v *BlockCSR) (*Decomposition, error) {
 	d := &Decomposition{
 		G:          g,
 		NumBlocks:  int(numBlocks),
-		EdgeBlock:  f.edgeBlock,
+		EdgeBlock:  edgeBlock,
 		Blocks:     blocks,
 		NodeBlocks: make([][]int32, n),
 		IsCut:      make([]bool, n),
-		CompLabel:  f.compLabel,
-		CompSize:   f.compSize,
+		CompLabel:  compLabel,
+		CompSize:   compSize,
 	}
 	for u := 0; u < n; u++ {
 		lo, hi := v.RunOff[u], v.RunOff[u+1]
@@ -110,7 +106,7 @@ func NewDecompositionFromView(v *BlockCSR) (*Decomposition, error) {
 			return nil, fmt.Errorf("bicomp: node %d runs cover %d edges, degree %d", u, remaining, deg)
 		}
 		for i := base; i < base+deg; i++ {
-			b := f.edgeBlock[i]
+			b := edgeBlock[i]
 			if int64(b) < 0 || int64(b) >= numBlocks {
 				return nil, fmt.Errorf("bicomp: edge %d assigned to block %d outside [0,%d)", i, b, numBlocks)
 			}
@@ -129,16 +125,16 @@ func NewDecompositionFromView(v *BlockCSR) (*Decomposition, error) {
 	}
 
 	// Recount the component labeling against the serialized sizes.
-	recount := make([]int64, f.numComps)
-	for u, c := range f.compLabel {
-		if int64(c) < 0 || int64(c) >= f.numComps {
-			return nil, fmt.Errorf("bicomp: node %d component label %d outside [0,%d)", u, c, f.numComps)
+	recount := make([]int64, len(compSize))
+	for u, c := range compLabel {
+		if c < 0 || int(c) >= len(compSize) {
+			return nil, fmt.Errorf("bicomp: node %d component label %d outside [0,%d)", u, c, len(compSize))
 		}
 		recount[c]++
 	}
 	for c, got := range recount {
-		if got != f.compSize[c] {
-			return nil, fmt.Errorf("bicomp: component %d recounts to %d nodes, section says %d", c, got, f.compSize[c])
+		if got != compSize[c] {
+			return nil, fmt.Errorf("bicomp: component %d recounts to %d nodes, section says %d", c, got, compSize[c])
 		}
 	}
 	return d, nil

@@ -11,8 +11,8 @@
 //	[24:32) m     — number of undirected edges (int64)
 //	[32:40) runs  — number of neighbor runs (int64)
 //	[40:48) flags (int64; bit 0: original-id map section present;
-//	        bit 1: out-reach section present; bit 2: checksum trailer;
-//	        bit 3: decomposition section present)
+//	        bits 1, 2, 3: out-reach, checksum and decomposition sections,
+//	        always set)
 //	[48:56) total file size in bytes (int64; truncation check)
 //	offsets   int64[n+1]     graph CSR offsets
 //	adj       int32[2m]      graph CSR adjacency (sorted per node)
@@ -25,43 +25,35 @@
 //	RunR      int32[runs]    owner r-value per run (padded to 8 bytes)
 //	RunStart  int64[runs+1]  edge range per run
 //	RunDegSum int64[runs]    neighbor degree mass per run
-//	outreach  int64[runs]    r_b(v) per (block, member) pair (flags bit 1)
-//	decomp    (flags bit 3)  numBlocks int64; numComps int64;
+//	outreach  int64[runs]    r_b(v) per (block, member) pair
+//	decomp    numBlocks int64; numComps int64;
 //	          EdgeBlock  int32[2m]       block id per directed CSR edge
 //	          CompLabel  int32[n]        component label per node (padded)
 //	          CompSize   int64[numComps] nodes per component
-//	ids       int64[n]       original node ids (flags bit 0)
-//	checksum  uint64         crc64/ECMA of all preceding bytes (flags bit 2)
+//	ids       int64[n]       original node ids (flags bit 0 only)
+//	checksum  uint64         crc64/ECMA of all preceding bytes
+//
+// Every section but ids is required: OpenMapped rejects a file whose flags
+// lack the out-reach, checksum or decomposition bit, and asks for a rebuild
+// with saphyra -save-view.
 //
 // The optional ids section preserves the dense-id -> original-id map of
 // graph.LoadEdgeList, so a view built from a compacted edge list still
-// reports results in the file's id space.
+// reports results in the file's id space. Files whose ids are already
+// dense omit it.
 //
-// The optional out-reach section is the OutReach.R table flattened in block
-// order: for each block b in ascending id, r_b(v) for each member v of
+// The out-reach section is the OutReach.R table flattened in block order:
+// for each block b in ascending id, r_b(v) for each member v of
 // D.Blocks[b] in member order. Its length equals the run count — runs and
 // (block, member) incidences are the same relation counted from the two
-// sides. The section lets a serving process reconstruct the full OutReach
-// (S/Q/W/WTotal and the cutpoint rNode cache derive from R in O(runs)) via
-// NewOutReachFromFlat instead of rerunning the NewOutReach block-cut-tree
-// DP; see EnsureDecomposition. Readers predating the section reject files
-// carrying it via the unknown-flag check — the intended upgrade semantics,
-// since silently ignoring it would be correct but was never exercised by
-// those builds.
-//
-// The optional decomposition section (flag bit 3) carries the parts of the
-// biconnected decomposition that the view's own arrays cannot reproduce:
-// the per-directed-edge block map, the connected-component labeling, and
-// the block count. Everything else in a *Decomposition derives from the
-// view in O(runs + members) — NodeBlocks[u] IS RunBlock[RunOff[u]:
-// RunOff[u+1]], Blocks inverts it, IsCut[u] is "two or more runs" — so
-// NewDecompositionFromView reconstructs the full decomposition without the
-// O(n+m) Hopcroft–Tarjan DFS of Decompose. Combined with the out-reach
-// section this makes a replica cold-start (EnsureDecomposition) section
-// reads plus validation instead of two linear passes over the graph —
-// the difference that matters when a fleet cold-starts many replicas from
-// one file. Same upgrade semantics as the other sections: readers
-// predating the flag reject files carrying it via the unknown-flag check.
+// sides. The decomposition section carries the parts of the biconnected
+// decomposition that the view's own arrays cannot reproduce: the block
+// count, the per-directed-edge block map and the connected-component
+// labeling. OpenMapped rebuilds View.D from it and the run arrays
+// (NewDecompositionFromView) and View.O from the out-reach section with a
+// Claim 9 check (NewOutReachFromFlat), in O(n + runs) and without the
+// O(n+m) Decompose DFS or the NewOutReach block-cut-tree DP. A section that
+// fails either check fails the open; nothing is recomputed from the graph.
 //
 // Native byte order makes the read path a straight reinterpretation of the
 // mapped pages — the probe field turns a cross-endian file into a clean
@@ -69,11 +61,6 @@
 // self-contained: OpenMapped rebuilds a *graph.Graph aliasing the mapped
 // offsets/adj sections, so the exact-phase, k-path, and closeness engines
 // run directly off the file with no per-process copy of the adjacency.
-//
-// Files written without the optional sections keep working: consumers that
-// need the decomposition or out-reach tables (the bc sampler's alias
-// tables, bca terms) recompute them from the embedded graph — see
-// EnsureDecomposition and core.PreprocessBCFromView.
 package bicomp
 
 import (
@@ -84,6 +71,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"unsafe"
 
@@ -96,25 +84,23 @@ const (
 	persistVersion = 1
 	orderProbe     = uint32(0x01020304)
 	headerSize     = 56
-	// flagIDs marks the presence of the trailing original-id section.
+	// flagIDs marks the presence of the optional original-id section.
 	flagIDs = int64(1)
-	// flagOutReach marks the presence of the serialized out-reach section.
+	// flagOutReach marks the out-reach section. Required.
 	flagOutReach = int64(2)
-	// flagChecksum marks the presence of the trailing crc64 checksum: the
-	// last 8 bytes of the file are the CRC-64/ECMA of every byte before
-	// them. OpenMapped verifies it before handing out a view, so a torn or
-	// bit-rotted file is a clean open error instead of silently wrong
-	// estimates. Readers predating the flag reject checksummed files via the
-	// unknown-flag check — same upgrade semantics as the out-reach section.
+	// flagChecksum marks the crc64 trailer: the last 8 bytes of the file
+	// are the CRC-64/ECMA of every byte before them. OpenMapped verifies it
+	// before decoding any section, so a torn or bit-rotted file is a clean
+	// open error instead of silently wrong estimates. Required.
 	flagChecksum = int64(4)
-	// flagDecomp marks the presence of the serialized decomposition section
-	// (EdgeBlock, component labeling, block count) — the companion of the
-	// out-reach section that lets EnsureDecomposition skip the O(n+m)
-	// Decompose DFS on a mapped view. Same upgrade semantics: readers
-	// predating the flag reject files carrying it.
+	// flagDecomp marks the decomposition section (block count, EdgeBlock,
+	// component labeling). Required.
 	flagDecomp = int64(8)
+	// requiredFlags is the set every readable file carries; each bit has
+	// been written by every WriteFile since format version 1 gained it.
+	requiredFlags = flagOutReach | flagChecksum | flagDecomp
 	// knownFlags is the union of every flag bit this build understands.
-	knownFlags = flagIDs | flagOutReach | flagChecksum | flagDecomp
+	knownFlags = flagIDs | requiredFlags
 	// maxDim rejects absurd header values before any size arithmetic, so a
 	// corrupted header cannot overflow the expected-size computation.
 	maxDim = int64(1) << 40
@@ -123,28 +109,21 @@ const (
 // crcTable is the CRC-64/ECMA table used for the checksum trailer.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// persistSize returns the total file size for the given dimensions. comps
-// is the connected-component count of the decomposition section; it only
-// contributes when hasDecomp is set (pass 0 otherwise).
-func persistSize(n, m, runs, comps int64, hasIDs, hasOutReach, hasDecomp, hasChecksum bool) int64 {
-	size := decompOffset(n, m, runs, hasOutReach)
-	if hasDecomp {
-		size += decompSectionSize(n, m, comps)
-	}
+// persistSize returns the total file size for the given dimensions; comps
+// is the connected-component count of the decomposition section.
+func persistSize(n, m, runs, comps int64, hasIDs bool) int64 {
+	size := decompOffset(n, m, runs) + decompSectionSize(n, m, comps)
 	if hasIDs {
 		size += n * 8 // ids
 	}
-	if hasChecksum {
-		size += 8 // crc64 trailer
-	}
-	return size
+	return size + 8 // crc64 trailer
 }
 
 // decompOffset is the byte offset of the decomposition section's prelude
 // (equivalently: the size of everything through the out-reach section).
 // decodeView needs it before the total-size check, because the section's
 // length depends on the component count stored in its own prelude.
-func decompOffset(n, m, runs int64, hasOutReach bool) int64 {
+func decompOffset(n, m, runs int64) int64 {
 	size := int64(headerSize)
 	size += (n + 1) * 8    // offsets
 	size += 2 * m * 4      // adj (2m int32 = 8m bytes, always 8-aligned)
@@ -157,9 +136,7 @@ func decompOffset(n, m, runs int64, hasOutReach bool) int64 {
 	size += pad8(runs * 4) // RunR
 	size += (runs + 1) * 8 // RunStart
 	size += runs * 8       // RunDegSum
-	if hasOutReach {
-		size += runs * 8 // outreach
-	}
+	size += runs * 8       // outreach
 	return size
 }
 
@@ -199,54 +176,19 @@ func (v *BlockCSR) writeTo(w io.Writer, ids []int64) (int64, error) {
 	m := v.G.NumEdges()
 	runs := int64(len(v.RunBlock))
 	offsets, adj := v.G.CSR()
-	var flags int64
+	flags := requiredFlags
 	if ids != nil {
 		if int64(len(ids)) != n {
 			return 0, fmt.Errorf("bicomp: id map has %d entries for %d nodes", len(ids), n)
 		}
 		flags |= flagIDs
 	}
-	// Out-reach section: flatten the in-memory tables when present —
-	// v.O is always validated (built by NewOutReach, or reconstructed
-	// through NewOutReachFromFlat's Claim 9 check), whereas v.rFlat is the
-	// raw mapped section, which may be the very bytes that failed that
-	// check. Falling back to rFlat keeps mapped views re-serializable
-	// without EnsureDecomposition while never propagating a section that a
-	// validated O would contradict.
-	rFlat := v.rFlat
-	if v.O != nil {
-		rFlat = v.O.FlatR()
+	flatR := v.O.FlatR()
+	if int64(len(flatR)) != runs {
+		return 0, fmt.Errorf("bicomp: out-reach table has %d entries for %d runs", len(flatR), runs)
 	}
-	if rFlat != nil {
-		if int64(len(rFlat)) != runs {
-			return 0, fmt.Errorf("bicomp: out-reach table has %d entries for %d runs", len(rFlat), runs)
-		}
-		flags |= flagOutReach
-	}
-	// Decomposition section: same source preference as out-reach — a
-	// validated in-memory D over the raw mapped section (dFlat may be the
-	// very bytes a reconstruction rejected), so mapped views stay
-	// re-serializable without ever propagating a section a validated D
-	// would contradict.
-	dSec := v.dFlat
-	if v.D != nil {
-		dSec = &decompFlat{
-			numBlocks: int64(v.D.NumBlocks),
-			numComps:  int64(len(v.D.CompSize)),
-			edgeBlock: v.D.EdgeBlock,
-			compLabel: v.D.CompLabel,
-			compSize:  v.D.CompSize,
-		}
-	}
-	if dSec != nil {
-		if int64(len(dSec.edgeBlock)) != 2*m || int64(len(dSec.compLabel)) != n ||
-			int64(len(dSec.compSize)) != dSec.numComps {
-			return 0, fmt.Errorf("bicomp: decomposition section shape mismatch (|EdgeBlock|=%d for 2m=%d, |CompLabel|=%d for n=%d, |CompSize|=%d for %d components)",
-				len(dSec.edgeBlock), 2*m, len(dSec.compLabel), n, len(dSec.compSize), dSec.numComps)
-		}
-		flags |= flagDecomp
-	}
-	flags |= flagChecksum
+	d := v.D
+	comps := int64(len(d.CompSize))
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	digest := crc64.New(crcTable)
@@ -269,11 +211,7 @@ func (v *BlockCSR) writeTo(w io.Writer, ids []int64) (int64, error) {
 	binary.NativeEndian.PutUint64(hdr[24:32], uint64(m))
 	binary.NativeEndian.PutUint64(hdr[32:40], uint64(runs))
 	binary.NativeEndian.PutUint64(hdr[40:48], uint64(flags))
-	var comps int64
-	if dSec != nil {
-		comps = dSec.numComps
-	}
-	binary.NativeEndian.PutUint64(hdr[48:56], uint64(persistSize(n, m, runs, comps, ids != nil, rFlat != nil, dSec != nil, true)))
+	binary.NativeEndian.PutUint64(hdr[48:56], uint64(persistSize(n, m, runs, comps, ids != nil)))
 	if err := put(hdr[:]); err != nil {
 		return written, err
 	}
@@ -314,27 +252,23 @@ func (v *BlockCSR) writeTo(w io.Writer, ids []int64) (int64, error) {
 			return written, err
 		}
 	}
-	if rFlat != nil {
-		if err := put(int64Bytes(rFlat)); err != nil {
-			return written, err
-		}
+	if err := put(int64Bytes(flatR)); err != nil {
+		return written, err
 	}
-	if dSec != nil {
-		var prelude [16]byte
-		binary.NativeEndian.PutUint64(prelude[0:8], uint64(dSec.numBlocks))
-		binary.NativeEndian.PutUint64(prelude[8:16], uint64(dSec.numComps))
-		if err := put(prelude[:]); err != nil {
-			return written, err
-		}
-		if err := put(int32Bytes(dSec.edgeBlock)); err != nil {
-			return written, err
-		}
-		if err := putPadded32(dSec.compLabel); err != nil {
-			return written, err
-		}
-		if err := put(int64Bytes(dSec.compSize)); err != nil {
-			return written, err
-		}
+	var prelude [16]byte
+	binary.NativeEndian.PutUint64(prelude[0:8], uint64(d.NumBlocks))
+	binary.NativeEndian.PutUint64(prelude[8:16], uint64(comps))
+	if err := put(prelude[:]); err != nil {
+		return written, err
+	}
+	if err := put(int32Bytes(d.EdgeBlock)); err != nil {
+		return written, err
+	}
+	if err := putPadded32(d.CompLabel); err != nil {
+		return written, err
+	}
+	if err := put(int64Bytes(d.CompSize)); err != nil {
+		return written, err
 	}
 	if ids != nil {
 		if err := put(int64Bytes(ids)); err != nil {
@@ -423,7 +357,9 @@ func (r *sectionReader) i32(count int64, padded bool) []int32 {
 // decodeView reinterprets a serialized view. data must be 8-byte aligned
 // (mmap regions and []uint64-backed buffers both are) and must stay alive —
 // and, for mapped regions, mapped — for the lifetime of the returned view.
-// ids is nil when the file carries no original-id section.
+// ids is nil when the file carries no original-id section. The returned
+// view carries D and O rebuilt from the file's sections; any section that
+// fails its check is an error.
 func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 	if len(data) < headerSize {
 		return nil, nil, fmt.Errorf("bicomp: view file too short (%d bytes)", len(data))
@@ -448,35 +384,30 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 	if unknown := flags &^ knownFlags; unknown != 0 {
 		return nil, nil, fmt.Errorf("bicomp: unknown view flags %#x (file written by a newer build?)", unknown)
 	}
+	if missing := requiredFlags &^ flags; missing != 0 {
+		return nil, nil, fmt.Errorf("bicomp: view file lacks required section(s) %s — written by an older build; rebuild it with saphyra -save-view",
+			missingSections(missing))
+	}
 	hasIDs := flags&flagIDs != 0
-	hasOutReach := flags&flagOutReach != 0
-	hasChecksum := flags&flagChecksum != 0
-	hasDecomp := flags&flagDecomp != 0
 	// The decomposition section's length depends on the component count in
 	// its own prelude, so that prelude must be read (bounds-checked against
 	// the raw buffer) before the total-size check can run.
-	var numBlocks, numComps int64
-	if hasDecomp {
-		off := decompOffset(n, m, runs, hasOutReach)
-		if off+16 > int64(len(data)) {
-			return nil, nil, fmt.Errorf("bicomp: view file size %d, decomposition prelude at %d — truncated or corrupt", len(data), off)
-		}
-		numBlocks = int64(binary.NativeEndian.Uint64(data[off : off+8]))
-		numComps = int64(binary.NativeEndian.Uint64(data[off+8 : off+16]))
-		if numBlocks < 0 || numBlocks > runs || numComps < 0 || numComps > n {
-			return nil, nil, fmt.Errorf("bicomp: implausible decomposition section: %d blocks for %d runs, %d components for %d nodes",
-				numBlocks, runs, numComps, n)
-		}
+	off := decompOffset(n, m, runs)
+	if off+16 > int64(len(data)) {
+		return nil, nil, fmt.Errorf("bicomp: view file size %d, decomposition prelude at %d — truncated or corrupt", len(data), off)
 	}
-	if want := persistSize(n, m, runs, numComps, hasIDs, hasOutReach, hasDecomp, hasChecksum); total != want || int64(len(data)) != want {
+	numBlocks := int64(binary.NativeEndian.Uint64(data[off : off+8]))
+	numComps := int64(binary.NativeEndian.Uint64(data[off+8 : off+16]))
+	if numBlocks < 0 || numBlocks > runs || numComps < 0 || numComps > n {
+		return nil, nil, fmt.Errorf("bicomp: implausible decomposition section: %d blocks for %d runs, %d components for %d nodes",
+			numBlocks, runs, numComps, n)
+	}
+	if want := persistSize(n, m, runs, numComps, hasIDs); total != want || int64(len(data)) != want {
 		return nil, nil, fmt.Errorf("bicomp: view file size %d (header says %d), want %d — truncated or corrupt", len(data), total, want)
 	}
-	if hasChecksum {
-		body := data[:len(data)-8]
-		want := binary.NativeEndian.Uint64(data[len(data)-8:])
-		if got := crc64.Checksum(body, crcTable); got != want {
-			return nil, nil, fmt.Errorf("bicomp: view checksum %#x, trailer says %#x — file corrupt", got, want)
-		}
+	body := data[:len(data)-8]
+	if got, want := crc64.Checksum(body, crcTable), binary.NativeEndian.Uint64(data[len(data)-8:]); got != want {
+		return nil, nil, fmt.Errorf("bicomp: view checksum %#x, trailer says %#x — file corrupt", got, want)
 	}
 
 	r := &sectionReader{data: data, off: headerSize}
@@ -493,19 +424,11 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 		RunStart:  r.i64(runs + 1),
 		RunDegSum: r.i64(runs),
 	}
-	if hasOutReach {
-		view.rFlat = r.i64(runs)
-	}
-	if hasDecomp {
-		r.off += 16 // prelude: already decoded above
-		view.dFlat = &decompFlat{
-			numBlocks: numBlocks,
-			numComps:  numComps,
-			edgeBlock: r.i32(2*m, false),
-			compLabel: r.i32(n, true),
-			compSize:  r.i64(numComps),
-		}
-	}
+	flatR := r.i64(runs)
+	r.off += 16 // decomposition prelude: already decoded above
+	edgeBlock := r.i32(2*m, false)
+	compLabel := r.i32(n, true)
+	compSize := r.i64(numComps)
 	if hasIDs {
 		ids = r.i64(n)
 	}
@@ -513,11 +436,28 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("bicomp: embedded graph: %w", err)
 	}
-	if int64(len(view.RunBlock)) != runs || view.RunOff[n] != runs {
-		return nil, nil, fmt.Errorf("bicomp: run index inconsistent with header")
-	}
 	view.G = g
+	if view.D, err = NewDecompositionFromView(view, numBlocks, edgeBlock, compLabel, compSize); err != nil {
+		return nil, nil, err
+	}
+	if view.O, err = NewOutReachFromFlat(view.D, flatR); err != nil {
+		return nil, nil, err
+	}
 	return view, ids, nil
+}
+
+// missingSections names the required sections whose flag bits are absent.
+func missingSections(missing int64) string {
+	var names []string
+	for _, f := range []struct {
+		bit  int64
+		name string
+	}{{flagOutReach, "out-reach"}, {flagChecksum, "checksum"}, {flagDecomp, "decomposition"}} {
+		if missing&f.bit != 0 {
+			names = append(names, f.name)
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 // Mapped is a BlockCSR view whose arrays alias a serialized file — mmapped
@@ -527,9 +467,10 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 // is read-only and shared: concurrent processes serving the same file share
 // one copy of the physical pages.
 //
-// Mapped views have View.D == nil and View.O == nil — Validate performs the
-// structural (decomposition-free) checks, and core.PreprocessBCFromView
-// recomputes the tables when a consumer needs them.
+// View.D and View.O are complete: OpenMapped rebuilds them from the file's
+// decomposition and out-reach sections before returning, and their
+// section-backed slices (EdgeBlock, CompLabel, CompSize, the R rows) alias
+// the mapping like the view arrays do.
 type Mapped struct {
 	View *BlockCSR
 	// IDs is the embedded dense-id -> original-id map, or nil when the file
@@ -549,7 +490,9 @@ var openMappings atomic.Int64
 // yet closed in this process.
 func OpenMappings() int64 { return openMappings.Load() }
 
-// OpenMapped opens a view file written by WriteTo for zero-copy serving.
+// OpenMapped opens a view file written by WriteTo for zero-copy serving. It
+// returns either a complete view — D and O rebuilt and checked against the
+// run arrays — or an error, with the file unmapped.
 func OpenMapped(path string) (*Mapped, error) {
 	if err := faultinject.Fire("bicomp.openmapped"); err != nil {
 		return nil, fmt.Errorf("bicomp: mapping %s: %w", path, err)

@@ -3,6 +3,7 @@ package bicomp
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 )
 
 // reseal recomputes the crc64 trailer over a mutated file image so content
-// mutations reach the lazy validators instead of tripping the open-time
+// mutations reach the section validators instead of tripping the open-time
 // checksum — the shape of corruption a buggy writer (not bit rot) produces.
 func reseal(b []byte) {
 	binary.NativeEndian.PutUint64(b[len(b)-8:], crc64.Checksum(b[:len(b)-8], crcTable))
@@ -52,9 +53,14 @@ func TestPersistRoundTripBitwise(t *testing.T) {
 			got, done := roundTrip(t, v)
 			defer done()
 
-			if got.D != nil || got.O != nil {
-				t.Error("mapped view must not carry a decomposition")
+			if got.D == nil || got.O == nil {
+				t.Fatal("mapped view carries no decomposition or out-reach tables")
 			}
+			if !sameDecomposition(got.D, v.D) || !sameOutReach(got.O, v.O) {
+				t.Fatal("mapped decomposition/out-reach differ from the in-memory build")
+			}
+			// Full Validate: the structural checks plus the cross-check of
+			// every annotation against the rebuilt D and O.
 			if err := got.Validate(); err != nil {
 				t.Fatalf("mapped view invalid: %v", err)
 			}
@@ -86,10 +92,8 @@ func TestPersistWriteToDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("WriteTo is not deterministic")
 	}
-	// In-memory builds carry D and O, so WriteTo always emits the
-	// decomposition and out-reach sections.
 	want := persistSize(int64(v.G.NumNodes()), v.G.NumEdges(), int64(len(v.RunBlock)),
-		int64(len(v.D.CompSize)), false, true, true, true)
+		int64(len(v.D.CompSize)), false)
 	if int64(a.Len()) != want {
 		t.Fatalf("written %d bytes, persistSize says %d", a.Len(), want)
 	}
@@ -107,17 +111,22 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(name string, mutate func([]byte) []byte, wantSub string) {
+	check := func(name string, mutate func([]byte) []byte, wantSubs ...string) {
 		t.Helper()
 		bad := mutate(append([]byte(nil), good...))
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenMapped(p); err == nil {
+		_, err := OpenMapped(p)
+		if err == nil {
 			t.Errorf("%s: corruption accepted", name)
-		} else if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
-			t.Errorf("%s: error %q does not mention %q", name, err, wantSub)
+			return
+		}
+		for _, sub := range wantSubs {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("%s: error %q does not mention %q", name, err, sub)
+			}
 		}
 	}
 	check("magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, "magic")
@@ -125,7 +134,33 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 	check("endian", func(b []byte) []byte { b[12], b[15] = b[15], b[12]; return b }, "endianness")
 	check("truncated", func(b []byte) []byte { return b[:len(b)-8] }, "truncated")
 	check("short", func(b []byte) []byte { return b[:20] }, "too short")
-	check("dims", func(b []byte) []byte { b[23] = 0xff; return b }, "")
+	check("dims", func(b []byte) []byte { b[23] = 0xff; return b })
+	// Every required section's flag bit, cleared one at a time and
+	// resealed: the reader names the missing section and the fix.
+	for _, req := range []struct {
+		flag int64
+		name string
+	}{{flagOutReach, "out-reach"}, {flagChecksum, "checksum"}, {flagDecomp, "decomposition"}} {
+		// The case name stays out of the file name: the error quotes the
+		// path, which must not satisfy the substring check by itself.
+		check(fmt.Sprintf("flag%d", req.flag), func(b []byte) []byte {
+			b[40] &^= byte(req.flag)
+			reseal(b)
+			return b
+		}, req.name, "saphyra -save-view")
+	}
+	// A checksum-valid file whose run index is not monotone, with
+	// RunOff[n] still equal to the run count. The decomposition rebuild
+	// slices RunBlock by RunOff, so an unchecked index is a bounds panic at
+	// startup and on every reload. RunOff follows offsets, adj, Nbr, RNbr,
+	// NbrRun and Mate; set RunOff[1] = runs+5.
+	n, m := int64(v.G.NumNodes()), v.G.NumEdges()
+	runOffAt := headerSize + (n+1)*8 + 3*(2*m*4) + 2*(2*m*8)
+	check("runoff", func(b []byte) []byte {
+		binary.NativeEndian.PutUint64(b[runOffAt+8:], uint64(len(v.RunBlock)+5))
+		reseal(b)
+		return b
+	}, "run index")
 
 	if _, err := OpenMapped(filepath.Join(dir, "missing.sbcv")); err == nil {
 		t.Error("missing file accepted")
@@ -135,23 +170,18 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 func TestGroupedAdjMatchesNeighborSets(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 9)
 	v := buildView(t, g)
-	adj := GroupedAdj{V: v}
-	if adj.NumNodes() != g.NumNodes() {
-		t.Fatal("NumNodes mismatch")
+	off, nbr := GroupedAdj{V: v}.CSR()
+	gOff, _ := g.CSR()
+	if !slices.Equal(off, gOff) {
+		t.Fatal("grouped CSR offsets differ from the graph's")
 	}
 	var buf []graph.Node
 	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		buf = append(buf[:0], adj.Neighbors(u)...)
+		buf = append(buf[:0], nbr[off[u]:off[u+1]]...)
 		slices.Sort(buf)
 		if !slices.Equal(buf, g.Neighbors(u)) {
 			t.Fatalf("node %d: grouped neighbors are not a permutation", u)
 		}
-	}
-	// BFS over the grouped order must give identical distances.
-	d1 := graph.BFSDistances(g, 0, nil)
-	d2 := graph.BFSDistancesAdj(adj, 0, nil)
-	if !slices.Equal(d1, d2) {
-		t.Fatal("BFS distances differ between sorted and grouped adjacency")
 	}
 }
 
@@ -219,16 +249,28 @@ func TestOpenMappedRejectsUnknownFlags(t *testing.T) {
 	}
 }
 
-// legacyWrite serializes v without the out-reach and decomposition
-// sections, producing the byte layout a pre-section build wrote (D, O and
-// the flat mirrors are stripped for the write and restored after).
-func legacyWrite(t *testing.T, v *BlockCSR, path string) {
+// stripSection rewrites a file image the way a build predating a required
+// section wrote it: the size bytes at off are removed, flag is cleared, the
+// header's total size shrinks, and the trailer is resealed.
+func stripSection(good []byte, off, size, flag int64) []byte {
+	b := append(append([]byte(nil), good[:off]...), good[off+size:]...)
+	binary.NativeEndian.PutUint64(b[40:48], binary.NativeEndian.Uint64(b[40:48])&^uint64(flag))
+	binary.NativeEndian.PutUint64(b[48:56], uint64(len(b)))
+	reseal(b)
+	return b
+}
+
+// openRejects asserts that OpenMapped refuses path with an error
+// mentioning wantSub.
+func openRejects(t *testing.T, path, wantSub string) {
 	t.Helper()
-	d, o, df, rf := v.D, v.O, v.dFlat, v.rFlat
-	v.D, v.O, v.dFlat, v.rFlat = nil, nil, nil, nil
-	defer func() { v.D, v.O, v.dFlat, v.rFlat = d, o, df, rf }()
-	if err := v.WriteFile(path, nil); err != nil {
-		t.Fatal(err)
+	m, err := OpenMapped(path)
+	if err == nil {
+		m.Close()
+		t.Fatalf("%s: opened, want an error mentioning %q", filepath.Base(path), wantSub)
+	}
+	if !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("%s: error %q does not mention %q", filepath.Base(path), err, wantSub)
 	}
 }
 
@@ -253,11 +295,10 @@ func sameOutReach(a, b *OutReach) bool {
 	return true
 }
 
-// TestPersistOutReachRoundTrip: the out-reach section (flag bit 1) lets
-// EnsureDecomposition reconstruct the OutReach tables from the file without
-// the NewOutReach DP, bitwise-identical to the in-memory build; files
-// without the section (legacy layout) keep working through the recompute
-// fallback.
+// TestPersistOutReachRoundTrip: OpenMapped rebuilds the OutReach tables
+// from the out-reach section (flag bit 1) without the NewOutReach DP,
+// bitwise-identical to the in-memory build; a file without the section
+// (the layout of a build predating it) is rejected.
 func TestPersistOutReachRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -280,34 +321,24 @@ func TestPersistOutReachRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if m.View.rFlat == nil {
-				t.Fatal("mapped view carries no out-reach section")
-			}
-			if !slices.Equal(m.View.rFlat, v.O.FlatR()) {
+			if !slices.Equal(m.View.O.FlatR(), v.O.FlatR()) {
 				t.Fatal("serialized out-reach section differs from FlatR")
 			}
-			_, o := m.View.EnsureDecomposition()
-			if !sameOutReach(o, v.O) {
+			if !sameOutReach(m.View.O, v.O) {
 				t.Fatal("out-reach reconstructed from the section differs from the in-memory build")
 			}
 
-			legacy := filepath.Join(dir, "v1.sbcv")
-			legacyWrite(t, v, legacy)
-			if st, _ := os.Stat(legacy); st.Size() >= mustSize(t, path) {
-				t.Fatal("legacy file is not smaller than the sectioned file")
-			}
-			ml, err := OpenMapped(legacy)
+			good, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("legacy layout rejected: %v", err)
+				t.Fatal(err)
 			}
-			defer ml.Close()
-			if ml.View.rFlat != nil {
-				t.Fatal("legacy file decoded with an out-reach section")
+			n, runs := int64(v.G.NumNodes()), int64(len(v.RunBlock))
+			secOff := decompOffset(n, v.G.NumEdges(), runs) - runs*8
+			legacy := filepath.Join(dir, "v1.sbcv")
+			if err := os.WriteFile(legacy, stripSection(good, secOff, runs*8, flagOutReach), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			_, ol := ml.View.EnsureDecomposition()
-			if !sameOutReach(ol, v.O) {
-				t.Fatal("fallback recompute differs from the in-memory build")
-			}
+			openRejects(t, legacy, "out-reach")
 		})
 	}
 }
@@ -322,8 +353,8 @@ func mustSize(t *testing.T, path string) int64 {
 }
 
 // TestPersistOutReachCorruptSectionFallsBack: garbage in the out-reach
-// section must not poison estimates — NewOutReachFromFlat rejects it
-// (Claim 9) and EnsureDecomposition falls back to the recomputation.
+// section must never reach an estimate — NewOutReachFromFlat rejects it
+// (Claim 9) and OpenMapped fails instead of recomputing the tables.
 func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 	g := graph.RandomTree(100, 4)
 	v := buildView(t, g)
@@ -337,12 +368,9 @@ func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := int64(len(v.RunBlock))
-	// The out-reach section sits before the decomposition section, which
-	// sits before the checksum trailer (no ids section was written). Reseal
-	// so the corruption models a buggy writer rather than bit rot — the
-	// open-time checksum must not be the only defense.
-	dsz := decompSectionSize(int64(v.G.NumNodes()), v.G.NumEdges(), int64(len(v.D.CompSize)))
-	sectionOff := int64(len(b)) - 8 - dsz - runs*8
+	// Reseal so the corruption models a buggy writer rather than bit rot —
+	// the open-time checksum must not be the only defense.
+	sectionOff := decompOffset(int64(g.NumNodes()), g.NumEdges(), runs) - runs*8
 	b[sectionOff] ^= 0x5a
 	reseal(b)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -352,19 +380,7 @@ func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 	if _, err := NewOutReachFromFlat(v.D, make([]int64, runs+1)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err) // content corruption is caught lazily, not at open
-	}
-	defer m.Close()
-	if _, err := NewOutReachFromFlat(v.D, m.View.rFlat); err == nil {
-		t.Fatal("corrupt out-reach section accepted")
-	}
-	_, o := m.View.EnsureDecomposition()
-	if !sameOutReach(o, v.O) {
-		t.Fatal("fallback after corrupt section differs from the in-memory build")
-	}
+	openRejects(t, path, "out-reach section")
 }
 
 func sameDecomposition(a, b *Decomposition) bool {
@@ -389,11 +405,10 @@ func sameDecomposition(a, b *Decomposition) bool {
 	return true
 }
 
-// TestPersistDecompRoundTrip: the decomposition section (flag bit 3) lets
-// EnsureDecomposition reconstruct the full Decomposition from the file
-// without rerunning the O(n+m) Decompose DFS, bitwise-identical to the
-// in-memory build — the fleet cold-start path; files without the section
-// keep working through the recompute fallback.
+// TestPersistDecompRoundTrip: OpenMapped rebuilds the full Decomposition
+// from the decomposition section (flag bit 3) without rerunning the O(n+m)
+// Decompose DFS, bitwise-identical to the in-memory build — the fleet
+// cold-start path; a file without the section is rejected.
 func TestPersistDecompRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -417,54 +432,39 @@ func TestPersistDecompRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if m.View.dFlat == nil {
-				t.Fatal("mapped view carries no decomposition section")
-			}
-			d, err := NewDecompositionFromView(m.View)
-			if err != nil {
-				t.Fatalf("NewDecompositionFromView: %v", err)
-			}
-			if !sameDecomposition(d, v.D) {
-				t.Fatal("decomposition reconstructed from the section differs from the in-memory build")
-			}
-			// The reconstructed decomposition must also satisfy the
-			// out-reach section's Claim 9 check and the full cross-check.
-			dd, oo := m.View.EnsureDecomposition()
-			if !sameDecomposition(dd, v.D) || !sameOutReach(oo, v.O) {
-				t.Fatal("EnsureDecomposition over both sections differs from the in-memory build")
+			if !sameDecomposition(m.View.D, v.D) || !sameOutReach(m.View.O, v.O) {
+				t.Fatal("tables reconstructed from the sections differ from the in-memory build")
 			}
 			if err := m.View.Validate(); err != nil {
 				t.Fatalf("cross-check of reconstructed tables: %v", err)
 			}
 
-			legacy := filepath.Join(dir, "v2.sbcv")
-			legacyWrite(t, v, legacy)
-			ml, err := OpenMapped(legacy)
+			good, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("sectionless layout rejected: %v", err)
+				t.Fatal(err)
 			}
-			defer ml.Close()
-			if ml.View.dFlat != nil {
-				t.Fatal("sectionless file decoded with a decomposition section")
+			n, m2 := int64(v.G.NumNodes()), v.G.NumEdges()
+			secOff := decompOffset(n, m2, int64(len(v.RunBlock)))
+			secSize := decompSectionSize(n, m2, int64(len(v.D.CompSize)))
+			legacy := filepath.Join(dir, "v2.sbcv")
+			if err := os.WriteFile(legacy, stripSection(good, secOff, secSize, flagDecomp), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			dl, _ := ml.View.EnsureDecomposition()
-			if !sameDecomposition(dl, v.D) {
-				t.Fatal("fallback recompute differs from the in-memory build")
-			}
+			openRejects(t, legacy, "decomposition")
 		})
 	}
 }
 
 // TestPersistDecompCorruptSectionFallsBack: garbage in the decomposition
-// section must not poison the tables — NewDecompositionFromView rejects it
-// against the structurally-verified run arrays and EnsureDecomposition falls
-// back to the Decompose recomputation. A mutated prelude (which changes the
-// implied section size) is caught at open time.
+// section must never reach an estimate — NewDecompositionFromView rejects
+// it against the run arrays and OpenMapped fails instead of recomputing. A
+// mutated prelude (which changes the implied section size) is caught by the
+// size check before any section is decoded.
 func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 	g := graph.RandomTree(100, 4)
 	v := buildView(t, g)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.sbcv")
+	path := filepath.Join(dir, "good.sbcv")
 	if err := v.WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -472,64 +472,31 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The decomposition section sits right before the checksum trailer (no
-	// ids section was written); its EdgeBlock table starts 16 bytes in,
-	// after the numBlocks/numComps prelude.
-	dsz := decompSectionSize(int64(g.NumNodes()), g.NumEdges(), int64(len(v.D.CompSize)))
-	sectionOff := int64(len(good)) - 8 - dsz
-
-	b := append([]byte(nil), good...)
-	b[sectionOff+16] ^= 0x5a // first EdgeBlock entry: now disagrees with the run layout
-	reseal(b)
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err) // content corruption is caught lazily, not at open
-	}
-	defer m.Close()
-	if _, err := NewDecompositionFromView(m.View); err == nil {
-		t.Fatal("corrupt decomposition section accepted")
-	}
-	d, o := m.View.EnsureDecomposition()
-	if !sameDecomposition(d, v.D) || !sameOutReach(o, v.O) {
-		t.Fatal("fallback after corrupt section differs from the in-memory build")
-	}
-
-	// Mutating the prelude changes the section size the header implies:
-	// rejected by the open-time size check, not decoded.
-	b2 := append([]byte(nil), good...)
-	b2[sectionOff+8]++ // numComps low byte
-	reseal(b2)
-	badPrelude := filepath.Join(dir, "prelude.sbcv")
-	if err := os.WriteFile(badPrelude, b2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMapped(badPrelude); err == nil {
-		t.Fatal("mutated decomposition prelude accepted")
-	}
-
-	// An out-of-range component label passes the size check but fails the
-	// lazy recount validation.
-	b3 := append([]byte(nil), good...)
-	labelOff := sectionOff + 16 + 2*g.NumEdges()*4 // CompLabel follows EdgeBlock
-	binary.NativeEndian.PutUint32(b3[labelOff:], uint32(len(v.D.CompSize)+7))
-	reseal(b3)
-	badLabel := filepath.Join(dir, "label.sbcv")
-	if err := os.WriteFile(badLabel, b3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ml, err := OpenMapped(badLabel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ml.Close()
-	if _, err := NewDecompositionFromView(ml.View); err == nil {
-		t.Fatal("out-of-range component label accepted")
-	}
-	dl, _ := ml.View.EnsureDecomposition()
-	if !sameDecomposition(dl, v.D) {
-		t.Fatal("fallback after corrupt labels differs from the in-memory build")
+	// The EdgeBlock table starts 16 bytes into the section, after the
+	// numBlocks/numComps prelude; CompLabel follows EdgeBlock.
+	sectionOff := decompOffset(int64(g.NumNodes()), g.NumEdges(), int64(len(v.RunBlock)))
+	labelOff := sectionOff + 16 + 2*g.NumEdges()*4
+	for _, tc := range []struct {
+		name, wantSub string
+		mutate        func(b []byte)
+	}{
+		// First EdgeBlock entry: now disagrees with the run layout.
+		{"edgeblock", "run layout", func(b []byte) { b[sectionOff+16] ^= 0x5a }},
+		// numComps low byte: the implied file size no longer matches.
+		{"prelude", "truncated or corrupt", func(b []byte) { b[sectionOff+8]++ }},
+		// An out-of-range component label passes the size check but fails
+		// the recount.
+		{"label", "component label", func(b []byte) {
+			binary.NativeEndian.PutUint32(b[labelOff:], uint32(len(v.D.CompSize)+7))
+		}},
+	} {
+		b := append([]byte(nil), good...)
+		tc.mutate(b)
+		reseal(b)
+		p := filepath.Join(dir, tc.name+".sbcv")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openRejects(t, p, tc.wantSub)
 	}
 }

@@ -141,19 +141,12 @@ func PreprocessBC(g *graph.Graph) *BCPreprocessed {
 // PreprocessBCFromView builds the cached preprocessing around an existing
 // view — typically one opened zero-copy from a serialized file
 // (bicomp.OpenMapped), the serve-many half of the build-once/serve-many
-// flow. The exact-phase engine, the sampler's distance fast paths, and the
-// k-path/closeness estimators consume only the view arrays and its embedded
-// graph, so they run straight off the mapped pages. A mapped view carries
-// no decomposition or out-reach tables (needed for the bc sampler's alias
-// tables and the bca cutpoint terms); they are recomputed here in O(n + m)
-// and backfilled onto the view — bicomp.Decompose is deterministic, so the
-// recomputed block ids agree with the serialized annotations (the
-// serializer's contract; BlockCSR.Validate cross-checks it).
-// Safe for concurrent use on one shared view: the backfill is synchronized
-// (bicomp.EnsureDecomposition).
+// flow. It wraps the view's own decomposition and out-reach tables, which
+// every view carries (OpenMapped rebuilds them from the file's sections),
+// and builds only the exact-phase engine; all engines run straight off the
+// view arrays and its embedded graph.
 func PreprocessBCFromView(view *bicomp.BlockCSR) *BCPreprocessed {
-	d, o := view.EnsureDecomposition()
-	return &BCPreprocessed{G: view.G, D: d, O: o, View: view, Exact: exactphase.New(view)}
+	return &BCPreprocessed{G: view.G, D: view.D, O: view.O, View: view, Exact: exactphase.New(view)}
 }
 
 // EstimateBC runs the full SaPHyRa_bc pipeline on graph g for target set a.

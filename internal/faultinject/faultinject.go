@@ -74,10 +74,6 @@ var (
 // tests only.
 func Enable() { enabled.Store(true) }
 
-// Disable closes the global gate; armed points stay registered but Fire
-// returns nil immediately.
-func Disable() { enabled.Store(false) }
-
 // Enabled reports whether the global gate is open.
 func Enabled() bool { return enabled.Load() }
 
@@ -90,9 +86,6 @@ func Set(name string, f Fault) {
 	p := &point{fault: f, rng: rand.New(rand.NewPCG(uint64(seed), 0x5bf0_3635))}
 	points.Store(name, p)
 }
-
-// Clear disarms the named point.
-func Clear(name string) { points.Delete(name) }
 
 // Reset disarms every point and closes the gate — the test-teardown call.
 func Reset() {

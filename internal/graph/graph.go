@@ -195,10 +195,6 @@ func (b *Builder) SetNumNodes(n int) {
 	}
 }
 
-// NumPendingEdges returns the number of edges recorded so far, before
-// deduplication.
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build constructs the CSR graph. The builder may be reused afterwards.
 func (b *Builder) Build() *Graph {
 	n := b.n

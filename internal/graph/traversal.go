@@ -1,18 +1,5 @@
 package graph
 
-// Adjacency is the read-only neighbor access that level-order traversals
-// need. *Graph implements it with sorted adjacency lists; other orderings
-// (e.g. the block-grouped view in internal/bicomp) implement it too —
-// BFS distance labels depend only on the edge set, never on the order
-// neighbors are listed, so any Adjacency over the same edges yields
-// bitwise-identical distances.
-type Adjacency interface {
-	NumNodes() int
-	// Neighbors returns u's neighbor list in an implementation-defined
-	// order. The slice aliases internal storage and must not be modified.
-	Neighbors(u Node) []Node
-}
-
 // BFSDistances computes unweighted shortest-path distances from source.
 // Unreachable nodes get distance -1. If dist is non-nil and of length n it is
 // reused, avoiding an allocation.
@@ -40,40 +27,11 @@ func BFSDistances(g *Graph, source Node, dist []int32) []int32 {
 	return dist
 }
 
-// BFSDistancesInto is the method form of BFSDistances: hot loops that price
-// many sources over an abstract adjacency (see internal/closeness) take a
-// concrete implementation through a one-call-per-traversal interface
-// instead of paying interface dispatch per dequeued node.
+// BFSDistancesInto is the method form of BFSDistances. Its one caller is
+// the closeness package's pre-MS-BFS reference engine (legacy_test.go),
+// which takes its scalar BFS through a one-method interface.
 func (g *Graph) BFSDistancesInto(source Node, dist []int32) []int32 {
 	return BFSDistances(g, source, dist)
-}
-
-// BFSDistancesAdj is BFSDistances over any Adjacency implementation. The
-// inner loop dispatches Neighbors through the interface per node — fine for
-// one-off traversals; hot loops should prefer a concrete implementation
-// (BFSDistances, or bicomp.GroupedAdj.BFSDistancesInto).
-func BFSDistancesAdj(g Adjacency, source Node, dist []int32) []int32 {
-	n := g.NumNodes()
-	if len(dist) != n {
-		dist = make([]int32, n)
-	}
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]Node, 0, n)
-	queue = append(queue, source)
-	dist[source] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == -1 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }
 
 // Eccentricity returns the maximum finite BFS distance from source.

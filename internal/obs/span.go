@@ -165,9 +165,6 @@ func (t *Trace) Unref() {
 // ID returns the caller-supplied trace id ("" when none).
 func (t *Trace) ID() string { return t.id }
 
-// Age returns the time since the trace started.
-func (t *Trace) Age() time.Duration { return time.Since(t.start) }
-
 type traceKey struct{}
 type spanKey struct{}
 
@@ -175,18 +172,6 @@ type spanKey struct{}
 // record into t's arena.
 func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
-}
-
-// TraceFrom returns the trace attached to ctx, or nil. The current span —
-// if any — is the cheaper source of truth (one context lookup covers both
-// the trace and the parent), so a bare traceKey is only consulted when no
-// span has been started yet.
-func TraceFrom(ctx context.Context) *Trace {
-	if sp, ok := ctx.Value(spanKey{}).(*Span); ok && sp != nil && sp.t != nil {
-		return sp.t
-	}
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
 }
 
 // Transplant copies src's trace (and current span, as the parent for spans

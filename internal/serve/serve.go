@@ -355,9 +355,10 @@ func (s *Server) load(gen uint64) (*loadedView, error) {
 		ranker: query.NewRankerView(m.View),
 		loaded: time.Now(),
 	}
-	// The betweenness preprocessing is the expensive derived state; building
-	// it here (not lazily) means no query ever pays it. With the view file's
-	// out-reach section the O(n+m) NewOutReach DP is skipped too.
+	// The betweenness preprocessing (the exact-phase engine over the view's
+	// decomposition and out-reach tables, which OpenMapped already rebuilt
+	// from the file's sections) is built here, not lazily, so no query ever
+	// pays it.
 	lv.ranker.Prepare(query.Betweenness)
 	if lv.ids != nil {
 		lv.back = make(map[int64]graph.Node, len(lv.ids))

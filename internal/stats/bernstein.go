@@ -29,15 +29,6 @@ func EpsilonBernstein(n int64, delta0, variance float64) float64 {
 	return math.Sqrt(2*variance*l/float64(n)) + 7*l/(3*float64(n))
 }
 
-// EpsilonHoeffding returns the Hoeffding deviation bound for N samples in
-// [0,1] with two-sided failure probability delta0.
-func EpsilonHoeffding(n int64, delta0 float64) float64 {
-	if n <= 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(math.Log(2/delta0) / (2 * float64(n)))
-}
-
 // VCSampleSize returns the Lemma 4 sample budget sufficient for an
 // (eps, delta)-estimation of a hypothesis class with VC dimension dim:
 //
