@@ -7,25 +7,38 @@
 // per-hypothesis loss for target v is 1/d(u, v) in [0, 1] -- a bounded but
 // non-binary loss, so this package runs its own progressive estimator with
 // empirical Bernstein stopping (per-target variance) instead of the 0/1
-// framework plumbing. One traversal per sample prices all targets at once,
-// which is what makes subset ranking cheap — and since distance labels are
-// all a sample needs, up to 64 samples per stream share one bit-parallel
-// MS-BFS pass (internal/msbfs): the adjacency is streamed once per level
-// for the whole batch instead of once per source.
+// framework plumbing. Distance labels are all a sample needs, so samples
+// are priced by bit-parallel MS-BFS passes (internal/msbfs), each of which
+// streams the adjacency once per level for up to 64 roots. Each doubling
+// round picks one of two shapes:
+//
+//   - source shape: every virtual stream roots one pass at up to 64 of its
+//     own sampled sources and reads the targets' depths;
+//   - target shape: the graph is undirected, so d(u, v) = d(v, u), and a
+//     pass rooted at up to 64 targets prices every sampled source at once.
+//     The round's sources are drawn first, srcChunk at a time in stream
+//     order, and each chunk costs one pass per batch of 64 targets.
+//
+// The round takes the target shape only when that makes strictly fewer
+// passes: ceil(k/64) per source chunk against sum_v ceil(quota_v/64). A
+// 100-target query therefore makes 2 passes per round where the source
+// shape makes at least 16, while whole-network ranking (k = n) keeps the
+// source shape. The choice is a pure function of (quota, k).
 //
 // Determinism: sampling is driven through sched.VirtualWorkers fixed
 // per-stream RNGs with a deterministic quota split, and the per-stream
 // accumulators are merged in stream order — so for a fixed seed the
-// estimate is bitwise-identical for any Options.Workers value. Batching
-// preserves the bits: each stream draws its sources in the same RNG order
-// as the scalar path, MS-BFS distance labels are neighbor-order invariant
-// (identical to per-source BFS), and the per-target accumulator adds run in
-// source order within each batch — the exact float operation sequence of
-// one BFS per sample. The estimator runs over any CSR-shaped adjacency:
-// Estimate prices targets on the raw CSR, EstimateView on the block-grouped
-// bicomp.BlockCSR arrays (typically mmap-backed; see bicomp.OpenMapped),
-// with bitwise-identical results. See DESIGN.md sections 3 (determinism),
-// 7 (the shared view layer), and 11 (MS-BFS).
+// estimate is bitwise-identical for any Options.Workers value. Neither shape
+// moves a bit: each stream draws its sources in the same RNG order as the
+// scalar path, MS-BFS distance labels are neighbor-order invariant
+// (identical to per-source BFS, from either end), and every target's
+// accumulator receives its adds in its stream's draw order — the exact
+// float operation sequence of one BFS per sample. The estimator runs over
+// any CSR-shaped adjacency: Estimate prices targets on the raw CSR,
+// EstimateView on the block-grouped bicomp.BlockCSR arrays (typically
+// mmap-backed; see bicomp.OpenMapped), with bitwise-identical results. See
+// DESIGN.md sections 3 (determinism), 7 (the shared view layer), and 11
+// (MS-BFS).
 package closeness
 
 import (
@@ -38,6 +51,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"saphyra/internal/bicomp"
 	"saphyra/internal/graph"
@@ -97,8 +111,9 @@ func (r *Result) reset() {
 
 // Estimate computes (eps, delta)-estimates of harmonic closeness for the
 // targets by source sampling over the graph's CSR adjacency. Cancellation
-// is polled between doubling rounds, between the per-round virtual streams,
-// and every few thousand scanned edges inside a traversal pass: a done ctx
+// is polled between doubling rounds, between the per-round virtual streams
+// (source shape) or source chunks and target batches (target shape), and
+// every few thousand scanned edges inside a traversal pass: a done ctx
 // aborts with a *params.CanceledError, never a partial estimate.
 //
 // One-shot convenience over NewEngine; serving paths that price many
@@ -118,9 +133,10 @@ func EstimateView(ctx context.Context, view *bicomp.BlockCSR, a []graph.Node, op
 
 // Engine is a reusable closeness estimator bound to one adjacency. It owns
 // a pool of per-call workspaces (RNG streams, MS-BFS traversals, distance
-// rows, accumulators), so the steady state of EstimateInto allocates
-// nothing beyond the goroutines sched spins up: build one Engine per served
-// graph or view and share it across requests (safe for concurrent use).
+// rows and tables, accumulators), so the steady state of EstimateInto
+// allocates nothing beyond the goroutines sched spins up: build one Engine
+// per served graph or view and share it across requests (safe for
+// concurrent use).
 type Engine struct {
 	n   int
 	off []int64
@@ -175,22 +191,7 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 	nodes := res.Nodes
 	k := len(nodes)
 
-	n0 := int64(math.Ceil(stats.VCConstant / (eps * eps) * math.Log(1/delta)))
-	if n0 < 1 {
-		n0 = 1
-	}
-	nmax := stats.UnionSampleSize(eps, delta, k) * 4
-	if nmax < n0 {
-		nmax = n0
-	}
-	if opt.MaxSamples > 0 {
-		if nmax > opt.MaxSamples {
-			nmax = opt.MaxSamples
-		}
-		if n0 > nmax {
-			n0 = nmax
-		}
-	}
+	n0, nmax := budget(eps, delta, k, opt.MaxSamples)
 	rounds := int64(1)
 	if nmax > n0 {
 		rounds = int64(math.Ceil(math.Log2(float64(nmax) / float64(n0))))
@@ -198,7 +199,7 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 	deltaI := delta / (2 * float64(rounds) * float64(k))
 
 	sc := e.acquire(nodes)
-	defer e.release(sc, nodes)
+	defer e.release(sc)
 	// Sub-pass cancellation: the traversals poll this stop every few
 	// thousand edges, bounding time-to-cancel well below one MS-BFS pass.
 	// Non-cancellable contexts wire a nil Stop — zero setup, zero polling
@@ -241,6 +242,18 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 	return nil
 }
 
+// budget returns the first round's sample count n0 and the cap nmax; each
+// later round doubles the drawn total, capped at nmax.
+func budget(eps, delta float64, k int, maxSamples int64) (n0, nmax int64) {
+	n0 = max(int64(math.Ceil(stats.VCConstant/(eps*eps)*math.Log(1/delta))), 1)
+	nmax = max(stats.UnionSampleSize(eps, delta, k)*4, n0)
+	if maxSamples > 0 {
+		nmax = min(nmax, maxSamples)
+		n0 = min(n0, nmax)
+	}
+	return n0, nmax
+}
+
 // callScratch is one call's worth of workspace: the target index, the
 // deterministic quota split, the merged accumulators, and the
 // sched.VirtualWorkers sample streams. Pooled on the Engine; exactly one
@@ -251,6 +264,7 @@ type callScratch struct {
 	// release clears exactly those, so the O(n) fill happens once per
 	// scratch lifetime, not per call.
 	aIndex []int32
+	nodes  []graph.Node // the call's deduped targets, sorted
 	quota  []int64
 	accs   []stats.MeanVar
 	// streams materialize lazily on their first non-zero quota (mirroring
@@ -260,6 +274,7 @@ type callScratch struct {
 	// equivalent to merging all-zero accumulators.
 	streams [sched.VirtualWorkers]*stream
 	active  [sched.VirtualWorkers]bool
+	tgt     targetScratch
 }
 
 // acquire pops a pooled scratch (or builds one), sizes the per-call arrays
@@ -287,24 +302,29 @@ func (e *Engine) acquire(nodes []graph.Node) *callScratch {
 	for i, v := range nodes {
 		sc.aIndex[v] = int32(i)
 	}
+	sc.nodes = nodes
 	return sc
 }
 
-// release undoes the k sparse aIndex writes and returns sc to the pool.
-// Runs on error paths too: a canceled or faulted call leaves the pool
-// clean, because every stream re-seeds on its first use per call.
-func (e *Engine) release(sc *callScratch, nodes []graph.Node) {
-	for _, v := range nodes {
+// release undoes the k sparse aIndex writes (and any slot writes of a
+// chunk cut short) and returns sc to the pool. Runs on error paths too: a
+// canceled or faulted call leaves the pool clean, because every stream
+// re-seeds on its first use per call.
+func (e *Engine) release(sc *callScratch) {
+	for _, v := range sc.nodes {
 		sc.aIndex[v] = -1
 	}
+	sc.nodes = nil
+	sc.tgt.reset()
 	e.mu.Lock()
 	e.free = append(e.free, sc)
 	e.mu.Unlock()
 }
 
 // stream is one virtual worker's sample stream: a seeded RNG drawing
-// sources, an MS-BFS traversal pricing them 64 at a time, per-target
-// distance rows for the current batch, and cumulative accumulators.
+// sources, cumulative accumulators, and the source shape's MS-BFS
+// traversal and per-target distance rows (both built on the stream's first
+// source-shape round, so target-shape-only calls never pay for them).
 type stream struct {
 	pcg   *rand.PCG
 	rng   *rand.Rand
@@ -331,7 +351,6 @@ func (sc *callScratch) activate(e *Engine, v int, seed0 int64, k int) *stream {
 	if s == nil {
 		s = &stream{pcg: rand.NewPCG(0, 0)}
 		s.rng = rand.New(s.pcg)
-		s.trav = msbfs.New(e.n)
 		sc.streams[v] = s
 	}
 	if !sc.active[v] {
@@ -342,7 +361,6 @@ func (sc *callScratch) activate(e *Engine, v int, seed0 int64, k int) *stream {
 		for i := range s.local {
 			s.local[i] = stats.MeanVar{}
 		}
-		s.tdist = resize(s.tdist, k*msbfs.MaxLanes)
 		s.err = nil
 	}
 	return s
@@ -354,6 +372,10 @@ func (sc *callScratch) activate(e *Engine, v int, seed0 int64, k int) *stream {
 // float sequence of the scalar one-BFS-per-sample loop, so the bits match.
 func (s *stream) sampleBatch(ctx context.Context, e *Engine, aIndex []int32, k int, stop *sched.Stop, count int64) {
 	n := e.n
+	if s.trav == nil {
+		s.trav = msbfs.New(n)
+	}
+	s.tdist = resize(s.tdist, k*msbfs.MaxLanes)
 	tdist := s.tdist
 	onSettle := func(u graph.Node, lanes uint64, depth int32) {
 		ai := aIndex[u]
@@ -396,16 +418,18 @@ func (s *stream) sampleBatch(ctx context.Context, e *Engine, aIndex []int32, k i
 	}
 }
 
-// batchParallel distributes count samples across the virtual-worker streams
-// with a deterministic quota split and runs them on up to opt.Workers
-// goroutines (sched work stealing — which goroutine runs which stream never
-// affects the streams themselves). Each stream slot is touched by exactly
-// one goroutine per round, with rounds separated by the DoCtx barrier, so
-// the lazy activation needs no locking. The per-stream accumulators are
-// cumulative across rounds; accs is rebuilt from scratch each round,
-// merging streams in stream order so the result is a pure function of the
-// seed — skipping a never-activated stream is bitwise-equivalent to merging
-// its (all-zero) accumulators.
+// batchParallel draws count samples split across the virtual-worker
+// streams by a deterministic quota and prices them in the round shape
+// targetShape picks (package doc). In the source shape the streams run on
+// up to opt.Workers goroutines (sched work stealing — which goroutine runs
+// which stream never affects the streams themselves); each stream slot is
+// touched by exactly one goroutine per round, with rounds separated by the
+// DoCtx barrier, so the lazy activation needs no locking. The target shape
+// fans its target batches out instead (targetRound). The per-stream
+// accumulators are cumulative across rounds; accs is rebuilt from scratch
+// each round, merging streams in stream order so the result is a pure
+// function of the seed — skipping a never-activated stream is
+// bitwise-equivalent to merging its (all-zero) accumulators.
 func (e *Engine) batchParallel(ctx context.Context, sc *callScratch, opt Options, stop *sched.Stop, count int64, accs []stats.MeanVar) error {
 	if count <= 0 {
 		return nil
@@ -416,6 +440,34 @@ func (e *Engine) batchParallel(ctx context.Context, sc *callScratch, opt Options
 	k := len(accs)
 	nv := sched.VirtualWorkers
 	sc.quota = sched.Split(count, nv, sc.quota)
+	quota := sc.quota
+	if targetShape(quota, k) {
+		if err := e.targetRound(ctx, sc, opt, stop); err != nil {
+			return err
+		}
+	} else if err := e.sourceRound(ctx, sc, opt, stop); err != nil {
+		return err
+	}
+	for i := range accs {
+		accs[i] = stats.MeanVar{}
+	}
+	for v := 0; v < nv; v++ {
+		if !sc.active[v] {
+			continue
+		}
+		local := sc.streams[v].local
+		for i := range accs {
+			accs[i].Merge(&local[i])
+		}
+	}
+	return nil
+}
+
+// sourceRound prices the round in the source shape: every stream runs its
+// own MS-BFS passes over its sampled sources (sampleBatch).
+func (e *Engine) sourceRound(ctx context.Context, sc *callScratch, opt Options, stop *sched.Stop) error {
+	k := len(sc.nodes)
+	nv := sched.VirtualWorkers
 	quota := sc.quota
 	if opt.Workers <= 1 {
 		// Inline fast path with DoCtx's exact checkpoint semantics: ctx
@@ -456,21 +508,236 @@ func (e *Engine) batchParallel(ctx context.Context, sc *callScratch, opt Options
 		if s == nil || !sc.active[v] || s.err == nil {
 			continue
 		}
-		if errors.Is(s.err, msbfs.ErrStopped) {
-			return &params.CanceledError{Cause: context.Cause(ctx)}
+		return passError(ctx, s.err)
+	}
+	return nil
+}
+
+// passError maps a failed MS-BFS pass to the engine's error: a raised stop
+// is the context's cancellation, anything else (an injected fault) passes
+// through.
+func passError(ctx context.Context, err error) error {
+	if errors.Is(err, msbfs.ErrStopped) {
+		return &params.CanceledError{Cause: context.Cause(ctx)}
+	}
+	return err
+}
+
+// srcChunk caps how many sources the target shape holds at once. A round
+// is drawn and priced in chunks of at most srcChunk consecutive sources of
+// the stream-order sequence (stream 0's draws, then stream 1's, ...), so a
+// chunk may straddle stream boundaries. Per call the target shape holds at
+// most srcChunk drawn sources (two int32 buffers, 32 KiB), an n-entry
+// int32 source index, and one srcChunk x 64 int32 depth table (1 MiB) plus
+// one msbfs.Traversal per concurrently running target batch — at most
+// min(Workers, ceil(k/64)) of them. None of it depends on MaxSamples.
+const srcChunk = 4096
+
+// targetShape reports whether a round with the given quota split is
+// cheaper rooted at the k targets: ceil(k/64) passes per source chunk
+// against the source shape's sum_v ceil(quota_v/64). Ties keep the source
+// shape.
+func targetShape(quota []int64, k int) bool {
+	var count, srcPasses int64
+	for _, q := range quota {
+		count += q
+		srcPasses += (q + msbfs.MaxLanes - 1) / msbfs.MaxLanes
+	}
+	chunks := (count + srcChunk - 1) / srcChunk
+	batches := int64((k + msbfs.MaxLanes - 1) / msbfs.MaxLanes)
+	return batches*chunks < srcPasses
+}
+
+// targetScratch is the target shape's pooled workspace (see srcChunk for
+// its memory bound).
+type targetScratch struct {
+	// slot[u] is u's row in the current chunk's depth tables, -1 for nodes
+	// not drawn in the chunk. Maintained sparsely like aIndex: a chunk sets
+	// the entries of its distinct sources and flush clears exactly those.
+	slot []int32
+	srcs []graph.Node // the chunk's distinct sources, row order
+	rows []int32      // the chunk's draws in stream order, as table rows
+	// segs[:nseg] split rows by stream: each stream's draws are contiguous
+	// in a chunk, so there are at most VirtualWorkers segments.
+	segs   [sched.VirtualWorkers]segment
+	nseg   int
+	passes []*targetPass // one per concurrently running target batch
+	next   atomic.Int32  // hands passes to fan-out goroutines
+}
+
+// segment is one stream's run of draws inside a chunk: rows[lo:hi].
+type segment struct {
+	s      *stream
+	lo, hi int
+}
+
+// targetPass is one target batch's traversal and its depth table:
+// table[r*lanes+l] is the depth at which target lane l settled the chunk's
+// row-r source, 0 when it never did (unreached) — and 0 also for a source
+// that is the target itself, so "d > 0" is the scalar path's test.
+type targetPass struct {
+	trav  *msbfs.Traversal
+	slot  []int32
+	table []int32
+	lanes int
+	err   error
+}
+
+// settle records the depth of every target lane reaching a drawn source.
+// Passed to the traversal as a method value, which does not escape, so a
+// pass allocates nothing (TestTargetRoundAllocatesNothing).
+func (p *targetPass) settle(u graph.Node, lanes uint64, depth int32) {
+	r := p.slot[u]
+	if r < 0 {
+		return
+	}
+	row := p.table[int(r)*p.lanes:]
+	for m := lanes; m != 0; m &= m - 1 {
+		row[bits.TrailingZeros64(m)] = depth
+	}
+}
+
+// reset clears a chunk's sparse slot entries and buffers. It runs after
+// every flush, and on release in case a call died mid-chunk.
+func (ts *targetScratch) reset() {
+	for _, u := range ts.srcs {
+		ts.slot[u] = -1
+	}
+	ts.srcs = ts.srcs[:0]
+	ts.rows = ts.rows[:0]
+	ts.nseg = 0
+}
+
+// ready sizes the workspace for a round on n nodes with the given number of
+// concurrently running target batches. Everything is built once per
+// scratch lifetime and reused.
+func (ts *targetScratch) ready(n, workers int) {
+	if ts.slot == nil {
+		ts.slot = make([]int32, n)
+		for i := range ts.slot {
+			ts.slot[i] = -1
 		}
-		return s.err
+		ts.srcs = make([]graph.Node, 0, srcChunk)
+		ts.rows = make([]int32, 0, srcChunk)
 	}
-	for i := range accs {
-		accs[i] = stats.MeanVar{}
+	for len(ts.passes) < workers {
+		ts.passes = append(ts.passes, &targetPass{trav: msbfs.New(n), slot: ts.slot, table: make([]int32, srcChunk*msbfs.MaxLanes)})
 	}
-	for v := 0; v < nv; v++ {
-		if !sc.active[v] {
+}
+
+// targetRound prices the round in the target shape. It draws each stream's
+// quota in stream order with the same RNG calls as sampleBatch, indexing
+// the distinct sources, and flushes every srcChunk draws (and at the end).
+// ctx is polled per chunk; the passes poll stop.
+func (e *Engine) targetRound(ctx context.Context, sc *callScratch, opt Options, stop *sched.Stop) error {
+	k := len(sc.nodes)
+	batches := (k + msbfs.MaxLanes - 1) / msbfs.MaxLanes
+	workers := min(opt.Workers, batches)
+	ts := &sc.tgt
+	ts.ready(e.n, workers)
+	n := e.n
+	for v, q := range sc.quota {
+		if q == 0 {
 			continue
 		}
-		local := sc.streams[v].local
-		for i := range accs {
-			accs[i].Merge(&local[i])
+		s := sc.activate(e, v, opt.Seed, k)
+		for q > 0 {
+			lo := len(ts.rows)
+			take := min(q, int64(srcChunk-lo))
+			for range take {
+				u := graph.Node(s.rng.IntN(n))
+				r := ts.slot[u]
+				if r < 0 {
+					r = int32(len(ts.srcs))
+					ts.slot[u] = r
+					ts.srcs = append(ts.srcs, u)
+				}
+				ts.rows = append(ts.rows, r)
+			}
+			ts.segs[ts.nseg] = segment{s: s, lo: lo, hi: len(ts.rows)}
+			ts.nseg++
+			q -= take
+			if len(ts.rows) == srcChunk {
+				if err := e.flush(ctx, sc, stop, workers); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if len(ts.rows) > 0 {
+		return e.flush(ctx, sc, stop, workers)
+	}
+	return nil
+}
+
+// flush prices one chunk: one pass per target batch, fanned out over up to
+// workers goroutines (inline, and allocation-free, for one). Each batch
+// replays its own targets' adds, so concurrent batches write disjoint
+// accumulators.
+func (e *Engine) flush(ctx context.Context, sc *callScratch, stop *sched.Stop, workers int) error {
+	ts := &sc.tgt
+	defer ts.reset()
+	batches := (len(sc.nodes) + msbfs.MaxLanes - 1) / msbfs.MaxLanes
+	if workers <= 1 {
+		p := ts.passes[0]
+		for b := 0; b < batches; b++ {
+			if ctx.Err() != nil {
+				return &params.CanceledError{Cause: context.Cause(ctx)}
+			}
+			if err := p.run(ctx, e, sc, b, stop); err != nil {
+				return passError(ctx, err)
+			}
+		}
+		return nil
+	}
+	passes := ts.passes[:workers]
+	for _, p := range passes {
+		p.err = nil
+	}
+	ts.next.Store(0)
+	if err := sched.DoWithCtx(ctx, batches, workers,
+		func() *targetPass { return passes[ts.next.Add(1)-1] },
+		func(*targetPass) {},
+		func(p *targetPass, b int) {
+			if p.err == nil {
+				p.err = p.run(ctx, e, sc, b, stop)
+			}
+		}); err != nil {
+		return &params.CanceledError{Cause: err}
+	}
+	for _, p := range passes {
+		if p.err != nil {
+			return passError(ctx, p.err)
+		}
+	}
+	return nil
+}
+
+// run prices target batch b against the chunk: one MS-BFS pass rooted at
+// targets [64b, 64b+64) fills the depth table, then the adds replay
+// segment by segment (stream order), each stream's draws in draw order,
+// targets inner — per target, exactly the add sequence of the source shape.
+func (p *targetPass) run(ctx context.Context, e *Engine, sc *callScratch, b int, stop *sched.Stop) error {
+	ts := &sc.tgt
+	lo := b * msbfs.MaxLanes
+	hi := min(lo+msbfs.MaxLanes, len(sc.nodes))
+	p.lanes = hi - lo
+	table := p.table[:len(ts.srcs)*p.lanes]
+	clear(table)
+	if err := p.trav.RunCtx(ctx, e.off, e.nbr, sc.nodes[lo:hi], stop, p.settle); err != nil {
+		return err
+	}
+	for _, sg := range ts.segs[:ts.nseg] {
+		local := sg.s.local[lo:hi]
+		for _, r := range ts.rows[sg.lo:sg.hi] {
+			row := table[int(r)*p.lanes:][:p.lanes]
+			for l, d := range row {
+				x := 0.0
+				if d > 0 {
+					x = 1 / float64(d)
+				}
+				local[l].Add(x)
+			}
 		}
 	}
 	return nil

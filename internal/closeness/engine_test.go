@@ -4,41 +4,68 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"saphyra/internal/faultinject"
 	"saphyra/internal/graph"
 	"saphyra/internal/params"
+	"saphyra/internal/sched"
 )
 
 // TestEngineMatchesLegacyBitwise: the MS-BFS engine must reproduce the
 // pre-batching scalar estimator bit for bit — same samples, rounds, and
-// float closeness values — at every worker count. Sources are drawn in the
-// same per-stream RNG order, MS-BFS distance labels equal scalar BFS
-// labels, and the accumulator adds run in the same source order, so the
-// whole float pipeline is replayed exactly.
+// float closeness values — at every worker count, in both round shapes.
+// Sources are drawn in the same per-stream RNG order, MS-BFS distance
+// labels equal scalar BFS labels from either end, and every target's
+// accumulator adds run in the same source order, so the whole float
+// pipeline is replayed exactly. The cases beyond ba and road pin the round
+// shapes: one keeps the source shape throughout, two flip between doubling
+// rounds, and one draws rounds whose source chunks straddle stream
+// boundaries.
 func TestEngineMatchesLegacyBitwise(t *testing.T) {
 	old := runtime.GOMAXPROCS(8) // let the clamp keep multi-worker runs real
 	defer runtime.GOMAXPROCS(old)
+	ba, big := graph.BarabasiAlbert(400, 3, 6), graph.BarabasiAlbert(1200, 3, 6)
 	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
+		name   string
+		g      *graph.Graph
+		a      []graph.Node
+		opt    Options
+		shapes []bool // per round, true = target shape; nil = not pinned
 	}{
-		{"ba", graph.BarabasiAlbert(400, 3, 6)},
-		{"road", graph.RoadNetwork(12, 12, 0.1, 2)},
+		{"ba", ba, []graph.Node{0, 3, 17, 99, 120, 17}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}, nil},
+		{"road", graph.RoadNetwork(12, 12, 0.1, 2), []graph.Node{0, 3, 17, 99, 120, 17}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}, nil},
+		// k = n = 1200: 19 target batches never undercut the 16 passes of a
+		// round of at most 1,024 samples.
+		{"source-shape", big, allNodes(big), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
+		// The same targets at a tighter eps: rounds of 720 samples make 16
+		// source passes, but the third round's 1,440 need 32, so it flips
+		// to 19 target passes.
+		{"flip-to-targets", big, allNodes(big), Options{Epsilon: 0.04, Delta: 0.1, Seed: 9}, []bool{false, false, true}},
+		// 100 targets (two batches, so Workers fans them out); the capped
+		// last round draws one sample, one source pass against two.
+		{"flip-to-sources", ba, everyNth(ba, 4), Options{Epsilon: 0.05, Delta: 0.05, Seed: 9, MaxSamples: 601}, []bool{true, false}},
+		// MaxSamples cuts the first round to 20,000 samples, 1,250 per
+		// stream: every 4,096-source chunk boundary falls inside a stream.
+		{"straddle", ba, []graph.Node{0, 3, 17, 99, 120, 399}, Options{Epsilon: 0.005, Delta: 0.05, Seed: 9, MaxSamples: 20_000}, []bool{true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := []graph.Node{0, 3, 17, 99, 120, 17}
-			opt := Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}
-			want, err := estimateLegacy(context.Background(), tc.g, a, opt)
+			want, err := estimateLegacy(context.Background(), tc.g, tc.a, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.shapes != nil {
+				if got := roundShapes(len(want.Nodes), tc.opt, want.Rounds); !slices.Equal(got, tc.shapes) {
+					t.Fatalf("round shapes %v, want %v", got, tc.shapes)
+				}
+			}
 			eng := NewEngine(tc.g)
 			for _, workers := range []int{1, 2, 8} {
+				opt := tc.opt
 				opt.Workers = workers
-				got, err := eng.Estimate(context.Background(), a, opt)
+				got, err := eng.Estimate(context.Background(), tc.a, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,6 +85,30 @@ func TestEngineMatchesLegacyBitwise(t *testing.T) {
 			}
 		})
 	}
+}
+
+// roundShapes replays EstimateInto's round schedule for k targets and
+// reports, per round, whether targetShape picks the target shape.
+func roundShapes(k int, opt Options, rounds int) []bool {
+	opt.setDefaults()
+	n0, nmax := budget(opt.Epsilon, opt.Delta, k, opt.MaxSamples)
+	var shapes []bool
+	for drawn, target := int64(0), n0; len(shapes) < rounds; drawn, target = target, min(target*2, nmax) {
+		shapes = append(shapes, targetShape(sched.Split(target-drawn, sched.VirtualWorkers, nil), k))
+	}
+	return shapes
+}
+
+func allNodes(g *graph.Graph) []graph.Node {
+	return everyNth(g, 1)
+}
+
+func everyNth(g *graph.Graph, step int) []graph.Node {
+	var a []graph.Node
+	for v := 0; v < g.NumNodes(); v += step {
+		a = append(a, graph.Node(v))
+	}
+	return a
 }
 
 // TestEnginePoolReuse: pooled workspaces must not leak state across calls —
@@ -129,37 +180,65 @@ func TestEngineFaultedCallDoesNotPoisonPool(t *testing.T) {
 }
 
 // TestEngineCancellation: a canceled context yields *params.CanceledError —
-// immediately when pre-canceled, and promptly mid-run, where the in-pass
-// stop polls bound time-to-cancel below one MS-BFS pass (the msbfs package
-// proves the sub-pass bound; here the full estimator path is exercised).
+// immediately when pre-canceled, and promptly mid-run in either round
+// shape, where the in-pass stop polls bound time-to-cancel below one
+// MS-BFS pass (the msbfs package proves the sub-pass bound; here the full
+// estimator path is exercised). The cancel fires once the first BFS level
+// has run, and a delay armed on every level makes one pass last far longer
+// than that wait, so the cancel always lands inside a pass: 3 targets pin
+// the target shape, all 10,000 nodes the source shape.
 func TestEngineCancellation(t *testing.T) {
+	defer faultinject.Reset()
 	g := graph.RoadNetwork(100, 100, 0, 3)
 	eng := NewEngine(g)
-	a := []graph.Node{0, 500, 9000}
-	// Tight epsilon + huge cap: an uncanceled run would take many seconds.
+	// Tight epsilon + huge cap: the first round draws ~92k samples.
 	opt := Options{Epsilon: 0.005, Delta: 0.01, Seed: 2, Workers: 2, MaxSamples: 1 << 40}
+	for _, tc := range []struct {
+		name    string
+		a       []graph.Node
+		targets bool
+	}{
+		{"target-shape", []graph.Node{0, 500, 9000}, true},
+		{"source-shape", allNodes(g), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n0, _ := budget(opt.Epsilon, opt.Delta, len(tc.a), opt.MaxSamples)
+			if got := targetShape(sched.Split(n0, sched.VirtualWorkers, nil), len(tc.a)); got != tc.targets {
+				t.Fatalf("first round target shape = %v, want %v", got, tc.targets)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ce *params.CanceledError
-	if _, err := eng.Estimate(ctx, a, opt); !errors.As(err, &ce) {
-		t.Fatalf("pre-canceled: err = %v, want *params.CanceledError", err)
-	}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var ce *params.CanceledError
+			if _, err := eng.Estimate(ctx, tc.a, opt); !errors.As(err, &ce) {
+				t.Fatalf("pre-canceled: err = %v, want *params.CanceledError", err)
+			}
 
-	ctx, cancel = context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := eng.Estimate(ctx, a, opt)
-	elapsed := time.Since(start)
-	if !errors.As(err, &ce) {
-		t.Fatalf("mid-run: err = %v, want *params.CanceledError", err)
-	}
-	// Generous bound: a 10k-node road pass is ~hundreds of microseconds per
-	// poll stride; seconds would mean the cancel never cut into a pass.
-	if elapsed > 5*time.Second {
-		t.Fatalf("cancel took %v", elapsed)
+			faultinject.Enable()
+			faultinject.Set("msbfs.run", faultinject.Fault{Delay: time.Millisecond})
+			defer faultinject.Reset()
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				for faultinject.Hits("msbfs.run") == 0 && ctx.Err() == nil {
+					time.Sleep(100 * time.Microsecond)
+				}
+				cancel()
+			}()
+			start := time.Now()
+			_, err := eng.Estimate(ctx, tc.a, opt)
+			elapsed := time.Since(start)
+			if !errors.As(err, &ce) {
+				t.Fatalf("mid-run: err = %v, want *params.CanceledError", err)
+			}
+			if faultinject.Hits("msbfs.run") == 0 {
+				t.Fatal("mid-run: no MS-BFS level ran before the cancel")
+			}
+			// Generous bound: a 10k-node road pass is ~hundreds of microseconds per
+			// poll stride; seconds would mean the cancel never cut into a pass.
+			if elapsed > 5*time.Second {
+				t.Fatalf("cancel took %v", elapsed)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@
 package testutil
 
 import (
+	"math"
 	"math/rand"
 
 	"saphyra/internal/graph"
@@ -244,4 +245,21 @@ func BruteBCA(g *graph.Graph, v graph.Node) float64 {
 		}
 	}
 	return float64(count) / (float64(n) * float64(n-1))
+}
+
+// BinomialQuantile returns the smallest c with P(X <= c) >= q for
+// X ~ Binomial(n, p): the most failing runs out of n that a guarantee
+// failing with probability p allows at confidence q.
+func BinomialQuantile(n int, p, q float64) int {
+	lg, _ := math.Lgamma(float64(n + 1))
+	cdf := 0.0
+	for c := 0; c <= n; c++ {
+		lc, _ := math.Lgamma(float64(c + 1))
+		lr, _ := math.Lgamma(float64(n - c + 1))
+		cdf += math.Exp(lg - lc - lr + float64(c)*math.Log(p) + float64(n-c)*math.Log1p(-p))
+		if cdf >= q {
+			return c
+		}
+	}
+	return n
 }
