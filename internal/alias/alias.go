@@ -1,9 +1,8 @@
 // Package alias implements Walker/Vose alias tables for O(1) draws from a
 // fixed discrete distribution. SaPHyRa's multistage sampler (Algorithm 2)
 // draws from three static distributions per sample — block mass w_i, source
-// mass r(s)(S-r(s)), target mass r(t) — and the alias tables built once per
-// target set replace the O(log n) binary searches over cumulative tables in
-// the hot loop.
+// mass r(s)(S-r(s)), target mass r(t) — and alias tables over them replace
+// the O(log n) binary searches over cumulative tables in the hot loop.
 //
 // Construction is Vose's O(n) stable partition into "small" and "large"
 // columns; it is fully deterministic, so samplers built from the same
@@ -23,11 +22,18 @@ type Table struct {
 // weights are treated as zero; if every weight is zero (or the slice is
 // empty after clamping) the table draws uniformly.
 func New(weights []float64) *Table {
+	t := Build(make([]float64, len(weights)), make([]int32, len(weights)), weights)
+	return &t
+}
+
+// Build is New over caller-owned storage: it writes the table for weights
+// into prob and alias, which must both hold len(weights) entries, and
+// returns a Table that reads them. The arithmetic is New's, so the two
+// draw identical sequences from identical weights; Build lets a caller keep
+// many tables in one flat allocation.
+func Build(prob []float64, alias []int32, weights []float64) Table {
 	n := len(weights)
-	t := &Table{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-	}
+	t := Table{prob: prob[:n:n], alias: alias[:n:n]}
 	if n == 0 {
 		return t
 	}
@@ -84,6 +90,11 @@ func New(weights []float64) *Table {
 		t.alias[i] = i
 	}
 	return t
+}
+
+// Of returns the Table that an earlier Build wrote into prob and alias.
+func Of(prob []float64, alias []int32) Table {
+	return Table{prob: prob, alias: alias}
 }
 
 // Len returns the number of columns.

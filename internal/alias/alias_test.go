@@ -110,3 +110,18 @@ func BenchmarkDraw(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestBuildMatchesNew: a table built into caller-owned storage draws exactly
+// what New's table draws, column for column.
+func TestBuildMatchesNew(t *testing.T) {
+	w := []float64{100, 1, 2, 3, 0.5, 10, 1, 1, 1, 0.25}
+	ref := New(w)
+	got := Build(make([]float64, len(w)), make([]int32, len(w)), w)
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < 10000; i++ {
+		u := rng.Float64()
+		if a, b := ref.Draw(u), got.Draw(u); a != b {
+			t.Fatalf("Draw(%g): New %d, Build %d", u, a, b)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"saphyra/internal/alias"
 	"saphyra/internal/bicomp"
@@ -94,6 +95,192 @@ type BCPreprocessed struct {
 	// graph doesn't warrant one.
 	sketchOnce sync.Once
 	sketch     *msbfs.Sketch
+
+	// maxBD memoizes D.MaxBlockDiameterUpperBound(vcExactThreshold), the
+	// full-network bound every VC path reads; ecc memoizes the
+	// eccentricity of the max-degree node, read by the sketch gate and the
+	// VCRiondato bound. Both are fixed by the graph.
+	maxBDOnce sync.Once
+	maxBD     int32
+	eccOnce   sync.Once
+	ecc       int32
+
+	// tables holds the per-block stage-2/3 sampling tables, built lazily.
+	tables blockTables
+
+	// Free lists of per-query and per-sampler scratch, recycled the way
+	// exactphase.Engine recycles its own (DESIGN §6): a warmed query
+	// allocates O(k), not O(n).
+	mu           sync.Mutex
+	freeQueries  []*bcQuery
+	freeSamplers []*bcSamplerScratch
+}
+
+// vcExactThreshold is the block size up to which the VC bounds use exact
+// block diameters (double-sweep bounds above it).
+const vcExactThreshold = 64
+
+// maxBlockDiameter returns the memoized upper bound on BD(V).
+func (p *BCPreprocessed) maxBlockDiameter() int32 {
+	p.maxBDOnce.Do(func() { p.maxBD = p.D.MaxBlockDiameterUpperBound(vcExactThreshold) })
+	return p.maxBD
+}
+
+// eccentricity returns the memoized eccentricity of the max-degree node (0
+// on an empty graph).
+func (p *BCPreprocessed) eccentricity() int32 {
+	p.eccOnce.Do(func() {
+		if p.G.NumNodes() > 0 {
+			p.ecc = graph.Eccentricity(p.G, maxDegreeNode(p.G))
+		}
+	})
+	return p.ecc
+}
+
+// blockTables holds the stage-2 and stage-3 sampling tables of Algorithm 2
+// for every block: the alias table of r(s)(S-r(s)), the alias table of r(t)
+// and the cumulative r(t) excision table. They are pure functions of the
+// block, so each block's tables are built once, by the first query that
+// samples from it, with alias.Build's arithmetic, and every later query
+// reads them. The layout is flat and aligned with O.R's block order: block
+// b's members own entries [off[b], off[b+1]) of every column. Retained
+// memory is 32 bytes per block-membership entry (three float64 columns and
+// two int32 ones) plus 8 bytes and one ready bit per block.
+type blockTables struct {
+	once  sync.Once
+	off   []int64
+	ready []atomic.Uint32 // bit b%32 of word b/32: block b is built
+
+	mu                       sync.Mutex // serializes builds
+	srcProb, dstProb, dstCum []float64
+	srcAlias, dstAlias       []int32
+	srcW, dstW               []float64 // build scratch, guarded by mu
+}
+
+// block returns block b's source and destination tables and its cumulative
+// r(t) table, building them on first use. Safe for concurrent use.
+func (t *blockTables) block(o *bicomp.OutReach, b int32) (src, dst alias.Table, cum []float64) {
+	t.once.Do(func() { t.init(o) })
+	if t.ready[b>>5].Load()&(1<<(b&31)) == 0 {
+		t.build(o, b)
+	}
+	lo, hi := t.off[b], t.off[b+1]
+	return alias.Of(t.srcProb[lo:hi], t.srcAlias[lo:hi]),
+		alias.Of(t.dstProb[lo:hi], t.dstAlias[lo:hi]),
+		t.dstCum[lo:hi]
+}
+
+func (t *blockTables) init(o *bicomp.OutReach) {
+	t.off = make([]int64, len(o.R)+1)
+	for b, rs := range o.R {
+		t.off[b+1] = t.off[b] + int64(len(rs))
+	}
+	total := t.off[len(o.R)]
+	t.ready = make([]atomic.Uint32, (len(o.R)+31)/32)
+	t.srcProb = make([]float64, total)
+	t.dstProb = make([]float64, total)
+	t.dstCum = make([]float64, total)
+	t.srcAlias = make([]int32, total)
+	t.dstAlias = make([]int32, total)
+}
+
+func (t *blockTables) build(o *bicomp.OutReach, b int32) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ready[b>>5].Load()&(1<<(b&31)) != 0 {
+		return // built by a concurrent query while we waited
+	}
+	lo, hi := t.off[b], t.off[b+1]
+	rs := o.R[b]
+	t.srcW = slices.Grow(t.srcW[:0], len(rs))[:len(rs)]
+	t.dstW = slices.Grow(t.dstW[:0], len(rs))[:len(rs)]
+	cum := t.dstCum[lo:hi]
+	S := float64(o.S[b])
+	var acc float64
+	for i := range rs {
+		r := float64(rs[i])
+		t.srcW[i] = r * (S - r)
+		t.dstW[i] = r
+		acc += r
+		cum[i] = acc
+	}
+	alias.Build(t.srcProb[lo:hi], t.srcAlias[lo:hi], t.srcW)
+	alias.Build(t.dstProb[lo:hi], t.dstAlias[lo:hi], t.dstW)
+	t.ready[b>>5].Or(1 << (b & 31))
+}
+
+// bcQuery is the pooled per-query scratch of SaPHyRa_bc: the target index
+// map, the subset-bound BFS workspace, and the per-query views of the
+// sampling tables (indexed by position j in blocksA).
+type bcQuery struct {
+	aIndex     []int32 // node -> index in nodes; all -1 on the free list
+	subset     vc.SubsetScratch
+	blockW     []float64
+	blockProb  []float64
+	blockAlias []int32
+	srcTab     []alias.Table
+	dstTab     []alias.Table
+	dstCum     [][]float64
+	members    [][]graph.Node
+}
+
+// bcSamplerScratch is the pooled state of one sampler stream: the n-sized
+// BFS workspaces and neighbor stamps plus the reusable batch buffers. All
+// of it is valid to reuse as a finished or canceled query leaves it — the
+// BFS engines reset what they touched on their next run and nbrStamp is
+// epoch-stamped — and none of it feeds a draw, so a recycled stream is
+// bitwise a fresh one.
+type bcSamplerScratch struct {
+	bfs *shortestpath.BiBFS
+	dag *shortestpath.DAG
+
+	// nbrStamp marks the current group source's neighbors (epoch-stamped):
+	// the distance <= 2 fast path resolves a pair's disposition from one
+	// adjacency scan, with no BFS and no path materialization. mid3 holds
+	// the enumerated interior pairs of the current distance-3 destination,
+	// so repeated samples of one (src, dst) pair index instead of re-scan.
+	nbrStamp []int32
+	nbrEpoch int32
+	mid3     []srcDst
+
+	// reusable scratch: the steady-state DrawBatch loop is allocation-free
+	pairs   []srcDst
+	dsts    []graph.Node
+	pathBuf []graph.Node
+	hits    []int32
+}
+
+func (p *BCPreprocessed) getQuery() *bcQuery {
+	p.mu.Lock()
+	if k := len(p.freeQueries); k > 0 {
+		q := p.freeQueries[k-1]
+		p.freeQueries = p.freeQueries[:k-1]
+		p.mu.Unlock()
+		return q
+	}
+	p.mu.Unlock()
+	q := &bcQuery{aIndex: make([]int32, p.G.NumNodes())}
+	for i := range q.aIndex {
+		q.aIndex[i] = -1
+	}
+	return q
+}
+
+func (p *BCPreprocessed) getSampler() *bcSamplerScratch {
+	p.mu.Lock()
+	if k := len(p.freeSamplers); k > 0 {
+		sc := p.freeSamplers[k-1]
+		p.freeSamplers = p.freeSamplers[:k-1]
+		p.mu.Unlock()
+		return sc
+	}
+	p.mu.Unlock()
+	n := p.G.NumNodes()
+	return &bcSamplerScratch{
+		bfs:      shortestpath.NewBiBFS(n),
+		dag:      shortestpath.NewDAG(n),
+		nbrStamp: make([]int32, n),
+	}
 }
 
 // sketchLanes is the landmark count of the sampler's distance sketch: 16
@@ -119,7 +306,7 @@ func (p *BCPreprocessed) distanceSketch() *msbfs.Sketch {
 		if g.NumNodes() < msbfs.MaxLanes {
 			return
 		}
-		if graph.Eccentricity(g, maxDegreeNode(g)) < sketchMinEcc {
+		if p.eccentricity() < sketchMinEcc {
 			return
 		}
 		if sk, err := p.View.DistanceSketch(sketchLanes); err == nil {
@@ -207,6 +394,7 @@ func (p *BCPreprocessed) EstimateBC(ctx context.Context, a []graph.Node, opt BCO
 	if err != nil {
 		return nil, err
 	}
+	defer space.release()
 	if epsStar >= 1 {
 		// Any estimate in [0,1] is within eps of the truth after scaling by
 		// gammaEta < eps; skip sampling and return the exact part alone.
@@ -244,8 +432,12 @@ func (p *BCPreprocessed) EstimateBC(ctx context.Context, a []graph.Node, opt BCO
 // bcSpace implements Space for RSP_bc (Section IV-B): the sample space is
 // the personalized ISP space X_c^(A); the exact subspace is the set of
 // 2-hop intra-block shortest paths whose middle node is in A (Eq 29).
+//
+// Its index map and table views live in a pooled bcQuery, and its samplers
+// take pooled scratch: release hands all of it back once the query is done.
 type bcSpace struct {
 	p       *BCPreprocessed
+	q       *bcQuery
 	nodes   []graph.Node
 	aIndex  []int32 // node -> index in nodes, or -1
 	blocksA []int32
@@ -253,10 +445,11 @@ type bcSpace struct {
 
 	// Multistage sampling tables (Algorithm 2) as Walker/Vose alias tables:
 	// every stage of a draw is O(1) instead of an O(log n) binary search
-	// over a cumulative table. Indexed by position j in blocksA.
-	blockTab *alias.Table   // stage 1: block proportional to w_i
-	srcTab   []*alias.Table // stage 2 per block: src proportional to r(s)(S-r(s))
-	dstTab   []*alias.Table // stage 3 per block: dst proportional to r(t)
+	// over a cumulative table. Indexed by position j in blocksA; the
+	// per-block tables are views of the cached p.tables.
+	blockTab alias.Table    // stage 1: block proportional to w_i
+	srcTab   []alias.Table  // stage 2 per block: src proportional to r(s)(S-r(s))
+	dstTab   []alias.Table  // stage 3 per block: dst proportional to r(t)
 	dstCum   [][]float64    // per block: cumulative r(t) — the excision fallback
 	members  [][]graph.Node // per block j: member nodes (dense index base)
 
@@ -265,78 +458,64 @@ type bcSpace struct {
 	vcdim     int
 
 	disableExact bool
+
+	mu    sync.Mutex
+	taken []*bcSamplerScratch // handed out by NewSampler, returned by release
 }
 
 func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, blocksA []int32, wA float64, opt BCOptions) (*bcSpace, error) {
-	g, d, o := p.G, p.D, p.O
-	n := g.NumNodes()
+	d, o := p.D, p.O
+	q := p.getQuery()
+	for i, v := range nodes {
+		q.aIndex[v] = int32(i)
+	}
 	sp := &bcSpace{
 		p:            p,
+		q:            q,
 		nodes:        nodes,
-		aIndex:       make([]int32, n),
+		aIndex:       q.aIndex,
 		blocksA:      blocksA,
 		wA:           wA,
-		srcTab:       make([]*alias.Table, len(blocksA)),
-		dstTab:       make([]*alias.Table, len(blocksA)),
-		dstCum:       make([][]float64, len(blocksA)),
-		members:      make([][]graph.Node, len(blocksA)),
 		disableExact: opt.DisableExactSubspace,
 	}
-	for i := range sp.aIndex {
-		sp.aIndex[i] = -1
-	}
-	for i, v := range nodes {
-		sp.aIndex[v] = int32(i)
-	}
 
-	// Multistage alias tables, built once per target set. O.R is aligned
-	// with D.Blocks, so the per-member r-values are direct reads — no
-	// Of() block-list searches on this per-target path.
-	blockW := make([]float64, len(blocksA))
+	// Multistage tables: gather the cached per-block tables of the blocks
+	// in I(A) and build only the small stage-1 table over them.
+	nb := len(blocksA)
+	q.blockW = slices.Grow(q.blockW[:0], nb)[:nb]
+	q.blockProb = slices.Grow(q.blockProb[:0], nb)[:nb]
+	q.blockAlias = slices.Grow(q.blockAlias[:0], nb)[:nb]
+	q.srcTab = slices.Grow(q.srcTab[:0], nb)[:nb]
+	q.dstTab = slices.Grow(q.dstTab[:0], nb)[:nb]
+	q.dstCum = slices.Grow(q.dstCum[:0], nb)[:nb]
+	q.members = slices.Grow(q.members[:0], nb)[:nb]
 	for j, b := range blocksA {
-		blockW[j] = float64(o.W[b])
-		ms := d.Blocks[b]
-		rs := o.R[b]
-		sp.members[j] = ms
-		srcW := make([]float64, len(ms))
-		dstW := make([]float64, len(ms))
-		dstCum := make([]float64, len(ms))
-		S := float64(o.S[b])
-		var acc float64
-		for i := range ms {
-			r := float64(rs[i])
-			srcW[i] = r * (S - r)
-			dstW[i] = r
-			acc += r
-			dstCum[i] = acc
-		}
-		sp.srcTab[j] = alias.New(srcW)
-		sp.dstTab[j] = alias.New(dstW)
-		sp.dstCum[j] = dstCum
+		q.blockW[j] = float64(o.W[b])
+		q.members[j] = d.Blocks[b]
+		q.srcTab[j], q.dstTab[j], q.dstCum[j] = p.tables.block(o, b)
 	}
-	sp.blockTab = alias.New(blockW)
+	sp.blockTab = alias.Build(q.blockProb, q.blockAlias, q.blockW)
+	sp.srcTab, sp.dstTab, sp.dstCum, sp.members = q.srcTab, q.dstTab, q.dstCum, q.members
 
 	// VC dimension (Corollary 22 / Table I).
 	switch opt.VCBound {
 	case VCRiondato:
 		diamUB := int32(0)
-		if n > 0 {
+		if p.G.NumNodes() > 0 {
 			// 2 * eccentricity of an arbitrary node upper-bounds the
 			// diameter of its component; take the max over components via
 			// the block bound fallback for safety.
-			diamUB = 2 * graph.Eccentricity(g, maxDegreeNode(g))
-			if bd := d.MaxBlockDiameterUpperBound(64); bd > diamUB {
+			diamUB = 2 * p.eccentricity()
+			if bd := p.maxBlockDiameter(); bd > diamUB {
 				diamUB = bd
 			}
 		}
 		sp.vcdim = vc.Riondato(diamUB)
 	case VCBicomp:
-		sp.vcdim = vc.FullNetwork(d.MaxBlockDiameterUpperBound(64))
+		sp.vcdim = vc.FullNetwork(p.maxBlockDiameter())
 	default:
-		sp.vcdim = vc.Subset(d, nodes, 64)
-		if full := vc.FullNetwork(d.MaxBlockDiameterUpperBound(64)); sp.vcdim > full {
-			sp.vcdim = full
-		}
+		full := vc.FullNetwork(p.maxBlockDiameter())
+		sp.vcdim = vc.SubsetCapped(d, nodes, vcExactThreshold, full, &q.subset)
 	}
 	if sp.vcdim < 1 {
 		sp.vcdim = 1
@@ -349,10 +528,35 @@ func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, bloc
 		var err error
 		sp.lambdaHat, sp.exact, err = p.Exact.Run(ctx, nodes, sp.aIndex, sp.wA, opt.Workers)
 		if err != nil {
+			sp.release()
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
 	return sp, nil
+}
+
+// release returns the space's query scratch and every sampler's scratch to
+// p's free lists. It runs once the query is over — finished, failed or
+// canceled, when no sampler runs any more — and the space must not be used
+// after it.
+func (sp *bcSpace) release() {
+	q := sp.q
+	for _, v := range sp.nodes {
+		q.aIndex[v] = -1
+	}
+	for _, sc := range sp.taken {
+		// A huge round's pair buffer (up to batchCap pairs) is not worth
+		// keeping on the free list; small-query rounds stay allocation-free.
+		if cap(sc.pairs) > batchProbe {
+			sc.pairs = nil
+		}
+	}
+	p := sp.p
+	p.mu.Lock()
+	p.freeQueries = append(p.freeQueries, q)
+	p.freeSamplers = append(p.freeSamplers, sp.taken...)
+	p.mu.Unlock()
+	sp.q, sp.aIndex, sp.taken = nil, nil, nil
 }
 
 func maxDegreeNode(g *graph.Graph) graph.Node {
@@ -385,14 +589,19 @@ func (sp *bcSpace) ExactPhase(context.Context) (float64, []float64, error) {
 // source, and serves every pair sharing a source from one truncated BFS DAG
 // — on skewed graphs the stage-2 r(s)(S-r(s)) mass concentrates on few hub
 // sources, so grouping amortizes most BFS work.
+//
+// The sampler's workspaces come from p's free list; its RNG, cost model and
+// round sizing start fresh, so a sampler is a pure function of its seed.
 func (sp *bcSpace) NewSampler(seed int64) Sampler {
+	sc := sp.p.getSampler()
+	sp.mu.Lock()
+	sp.taken = append(sp.taken, sc)
+	sp.mu.Unlock()
 	return &bcSampler{
-		sp:       sp,
-		rng:      rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
-		bfs:      shortestpath.NewBiBFS(sp.p.G.NumNodes()),
-		dag:      shortestpath.NewDAG(sp.p.G.NumNodes()),
-		nbrStamp: make([]int32, sp.p.G.NumNodes()),
-		sketch:   sp.p.distanceSketch(),
+		bcSamplerScratch: sc,
+		sp:               sp,
+		rng:              rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
+		sketch:           sp.p.distanceSketch(),
 	}
 }
 
@@ -409,25 +618,9 @@ func (p srcDst) src() graph.Node { return graph.Node(p >> 32) }
 func (p srcDst) dst() graph.Node { return graph.Node(uint32(p)) }
 
 type bcSampler struct {
+	*bcSamplerScratch
 	sp  *bcSpace
 	rng *rand.Rand
-	bfs *shortestpath.BiBFS
-	dag *shortestpath.DAG
-
-	// reusable scratch: the steady-state DrawBatch loop is allocation-free
-	pairs   []srcDst
-	dsts    []graph.Node
-	pathBuf []graph.Node
-	hits    []int32
-
-	// nbrStamp marks the current group source's neighbors (epoch-stamped):
-	// the distance <= 2 fast path resolves a pair's disposition from one
-	// adjacency scan, with no BFS and no path materialization. mid3 holds
-	// the enumerated interior pairs of the current distance-3 destination,
-	// so repeated samples of one (src, dst) pair index instead of re-scan.
-	nbrStamp []int32
-	nbrEpoch int32
-	mid3     []srcDst
 
 	// sketch, when non-nil, pre-classifies pairs: a triangle lower bound
 	// proving distance >= 4 routes the pair straight to the BFS list with no

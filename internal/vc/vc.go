@@ -17,6 +17,7 @@ package vc
 
 import (
 	"math"
+	"slices"
 
 	"saphyra/internal/bicomp"
 	"saphyra/internal/graph"
@@ -111,6 +112,127 @@ func SubsetBound(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) in
 // (Corollary 22 with Lemma 23): floor(log2(BS(A))) + 1.
 func Subset(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) int {
 	return DimFromMaxInner(SubsetBound(d, a, exactThreshold))
+}
+
+// SubsetScratch is the reusable workspace of SubsetCapped. The zero value
+// is ready to use; the n-entry label array is allocated by the first BFS
+// that needs it and then reused, epoch-stamped, by every later call. A
+// scratch serves one call at a time.
+type SubsetScratch struct {
+	groups []uint64 // (block << 32 | node) memberships of A, sorted
+	stamp  []uint32 // BFS labels: mark = unlabelled member, mark+1 = labelled
+	epoch  uint32
+	queue  []graph.Node
+}
+
+// SubsetCapped returns min(Subset(d, a, exactThreshold), full): the subset
+// bound capped by the full-network dimension full, the form the sampler
+// uses. a must be sorted and duplicate-free (graph.DedupSorted), so each
+// block's subset-diameter BFS starts at its smallest member, as Subset's
+// does on the same slice.
+//
+// The result is Subset's, but the per-block BFS is capped at the depth that
+// can still matter. A block whose cheap terms give the capped dimension
+// dim can only be lowered by the BFS term floor(log2(2*far+1))+1, and that
+// falls below dim exactly when far < f* = 2^(dim-2). So the BFS labels
+// nodes to depth f*-1 only. If a member is left unlabelled, far >= f* and
+// the uncapped BFS would have kept dim; otherwise far is exact. A block
+// whose dim cannot raise the running maximum is skipped, and the scan stops
+// once the maximum reaches full.
+func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, exactThreshold, full int, s *SubsetScratch) int {
+	s.groups = s.groups[:0]
+	for _, v := range a {
+		for _, b := range d.NodeBlocks[v] {
+			s.groups = append(s.groups, uint64(uint32(b))<<32|uint64(uint32(v)))
+		}
+	}
+	slices.Sort(s.groups)
+	best := 0
+	for lo := 0; lo < len(s.groups) && best < full; {
+		b := int32(s.groups[lo] >> 32)
+		hi := lo + 1
+		for hi < len(s.groups) && int32(s.groups[hi]>>32) == b {
+			hi++
+		}
+		members := s.groups[lo:hi]
+		lo = hi
+		cand := int64(len(members))
+		if v := int64(d.BlockDiameterUpperBound(b, exactThreshold)) - 1; v < cand {
+			cand = max(v, 0)
+		}
+		dim := min(DimFromMaxInner(cand), full)
+		if dim <= best {
+			continue
+		}
+		// Subset runs its BFS only for cand > 2, and the BFS term is at
+		// least 2, so it can lower only a dim of 3 or more.
+		if cand > 2 && dim >= 3 {
+			if far, ok := s.farWithin(d.G, members, int64(1)<<(dim-2)); ok {
+				dim = min(dim, DimFromMaxInner(2*int64(far)+1))
+			}
+		}
+		best = max(best, dim)
+	}
+	return min(best, full)
+}
+
+// farWithin runs a BFS from the first of members (packed block<<32 | node)
+// and labels nodes to depth limit-1 only. It returns the largest member
+// depth and true when every member lies within that depth, false otherwise.
+//
+// The last level is pulled, not pushed: every node labelled before it sits
+// at depth <= limit-2, so a member still unlabelled is at depth limit-1
+// exactly when one of its neighbors is labelled. That scans the members'
+// adjacency instead of the widest frontier's.
+func (s *SubsetScratch) farWithin(g *graph.Graph, members []uint64, limit int64) (int32, bool) {
+	if n := g.NumNodes(); len(s.stamp) < n {
+		s.stamp = make([]uint32, n)
+		s.epoch = 0
+	}
+	if s.epoch > math.MaxUint32-2 {
+		clear(s.stamp)
+		s.epoch = 0
+	}
+	mark, seen := s.epoch+1, s.epoch+2
+	s.epoch += 2
+	for _, p := range members[1:] {
+		s.stamp[uint32(p)] = mark
+	}
+	src := graph.Node(uint32(members[0]))
+	s.stamp[src] = seen
+	left := len(members) - 1
+	var far int32
+	s.queue = append(s.queue[:0], src)
+	lo := 0
+	for lvl := int64(1); left > 0 && lvl < limit-1 && lo < len(s.queue); lvl++ {
+		hi := len(s.queue)
+		for _, u := range s.queue[lo:hi] {
+			for _, v := range g.Neighbors(u) {
+				switch s.stamp[v] {
+				case seen:
+					continue
+				case mark:
+					left--
+					far = int32(lvl)
+				}
+				s.stamp[v] = seen
+				s.queue = append(s.queue, v)
+			}
+		}
+		lo = hi
+	}
+	if left == 0 {
+		return far, true
+	}
+	for _, p := range members[1:] {
+		if s.stamp[uint32(p)] != mark {
+			continue
+		}
+		if !slices.ContainsFunc(g.Neighbors(graph.Node(uint32(p))), func(w graph.Node) bool { return s.stamp[w] == seen }) {
+			return 0, false
+		}
+	}
+	return int32(limit - 1), true
 }
 
 // subsetDiameterUB bounds the pairwise distance among nodes (all in one

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"saphyra/internal/bicomp"
+	"saphyra/internal/datasets"
 	"saphyra/internal/graph"
 	"saphyra/internal/testutil"
 )
@@ -160,4 +161,54 @@ func TestTableIRow(t *testing.T) {
 	if row.SaPHyRaFull > row.RiondatoFull {
 		t.Errorf("SaPHyRa full %d exceeds Riondato %d", row.SaPHyRaFull, row.RiondatoFull)
 	}
+}
+
+// TestSubsetCappedMatchesSubset is the differential test of the capped BFS:
+// on random subsets (sizes 2-200) and l-hop balls of the four stand-ins and
+// of road grids, SubsetCapped must equal min(Subset, FullNetwork) exactly,
+// with one scratch reused across every call.
+func TestSubsetCappedMatchesSubset(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"road-30x30": graph.RoadNetwork(30, 30, 0.3, 3),
+		"grid-12x40": graph.Grid2D(12, 40),
+	}
+	for _, nw := range datasets.All {
+		graphs[nw.Name] = nw.Build(0.25)
+	}
+	var s SubsetScratch
+	var below, total int
+	for name, g := range graphs {
+		d := bicomp.Decompose(g)
+		full := FullNetwork(d.MaxBlockDiameterUpperBound(64))
+		n := g.NumNodes()
+		rng := rand.New(rand.NewSource(int64(n)))
+		var subsets [][]graph.Node
+		for _, size := range []int{2, 3, 5, 8, 16, 40, 100, 200} {
+			subsets = append(subsets, datasets.RandomSubsets(n, size, 3, rng.Int63())...)
+		}
+		for i := 0; i < 6; i++ {
+			ball := datasets.LHopSubset(g, graph.Node(rng.Intn(n)), 1+i%3)
+			if len(ball) > 200 {
+				ball = ball[:200]
+			}
+			subsets = append(subsets, ball)
+		}
+		for _, a := range subsets {
+			a = graph.DedupSorted(a)
+			want := min(Subset(d, a, 64), full)
+			if got := SubsetCapped(d, a, 64, full, &s); got != want {
+				t.Fatalf("%s: |A| = %d: SubsetCapped = %d, min(Subset, FullNetwork) = %d", name, len(a), got, want)
+			}
+			total++
+			if Subset(d, a, 64) < full {
+				below++
+			}
+		}
+	}
+	// The cap only earns its keep where the BFS lowers the answer; the set
+	// must contain such subsets or the test says nothing about the cap.
+	if below == 0 {
+		t.Fatalf("none of %d subsets has a subset bound below the full-network bound", total)
+	}
+	t.Logf("%d subsets, %d below the full-network bound", total, below)
 }
