@@ -301,10 +301,15 @@ func (d *Decomposition) BlockDiameterBounds(b int32) (lo, hi int32) {
 	return ecc2, 2 * ecc2
 }
 
+// ExactDiameterMaxBlock is the block size up to which the block-diameter
+// bounds are exact BFS diameters; larger blocks get the double-sweep 2*ecc
+// bound.
+const ExactDiameterMaxBlock = 64
+
 // BlockDiameterUpperBound returns a memoized upper bound on the diameter of
-// block b: exact for blocks of at most exactThreshold nodes (size-2 blocks
-// are free), double-sweep 2*ecc otherwise. Safe for concurrent use.
-func (d *Decomposition) BlockDiameterUpperBound(b int32, exactThreshold int) int32 {
+// block b: exact for blocks of at most ExactDiameterMaxBlock nodes (size-2
+// blocks are free), double-sweep 2*ecc otherwise. Safe for concurrent use.
+func (d *Decomposition) BlockDiameterUpperBound(b int32) int32 {
 	d.diamMu.Lock()
 	if d.diamUB == nil {
 		d.diamUB = make([]int32, d.NumBlocks)
@@ -321,7 +326,7 @@ func (d *Decomposition) BlockDiameterUpperBound(b int32, exactThreshold int) int
 	switch {
 	case len(d.Blocks[b]) == 2:
 		v = 1
-	case len(d.Blocks[b]) <= exactThreshold:
+	case len(d.Blocks[b]) <= ExactDiameterMaxBlock:
 		v = d.BlockDiameter(b)
 	default:
 		_, v = d.BlockDiameterBounds(b)
@@ -333,13 +338,12 @@ func (d *Decomposition) BlockDiameterUpperBound(b int32, exactThreshold int) int
 }
 
 // MaxBlockDiameterUpperBound returns an upper bound on BD(V) = max block
-// diameter (Eq 35), used by the VC-dimension machinery. Exact diameters are
-// used for blocks of at most exactThreshold nodes; larger blocks use the
-// double-sweep 2*ecc upper bound. Memoized after the first call.
-func (d *Decomposition) MaxBlockDiameterUpperBound(exactThreshold int) int32 {
+// diameter (Eq 35), used by the VC-dimension machinery, from the per-block
+// bounds of BlockDiameterUpperBound (memoized there).
+func (d *Decomposition) MaxBlockDiameterUpperBound() int32 {
 	var bd int32
 	for b := int32(0); int(b) < d.NumBlocks; b++ {
-		if v := d.BlockDiameterUpperBound(b, exactThreshold); v > bd {
+		if v := d.BlockDiameterUpperBound(b); v > bd {
 			bd = v
 		}
 	}

@@ -227,22 +227,24 @@ func TestMaxBlockDiameterUpperBound(t *testing.T) {
 	// Barbell: clique blocks have diameter 1, bridges diameter 1.
 	g := graph.Barbell(5, 2)
 	d := Decompose(g)
-	if got := d.MaxBlockDiameterUpperBound(100); got < 1 || got > 2 {
+	if got := d.MaxBlockDiameterUpperBound(); got < 1 || got > 2 {
 		t.Errorf("barbell BD upper bound = %d, want in [1,2]", got)
 	}
-	// Property: upper bound >= exact max block diameter.
+	// Property: the double-sweep maximum upper-bounds the exact maximum
+	// block diameter, and with every block at most ExactDiameterMaxBlock
+	// nodes the memoized bound is the exact maximum.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(20)
 		g := testutil.RandomConnectedGraph(n, rng.Intn(2*n), seed)
 		d := Decompose(g)
-		var exact int32
+		var exact, swept int32
 		for b := int32(0); int(b) < d.NumBlocks; b++ {
-			if v := d.BlockDiameter(b); v > exact {
-				exact = v
-			}
+			exact = max(exact, d.BlockDiameter(b))
+			_, hi := d.BlockDiameterBounds(b)
+			swept = max(swept, hi)
 		}
-		return d.MaxBlockDiameterUpperBound(0) >= exact
+		return swept >= exact && d.MaxBlockDiameterUpperBound() == exact
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -39,11 +39,6 @@ type BlockCSR struct {
 	D *Decomposition
 	O *OutReach
 
-	// sketchState holds the lazily-built landmark distance sketches
-	// (sketch.go). BlockCSR values are always handled by pointer, so its
-	// mutex is never copied.
-	sketchState
-
 	// Nbr is the grouped adjacency: node u's neighbors, permuted block by
 	// block. RNbr[i] = r_b(Nbr[i]) for the block b of the run containing i.
 	Nbr  []graph.Node

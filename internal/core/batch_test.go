@@ -77,40 +77,50 @@ func TestEstimateDeterministicGolden(t *testing.T) {
 }
 
 // TestDrawBatchMatchesDraw is the parity test: the hit distribution of
-// DrawBatch must statistically match repeated single Draw on the reference
-// graph. Both paths sample the same (block, src, dst, path) distribution —
-// only the BFS serving strategy differs — so per-hypothesis hit frequencies
-// must agree within binomial noise.
+// DrawBatch must statistically match repeated single Draw, on the skewed
+// reference graph and on a high-diameter road grid where most pairs sit at
+// distance >= 4. Both paths sample the same (block, src, dst, path)
+// distribution — only the BFS serving strategy differs — so per-hypothesis
+// hit frequencies must agree within binomial noise.
 func TestDrawBatchMatchesDraw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical parity test")
 	}
-	g := skewedGraph()
-	sp := testSpace(t, g, 60, 7)
-	k := sp.NumHypotheses()
-	const n = 200_000
+	for name, g := range map[string]*graph.Graph{
+		"skewed":     skewedGraph(),
+		"road-18x18": graph.RoadNetwork(18, 18, 0.3, 5),
+	} {
+		t.Run(name, func(t *testing.T) {
+			sp := testSpace(t, g, 60, 7)
+			k := sp.NumHypotheses()
+			const n = 200_000
 
-	single := make([]int64, k)
-	s1 := sp.NewSampler(1).(*bcSampler)
-	for j := 0; j < n; j++ {
-		for _, idx := range s1.Draw() {
-			single[idx]++
-		}
-	}
+			single := make([]int64, k)
+			s1 := sp.NewSampler(1).(*bcSampler)
+			for j := 0; j < n; j++ {
+				for _, idx := range s1.Draw() {
+					single[idx]++
+				}
+			}
 
-	batched := make([]int64, k)
-	s2 := sp.NewSampler(2).(*bcSampler)
-	s2.DrawBatch(n, batched)
+			batched := make([]int64, k)
+			s2 := sp.NewSampler(2).(*bcSampler)
+			s2.DrawBatch(n, batched)
+			if s2.dagRuns == 0 {
+				t.Fatal("DrawBatch served no group from a shared DAG: the grouped path is untested")
+			}
 
-	for i := 0; i < k; i++ {
-		p1 := float64(single[i]) / n
-		p2 := float64(batched[i]) / n
-		// two-sample binomial: 5-sigma tolerance plus an absolute floor
-		sd := math.Sqrt((p1*(1-p1) + p2*(1-p2)) / n)
-		if math.Abs(p1-p2) > 5*sd+2e-4 {
-			t.Errorf("hypothesis %d: Draw freq %.5f vs DrawBatch freq %.5f (tol %.5f)",
-				i, p1, p2, 5*sd+2e-4)
-		}
+			for i := 0; i < k; i++ {
+				p1 := float64(single[i]) / n
+				p2 := float64(batched[i]) / n
+				// two-sample binomial: 5-sigma tolerance plus an absolute floor
+				sd := math.Sqrt((p1*(1-p1) + p2*(1-p2)) / n)
+				if math.Abs(p1-p2) > 5*sd+2e-4 {
+					t.Errorf("hypothesis %d: Draw freq %.5f vs DrawBatch freq %.5f (tol %.5f)",
+						i, p1, p2, 5*sd+2e-4)
+				}
+			}
+		})
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"saphyra/internal/bicomp"
 	"saphyra/internal/exactphase"
 	"saphyra/internal/graph"
-	"saphyra/internal/msbfs"
 	"saphyra/internal/params"
 	"saphyra/internal/sched"
 	"saphyra/internal/shortestpath"
@@ -90,16 +89,10 @@ type BCPreprocessed struct {
 	// View; its worker scratch persists across EstimateBC calls.
 	Exact *exactphase.Engine
 
-	// sketch is the lazily-built landmark distance sketch the bc sampler
-	// uses to pre-classify pair distances (see distanceSketch). nil when the
-	// graph doesn't warrant one.
-	sketchOnce sync.Once
-	sketch     *msbfs.Sketch
-
-	// maxBD memoizes D.MaxBlockDiameterUpperBound(vcExactThreshold), the
-	// full-network bound every VC path reads; ecc memoizes the
-	// eccentricity of the max-degree node, read by the sketch gate and the
-	// VCRiondato bound. Both are fixed by the graph.
+	// maxBD memoizes D.MaxBlockDiameterUpperBound(), the full-network
+	// bound every VC path reads; ecc memoizes the eccentricity of the
+	// max-degree node, read by the VCRiondato bound. Both are fixed by the
+	// graph.
 	maxBDOnce sync.Once
 	maxBD     int32
 	eccOnce   sync.Once
@@ -116,13 +109,9 @@ type BCPreprocessed struct {
 	freeSamplers []*bcSamplerScratch
 }
 
-// vcExactThreshold is the block size up to which the VC bounds use exact
-// block diameters (double-sweep bounds above it).
-const vcExactThreshold = 64
-
 // maxBlockDiameter returns the memoized upper bound on BD(V).
 func (p *BCPreprocessed) maxBlockDiameter() int32 {
-	p.maxBDOnce.Do(func() { p.maxBD = p.D.MaxBlockDiameterUpperBound(vcExactThreshold) })
+	p.maxBDOnce.Do(func() { p.maxBD = p.D.MaxBlockDiameterUpperBound() })
 	return p.maxBD
 }
 
@@ -281,39 +270,6 @@ func (p *BCPreprocessed) getSampler() *bcSamplerScratch {
 		dag:      shortestpath.NewDAG(n),
 		nbrStamp: make([]int32, n),
 	}
-}
-
-// sketchLanes is the landmark count of the sampler's distance sketch: 16
-// lanes keep a node's row in one cache line while the triangle bounds stay
-// tight enough to classify most far pairs on high-diameter graphs.
-const sketchLanes = 16
-
-// sketchMinEcc gates the sketch on graph shape: on small-world graphs
-// (eccentricity below this) nearly every sampled pair sits at distance <= 3
-// and is served by the adjacency-scan fast paths, so a sketch would be dead
-// weight; only large-diameter graphs, where distance >= 4 pairs dominate,
-// pay for one.
-const sketchMinEcc = 8
-
-// distanceSketch lazily builds (once, thread-safe) the sampler's landmark
-// sketch, or returns nil when the graph is too small (< one lane mask of
-// nodes) or too shallow (max-degree-node eccentricity below sketchMinEcc).
-// A failed build — only possible via the armed "msbfs.run" fault — degrades
-// to nil: the sketch is a pure accelerator, never a correctness input.
-func (p *BCPreprocessed) distanceSketch() *msbfs.Sketch {
-	p.sketchOnce.Do(func() {
-		g := p.G
-		if g.NumNodes() < msbfs.MaxLanes {
-			return
-		}
-		if p.eccentricity() < sketchMinEcc {
-			return
-		}
-		if sk, err := p.View.DistanceSketch(sketchLanes); err == nil {
-			p.sketch = sk
-		}
-	})
-	return p.sketch
 }
 
 // PreprocessBC decomposes the graph, computes out-reach tables, and builds
@@ -502,9 +458,11 @@ func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, bloc
 	case VCRiondato:
 		diamUB := int32(0)
 		if p.G.NumNodes() > 0 {
-			// 2 * eccentricity of an arbitrary node upper-bounds the
-			// diameter of its component; take the max over components via
-			// the block bound fallback for safety.
+			// [45]'s diameter bound: 2 * eccentricity of the max-degree
+			// node, which bounds only that node's component. The max with
+			// BD(V) keeps the dimension valid for what is sampled: every
+			// bi-component sample's path lies inside one block, so it has
+			// at most BD(V)-1 inner nodes.
 			diamUB = 2 * p.eccentricity()
 			if bd := p.maxBlockDiameter(); bd > diamUB {
 				diamUB = bd
@@ -515,7 +473,7 @@ func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, bloc
 		sp.vcdim = vc.FullNetwork(p.maxBlockDiameter())
 	default:
 		full := vc.FullNetwork(p.maxBlockDiameter())
-		sp.vcdim = vc.SubsetCapped(d, nodes, vcExactThreshold, full, &q.subset)
+		sp.vcdim = vc.SubsetCapped(d, nodes, full, &q.subset)
 	}
 	if sp.vcdim < 1 {
 		sp.vcdim = 1
@@ -601,7 +559,6 @@ func (sp *bcSpace) NewSampler(seed int64) Sampler {
 		bcSamplerScratch: sc,
 		sp:               sp,
 		rng:              rand.New(rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)),
-		sketch:           sp.p.distanceSketch(),
 	}
 }
 
@@ -621,14 +578,6 @@ type bcSampler struct {
 	*bcSamplerScratch
 	sp  *bcSpace
 	rng *rand.Rand
-
-	// sketch, when non-nil, pre-classifies pairs: a triangle lower bound
-	// proving distance >= 4 routes the pair straight to the BFS list with no
-	// adjacency scans, and the matching upper bounds cap the shared DAG's
-	// truncation depth. Sketch decisions consume no randomness and only
-	// short-circuit pairs the scans would route identically, so a sketched
-	// run is bitwise-identical to an unsketched one.
-	sketch *msbfs.Sketch
 
 	// Online cost model for the group-serving decision: cumulative mean
 	// directed edges scanned per bidirectional query vs per truncated
@@ -892,7 +841,6 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGr
 	}
 	var accepted int64
 	s.dsts = s.dsts[:0]
-	dagCap := int32(0) // max sketch upper bound over queued dsts; -1 = uncapped
 	lastDst := graph.Node(-1)
 	var sigma, cA int32
 	var sigma3 int64
@@ -901,14 +849,6 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGr
 			break // giant hub group: bound time-to-cancel within it too
 		}
 		dst := p.dst()
-		if s.sketch != nil && s.sketch.FarAtLeast(src, dst, 4) {
-			// Provably distance >= 4: straight to the BFS list with no
-			// adjacency scans. The scans would route such a pair identically
-			// (sigma and sigma3 both zero) and consume no randomness on the
-			// way, so the shortcut is bitwise-invisible in the output.
-			dagCap = s.noteDst(src, dst, dagCap)
-			continue
-		}
 		if s.nbrStamp[dst] == e {
 			accepted++ // distance 1: no interior, no hit
 			continue
@@ -984,16 +924,15 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGr
 			}
 			accepted++
 		default:
-			// distance >= 4 found the slow way (the sketch, if any, lacked
-			// the resolution to prove it): needs a BFS.
-			dagCap = s.noteDst(src, dst, dagCap)
+			// distance >= 4: needs a BFS.
+			s.dsts = append(s.dsts, dst)
 		}
 	}
 	if len(s.dsts) == 0 {
 		return accepted
 	}
 	if len(s.dsts) >= minGroup {
-		return accepted + s.serveFromDAG(src, hits, dagCap)
+		return accepted + s.serveFromDAG(src, hits)
 	}
 	for _, dst := range s.dsts {
 		if s.stop.Stopped() {
@@ -1004,38 +943,13 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGr
 	return accepted
 }
 
-// noteDst queues a distance >= 4 destination for the BFS engines and folds
-// its sketch upper bound into the group's DAG depth cap. A dst the sketch
-// cannot bound (no landmark reaches both endpoints, or no sketch at all)
-// voids the cap for the whole group (-1 = uncapped) — the cap must dominate
-// every queued distance or the shared DAG would truncate too early.
-func (s *bcSampler) noteDst(src, dst graph.Node, dagCap int32) int32 {
-	s.dsts = append(s.dsts, dst)
-	if dagCap < 0 {
-		return dagCap
-	}
-	if s.sketch == nil {
-		return -1
-	}
-	ub := s.sketch.UpperBound(src, dst)
-	if ub < 0 {
-		return -1
-	}
-	if ub > dagCap {
-		return ub
-	}
-	return dagCap
-}
-
 // serveFromDAG answers the collected distance >= 4 destinations of one
 // source from a single truncated BFS: the traversal stops at the level of
-// the farthest dst and resets only touched state, so its cost is shared
-// across the whole run. dagCap, when >= 0, is a sketch-certified bound on
-// the farthest dst, and caps the DAG's radius so an adversarially deep
-// component can't be drained past it.
-func (s *bcSampler) serveFromDAG(src graph.Node, hits []int64, dagCap int32) int64 {
+// the farthest dst (each shares src's block, so each is reached) and resets
+// only touched state, so its cost is shared across the whole run.
+func (s *bcSampler) serveFromDAG(src graph.Node, hits []int64) int64 {
 	g := s.sp.p.G
-	s.dag.RunTruncatedBounded(g, src, s.dsts, dagCap)
+	s.dag.RunTruncated(g, src, s.dsts)
 	s.dagScan += s.dag.Scanned()
 	s.dagRuns++
 	var accepted int64

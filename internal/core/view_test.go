@@ -12,31 +12,41 @@ import (
 
 // TestEstimateBCWorkerCountBitwise: with sampling driven through fixed
 // virtual-worker streams, a fixed seed must give bitwise-identical BC
-// estimates at any worker count.
+// estimates at any worker count — on a small-world graph and on a
+// high-diameter road grid, whose distance >= 4 pairs go through the BFS
+// engines.
 func TestEstimateBCWorkerCountBitwise(t *testing.T) {
-	g := graph.BarabasiAlbert(600, 3, 17)
-	a := []graph.Node{2, 9, 51, 333, 599}
-	run := func(workers int) *BCResult {
-		res, err := EstimateBC(context.Background(), g, a, BCOptions{Epsilon: 0.05, Delta: 0.05, Seed: 23, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := run(1)
-	if ref.Est == nil || ref.Est.Samples == 0 {
-		t.Fatal("reference run drew no samples; the test exercises nothing")
-	}
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
-		if got.Est.Samples != ref.Est.Samples {
-			t.Fatalf("workers=%d: samples %d != %d", workers, got.Est.Samples, ref.Est.Samples)
-		}
-		for i := range ref.BC {
-			if got.BC[i] != ref.BC[i] {
-				t.Fatalf("workers=%d: BC[%d] = %v, want %v", workers, i, got.BC[i], ref.BC[i])
+	for name, in := range map[string]struct {
+		g *graph.Graph
+		a []graph.Node
+	}{
+		"ba-600":     {graph.BarabasiAlbert(600, 3, 17), []graph.Node{2, 9, 51, 333, 599}},
+		"road-18x18": {graph.RoadNetwork(18, 18, 0.3, 5), []graph.Node{0, 9, 40, 123, 200, 301}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(workers int) *BCResult {
+				res, err := EstimateBC(context.Background(), in.g, in.a, BCOptions{Epsilon: 0.05, Delta: 0.05, Seed: 23, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-		}
+			ref := run(1)
+			if ref.Est == nil || ref.Est.Samples == 0 {
+				t.Fatal("reference run drew no samples; the test exercises nothing")
+			}
+			for _, workers := range []int{2, 8} {
+				got := run(workers)
+				if got.Est.Samples != ref.Est.Samples {
+					t.Fatalf("workers=%d: samples %d != %d", workers, got.Est.Samples, ref.Est.Samples)
+				}
+				for i := range ref.BC {
+					if got.BC[i] != ref.BC[i] {
+						t.Fatalf("workers=%d: BC[%d] = %v, want %v", workers, i, got.BC[i], ref.BC[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -30,20 +30,6 @@ func BenchmarkMSBFSPass(b *testing.B) {
 	}
 }
 
-// BenchmarkMSBFSSketch prices building a 16-landmark sketch, the per-view
-// one-time cost of the bc sampler's distance pre-classification.
-func BenchmarkMSBFSSketch(b *testing.B) {
-	g := graph.BarabasiAlbert(2000, 3, 42)
-	off, nbr := g.CSR()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewSketch(off, nbr, 16); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestRunAllocatesNothing pins the pooled steady state BenchmarkMSBFSPass
 // prices: on its graph, 64 passes with fresh random sources allocate
 // nothing. Fresh sources matter: one fixed batch can miss the level shapes

@@ -100,18 +100,6 @@ func (d *DAG) Run(g *graph.Graph, source graph.Node) {
 // the traversal; nodes beyond the truncation radius read as unreachable
 // (Dist -1). SamplePathTo works for any of the targets.
 func (d *DAG) RunTruncated(g *graph.Graph, source graph.Node, targets []graph.Node) {
-	d.RunTruncatedBounded(g, source, targets, -1)
-}
-
-// RunTruncatedBounded is RunTruncated with a depth cap: when maxDepth >= 0,
-// no level beyond maxDepth is expanded, so targets known (e.g. from a
-// distance sketch's upper bound) to sit within maxDepth of the source cost
-// at most the ball of that radius even when some target is unreachable and
-// an uncapped truncated BFS would drain the whole component. A cap at least
-// the true source->targets distance leaves Dist, Sigma, Order and Scanned
-// identical to the uncapped run: the targets-found break always fires first.
-// maxDepth < 0 means uncapped.
-func (d *DAG) RunTruncatedBounded(g *graph.Graph, source graph.Node, targets []graph.Node, maxDepth int32) {
 	if d.tmark == nil {
 		d.tmark = make([]int32, len(d.Dist))
 		for i := range d.tmark {
@@ -154,11 +142,6 @@ func (d *DAG) RunTruncatedBounded(g *graph.Graph, source graph.Node, targets []g
 		if remaining == 0 {
 			// Every target was discovered at a level <= lvl; the expansion
 			// of lvl-1 has already finalized their sigmas.
-			break
-		}
-		// Depth cap, checked after the targets-found break so a sufficient
-		// cap can never change the result — expanding lvl settles lvl+1.
-		if maxDepth >= 0 && lvl >= maxDepth {
 			break
 		}
 		// The pull check costs O(deg(pending)); attempt it only when the

@@ -100,61 +100,3 @@ func TestRunTruncatedThenSamplePath(t *testing.T) {
 		}
 	}
 }
-
-// TestRunTruncatedBoundedSufficientCap: a depth cap at least the true
-// source->targets distance changes nothing — Dist, Sigma, Order and Scanned
-// are identical to the uncapped run — while an insufficient cap bounds the
-// explored radius.
-func TestRunTruncatedBoundedSufficientCap(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for trial := 0; trial < 20; trial++ {
-		n := 40 + int(rng.IntN(80))
-		g := graph.BarabasiAlbert(n, 2, int64(100+trial))
-		free := NewDAG(n)
-		capd := NewDAG(n)
-		for rep := 0; rep < 6; rep++ {
-			src := graph.Node(rng.IntN(n))
-			targets := []graph.Node{graph.Node(rng.IntN(n)), graph.Node(rng.IntN(n))}
-			free.RunTruncated(g, src, targets)
-			var far int32
-			for _, tgt := range targets {
-				if free.Dist[tgt] > far {
-					far = free.Dist[tgt]
-				}
-			}
-			capd.RunTruncatedBounded(g, src, targets, far+int32(rng.IntN(3)))
-			if len(capd.Order) != len(free.Order) || capd.Scanned() != free.Scanned() {
-				t.Fatalf("trial %d: capped run did different work: %d/%d nodes, %d/%d edges",
-					trial, len(capd.Order), len(free.Order), capd.Scanned(), free.Scanned())
-			}
-			for i, u := range free.Order {
-				if capd.Order[i] != u || capd.Dist[u] != free.Dist[u] || capd.Sigma[u] != free.Sigma[u] {
-					t.Fatalf("trial %d: capped run diverged at order %d", trial, i)
-				}
-			}
-		}
-	}
-}
-
-// TestRunTruncatedBoundedCapsRadius: on a long path, an unreachable target
-// with a small cap stops the walk at the cap instead of draining the
-// component.
-func TestRunTruncatedBoundedCapsRadius(t *testing.T) {
-	g := graph.Path(500)
-	// Node 499 is the far end; pretend a sketch bounded the distance at 10.
-	d := NewDAG(500)
-	d.RunTruncatedBounded(g, 0, []graph.Node{499}, 10)
-	if len(d.Order) != 11 {
-		t.Fatalf("settled %d nodes, want 11 (radius 10)", len(d.Order))
-	}
-	for _, u := range d.Order {
-		if d.Dist[u] > 10 {
-			t.Fatalf("node %d settled at depth %d beyond cap", u, d.Dist[u])
-		}
-	}
-	// Uncapped drains the whole path.
-	d.RunTruncated(g, 0, []graph.Node{499})
-	if d.Dist[499] != 499 {
-		t.Fatalf("uncapped Dist[499] = %d, want 499", d.Dist[499])
-	}
-}

@@ -61,10 +61,10 @@ func LHop(l int) int {
 //	BS(A) <= max_i min( VD(C_i)-1, VD(A ∩ C_i)+1, |A ∩ C_i| )
 //
 // over blocks i in I(A). Block and subset diameters are themselves upper
-// bounds: blocks of at most exactThreshold nodes use exact BFS diameters,
-// larger blocks use the double-sweep 2*ecc bound; subset diameters use the
-// 2*max-distance bound of Section IV-C.
-func SubsetBound(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) int64 {
+// bounds: block diameters come from Decomposition.BlockDiameterUpperBound
+// (exact up to bicomp.ExactDiameterMaxBlock nodes, double-sweep 2*ecc
+// above); subset diameters use the 2*max-distance bound of Section IV-C.
+func SubsetBound(d *bicomp.Decomposition, a []graph.Node) int64 {
 	if len(a) == 0 {
 		return 0
 	}
@@ -88,7 +88,7 @@ func SubsetBound(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) in
 		// Cheap terms first; the per-block BFS work only runs when it could
 		// still lower the running minimum.
 		cand := int64(len(members))
-		if v := int64(d.BlockDiameterUpperBound(b, exactThreshold)) - 1; v < cand {
+		if v := int64(d.BlockDiameterUpperBound(b)) - 1; v < cand {
 			cand = v
 		}
 		// subVD+1 >= 2 whenever |members| >= 2, so the subset-diameter BFS
@@ -110,8 +110,8 @@ func SubsetBound(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) in
 
 // Subset returns the SaPHyRa_bc VC bound for an arbitrary target set A
 // (Corollary 22 with Lemma 23): floor(log2(BS(A))) + 1.
-func Subset(d *bicomp.Decomposition, a []graph.Node, exactThreshold int) int {
-	return DimFromMaxInner(SubsetBound(d, a, exactThreshold))
+func Subset(d *bicomp.Decomposition, a []graph.Node) int {
+	return DimFromMaxInner(SubsetBound(d, a))
 }
 
 // SubsetScratch is the reusable workspace of SubsetCapped. The zero value
@@ -125,7 +125,7 @@ type SubsetScratch struct {
 	queue  []graph.Node
 }
 
-// SubsetCapped returns min(Subset(d, a, exactThreshold), full): the subset
+// SubsetCapped returns min(Subset(d, a), full): the subset
 // bound capped by the full-network dimension full, the form the sampler
 // uses. a must be sorted and duplicate-free (graph.DedupSorted), so each
 // block's subset-diameter BFS starts at its smallest member, as Subset's
@@ -139,7 +139,7 @@ type SubsetScratch struct {
 // the uncapped BFS would have kept dim; otherwise far is exact. A block
 // whose dim cannot raise the running maximum is skipped, and the scan stops
 // once the maximum reaches full.
-func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, exactThreshold, full int, s *SubsetScratch) int {
+func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, full int, s *SubsetScratch) int {
 	s.groups = s.groups[:0]
 	for _, v := range a {
 		for _, b := range d.NodeBlocks[v] {
@@ -157,7 +157,7 @@ func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, exactThreshold, full 
 		members := s.groups[lo:hi]
 		lo = hi
 		cand := int64(len(members))
-		if v := int64(d.BlockDiameterUpperBound(b, exactThreshold)) - 1; v < cand {
+		if v := int64(d.BlockDiameterUpperBound(b)) - 1; v < cand {
 			cand = max(v, 0)
 		}
 		dim := min(DimFromMaxInner(cand), full)
@@ -266,11 +266,11 @@ type TableIRow struct {
 // bound is additionally capped by the looser ones (min of valid upper bounds
 // is a valid upper bound); this preserves the Table I ordering even when the
 // heuristic diameter estimates would invert it.
-func TableI(d *bicomp.Decomposition, a []graph.Node, diameterUB int32, exactThreshold int) TableIRow {
+func TableI(d *bicomp.Decomposition, a []graph.Node, diameterUB int32) TableIRow {
 	row := TableIRow{
 		RiondatoFull:  Riondato(diameterUB),
-		SaPHyRaFull:   FullNetwork(d.MaxBlockDiameterUpperBound(exactThreshold)),
-		SaPHyRaSubset: Subset(d, a, exactThreshold),
+		SaPHyRaFull:   FullNetwork(d.MaxBlockDiameterUpperBound()),
+		SaPHyRaSubset: Subset(d, a),
 	}
 	if row.SaPHyRaFull > row.RiondatoFull {
 		row.SaPHyRaFull = row.RiondatoFull

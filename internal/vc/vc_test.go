@@ -51,7 +51,7 @@ func TestFullNetworkBeatsRiondatoOnTrees(t *testing.T) {
 	// the Riondato bound grows with the diameter.
 	g := graph.RandomTree(200, 4)
 	d := bicomp.Decompose(g)
-	full := FullNetwork(d.MaxBlockDiameterUpperBound(10))
+	full := FullNetwork(d.MaxBlockDiameterUpperBound())
 	if full != 0 {
 		t.Errorf("tree FullNetwork bound = %d, want 0", full)
 	}
@@ -65,7 +65,7 @@ func TestSubsetBoundCappedBySubsetSize(t *testing.T) {
 	g := graph.Cycle(64) // one block, diameter 32
 	d := bicomp.Decompose(g)
 	a := []graph.Node{0, 1}
-	if bs := SubsetBound(d, a, 100); bs > 2 {
+	if bs := SubsetBound(d, a); bs > 2 {
 		t.Errorf("BS bound = %d, want <= |A| = 2", bs)
 	}
 }
@@ -73,7 +73,7 @@ func TestSubsetBoundCappedBySubsetSize(t *testing.T) {
 func TestSubsetBoundEmpty(t *testing.T) {
 	g := graph.Cycle(8)
 	d := bicomp.Decompose(g)
-	if bs := SubsetBound(d, nil, 10); bs != 0 {
+	if bs := SubsetBound(d, nil); bs != 0 {
 		t.Errorf("BS(empty) = %d, want 0", bs)
 	}
 }
@@ -95,7 +95,7 @@ func TestSubsetBoundIsUpperBound(t *testing.T) {
 				a = append(a, v)
 			}
 		}
-		bound := SubsetBound(d, a, 1000)
+		bound := SubsetBound(d, a)
 		// brute: max over intra-block pairs and their shortest paths
 		var actual int64
 		for b := int32(0); int(b) < d.NumBlocks; b++ {
@@ -141,9 +141,10 @@ func TestSubsetNeverExceedsFullNetwork(t *testing.T) {
 			a = append(a, graph.Node(rng.Intn(n)))
 		}
 		// BS(A) <= BD - 1 by Lemma 23, so the dims are ordered too. Both
-		// sides must use comparable diameter bounds: use exact thresholds.
-		sub := Subset(d, a, 1000)
-		full := FullNetwork(d.MaxBlockDiameterUpperBound(1000))
+		// sides read the same per-block diameter bounds (exact here: no
+		// block exceeds bicomp.ExactDiameterMaxBlock nodes).
+		sub := Subset(d, a)
+		full := FullNetwork(d.MaxBlockDiameterUpperBound())
 		return sub <= full
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -154,7 +155,7 @@ func TestSubsetNeverExceedsFullNetwork(t *testing.T) {
 func TestTableIRow(t *testing.T) {
 	g := graph.RoadNetwork(12, 12, 0.3, 5)
 	d := bicomp.Decompose(g)
-	row := TableI(d, []graph.Node{3, 70, 100}, graph.Diameter(g), 50)
+	row := TableI(d, []graph.Node{3, 70, 100}, graph.Diameter(g))
 	if row.SaPHyRaSubset > row.SaPHyRaFull && row.SaPHyRaFull > 0 {
 		t.Errorf("subset bound %d exceeds full bound %d", row.SaPHyRaSubset, row.SaPHyRaFull)
 	}
@@ -179,7 +180,7 @@ func TestSubsetCappedMatchesSubset(t *testing.T) {
 	var below, total int
 	for name, g := range graphs {
 		d := bicomp.Decompose(g)
-		full := FullNetwork(d.MaxBlockDiameterUpperBound(64))
+		full := FullNetwork(d.MaxBlockDiameterUpperBound())
 		n := g.NumNodes()
 		rng := rand.New(rand.NewSource(int64(n)))
 		var subsets [][]graph.Node
@@ -195,12 +196,12 @@ func TestSubsetCappedMatchesSubset(t *testing.T) {
 		}
 		for _, a := range subsets {
 			a = graph.DedupSorted(a)
-			want := min(Subset(d, a, 64), full)
-			if got := SubsetCapped(d, a, 64, full, &s); got != want {
+			want := min(Subset(d, a), full)
+			if got := SubsetCapped(d, a, full, &s); got != want {
 				t.Fatalf("%s: |A| = %d: SubsetCapped = %d, min(Subset, FullNetwork) = %d", name, len(a), got, want)
 			}
 			total++
-			if Subset(d, a, 64) < full {
+			if Subset(d, a) < full {
 				below++
 			}
 		}

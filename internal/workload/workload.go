@@ -454,7 +454,7 @@ type Table1Row struct {
 // subset on the given environment.
 func Table1(e *Env, subset []graph.Node, l int) Table1Row {
 	d := e.Prep.D
-	row := vc.TableI(d, subset, graph.DiameterUpperBound(e.G), 64)
+	row := vc.TableI(d, subset, graph.DiameterUpperBound(e.G))
 	lhop := vc.LHop(l)
 	if lhop > row.SaPHyRaFull {
 		lhop = row.SaPHyRaFull

@@ -48,7 +48,6 @@ import (
 	"saphyra/internal/bicomp"
 	"saphyra/internal/exact"
 	"saphyra/internal/graph"
-	"saphyra/internal/msbfs"
 	"saphyra/internal/query"
 	"saphyra/internal/rank"
 )
@@ -173,20 +172,6 @@ func (v *View) Close() error {
 // Graph returns the view's embedded graph. For a mapped view its CSR arrays
 // alias the mapped file.
 func (v *View) Graph() *Graph { return v.v.G }
-
-// DistanceSketch is a k-landmark hop-distance sketch: per-node distance rows
-// to the k highest-degree nodes, yielding triangle-inequality lower and
-// upper bounds (FarAtLeast, UpperBound) on any pair distance from one O(k)
-// lookup. Built by one bit-parallel multi-source BFS pass (DESIGN.md
-// section 11).
-type DistanceSketch = msbfs.Sketch
-
-// DistanceSketch returns the view's k-landmark distance sketch (k clamped
-// to [1, 64]), building it on first request and caching it per k for the
-// view's lifetime. Landmarks are a pure function of the graph, so every
-// process sketching the same view file computes identical rows. Safe for
-// concurrent use.
-func (v *View) DistanceSketch(k int) (*DistanceSketch, error) { return v.v.DistanceSketch(k) }
 
 // Ranker returns a Ranker serving all three measures from the view's
 // arrays. Results are bitwise-identical to a Ranker over the graph the view

@@ -106,54 +106,3 @@ func TestRankSubsetWorkerIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestViewDistanceSketch: a sketch built from a mapped view equals one built
-// from the in-memory view — landmarks and rows are a pure function of the
-// graph — and its bounds bracket true distances.
-func TestViewDistanceSketch(t *testing.T) {
-	g := Generate.RoadNetwork(15, 15, 0.05, 3)
-	mem := BuildView(g, nil)
-	path := filepath.Join(t.TempDir(), "g.sbcv")
-	if err := mem.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := OpenView(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-
-	a, err := mem.DistanceSketch(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mapped.DistanceSketch(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.K != b.K || len(a.Dist) != len(b.Dist) {
-		t.Fatalf("sketch shapes differ: K %d/%d, rows %d/%d", a.K, b.K, len(a.Dist), len(b.Dist))
-	}
-	for j := range a.Landmarks {
-		if a.Landmarks[j] != b.Landmarks[j] {
-			t.Fatalf("landmark %d differs across view forms", j)
-		}
-	}
-	for i := range a.Dist {
-		if a.Dist[i] != b.Dist[i] {
-			t.Fatalf("sketch row entry %d differs across view forms", i)
-		}
-	}
-	// One spot-check of the bound semantics through the public surface.
-	if a.FarAtLeast(0, 1, 1000) && a.UpperBound(0, 1) >= 0 {
-		t.Fatal("pair claimed both far >= 1000 and boundedly near")
-	}
-	// Second request for the same k hits the per-view cache.
-	c, err := mapped.DistanceSketch(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != b {
-		t.Fatal("per-k sketch not cached on the view")
-	}
-}
