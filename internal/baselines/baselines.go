@@ -3,7 +3,7 @@
 //
 //   - ABRA (Riondato & Upfal [47]): samples node pairs uniformly and, for
 //     each pair, adds the exact pair dependency sigma_st(v)/sigma_st to every
-//     node v on an s-t shortest path (a truncated Brandes pass per sample).
+//     node v on an s-t shortest path (a Brandes pass per sample).
 //   - KADABRA (Borassi & Natale [12]): samples node pairs uniformly, draws a
 //     single uniform random shortest path per pair with balanced
 //     bidirectional BFS, and increments only the inner nodes of that path.
@@ -12,24 +12,33 @@
 // restrict work to a target subset, which is the comparison point of the
 // paper's Fig 3.
 //
-// Both use progressive sampling with doubling and per-node empirical
-// Bernstein stopping under a union bound, with the Riondato et al. [45]
-// VC-dimension sample-size ceiling. ABRA's original stopping rule uses
-// Rademacher averages; the substitution (documented in DESIGN.md) keeps the
-// progressive structure and the (eps, delta) guarantee while being slightly
-// more conservative.
+// Both sample on the engines' one driver: sched.VirtualWorkers seeded
+// streams with sched.Split quotas, merged in stream order, so the seed alone
+// fixes every bit and Options.Workers only sets how many goroutines run the
+// streams. KADABRA's loss is 0/1 (is v an inner node of the sampled path),
+// so it is core.Run over a core.DirectSpace: Algorithm 1 with an empty
+// exact subspace. ABRA's loss is a fractional pair dependency, so it keeps
+// its own doubling loop on the same schedule (core.Schedule) with per-node
+// empirical Bernstein stopping over float sums.
+//
+// Both stop under a union bound over nodes and rounds, with the Riondato
+// et al. [45] VC-dimension sample-size ceiling. ABRA's original stopping
+// rule uses Rademacher averages; the substitution (documented in DESIGN.md)
+// keeps the doubling structure and the (eps, delta) guarantee while
+// being slightly more conservative.
 package baselines
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"sync"
 
+	"saphyra/internal/core"
 	"saphyra/internal/graph"
 	"saphyra/internal/params"
+	"saphyra/internal/sched"
 	"saphyra/internal/shortestpath"
 	"saphyra/internal/stats"
 	"saphyra/internal/vc"
@@ -39,13 +48,16 @@ import (
 type Options struct {
 	Epsilon float64 // additive error target; default 0.05
 	Delta   float64 // failure probability; default 0.01
-	Workers int     // <= 0 means GOMAXPROCS
+	// Workers is the number of goroutines running the sampler streams;
+	// <= 0 means GOMAXPROCS. It does not affect results.
+	Workers int
 	Seed    int64
 	// MaxSamples optionally caps sampling (guarantee void when binding).
 	MaxSamples int64
 }
 
-func (o *Options) setDefaults() {
+// resolve fills the defaults and validates the result.
+func (o *Options) resolve() error {
 	if o.Epsilon == 0 {
 		o.Epsilon = 0.05
 	}
@@ -55,9 +67,6 @@ func (o *Options) setDefaults() {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-func (o Options) validate() error {
 	if err := params.CheckEpsDelta(o.Epsilon, o.Delta); err != nil {
 		return fmt.Errorf("baselines: %w", err)
 	}
@@ -74,22 +83,28 @@ type Result struct {
 	StoppedEarly bool
 }
 
-// pairSampler produces per-sample contributions. sampleOne adds the
-// contribution for one sampled pair into acc (sum) and accSq (sum of
-// squares, for the Bernstein variance); sampleBatch draws count pairs in one
-// call — the batched engine's unit of work, mirroring core.Sampler —
-// letting implementations keep scratch hot and allocation-free.
-type pairSampler interface {
-	sampleOne(rng *rand.Rand, acc, accSq []float64)
-	sampleBatch(rng *rand.Rand, count int64, acc, accSq []float64)
+// vcDim is [45]'s VC dimension of the whole network's shortest paths.
+func vcDim(g *graph.Graph) int { return max(1, vc.Riondato(graph.DiameterUpperBound(g))) }
+
+// samplePair draws an ordered pair of distinct nodes uniformly.
+func samplePair(rng *rand.Rand, n int) (s, t graph.Node) {
+	s = graph.Node(rng.IntN(n))
+	t = graph.Node(rng.IntN(n - 1))
+	if t >= s {
+		t++
+	}
+	return s, t
 }
 
-// progressive runs the shared doubling loop. Cancellation is polled once
-// per doubling round: a done ctx aborts with a *params.CanceledError, never
-// a partial estimate.
-func progressive(ctx context.Context, g *graph.Graph, opt Options, mk func(seed int64) pairSampler) (*Result, error) {
-	opt.setDefaults()
-	if err := opt.validate(); err != nil {
+func newRNG(seed int64) *rand.Rand {
+	return rand.New(rand.NewPCG(uint64(seed), 0x3c6ef372fe94f82b))
+}
+
+// ABRA estimates betweenness for all nodes with node-pair sampling [47].
+// Cancellation is polled between streams: a done ctx aborts with a
+// *params.CanceledError, never a partial estimate.
+func ABRA(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
+	if err := opt.resolve(); err != nil {
 		return nil, err
 	}
 	n := g.NumNodes()
@@ -97,52 +112,48 @@ func progressive(ctx context.Context, g *graph.Graph, opt Options, mk func(seed 
 		return &Result{BC: make([]float64, n)}, nil
 	}
 	eps := opt.Epsilon
-	dim := vc.Riondato(graph.DiameterUpperBound(g))
-	if dim < 1 {
-		dim = 1
-	}
-	n0 := int64(math.Ceil(stats.VCConstant / (eps * eps) * math.Log(1/opt.Delta)))
-	if n0 < 1 {
-		n0 = 1
-	}
-	nmax := stats.VCSampleSize(eps, opt.Delta, dim)
-	if nmax < n0 {
-		nmax = n0
-	}
-	if opt.MaxSamples > 0 {
-		if n0 > opt.MaxSamples {
-			n0 = opt.MaxSamples
-		}
-		if nmax > opt.MaxSamples {
-			nmax = opt.MaxSamples
-		}
-	}
-	rounds := int64(1)
-	if nmax > n0 {
-		rounds = int64(math.Ceil(math.Log2(float64(nmax) / float64(n0))))
-	}
+	res := &Result{VCDim: vcDim(g)}
+	n0, nmax, rounds := core.Schedule(eps, opt.Delta, res.VCDim, opt.MaxSamples)
+	res.NMax = nmax
 	// union-bound failure budget per node per round (two-sided)
 	deltaI := opt.Delta / (2 * float64(rounds) * float64(n))
 
-	res := &Result{VCDim: dim, NMax: nmax}
+	const nv = sched.VirtualWorkers
+	var streams [nv]abraStream
+	var quota []int64
+	pool := sync.Pool{New: func() any { return newABRAScratch(g) }}
 	sum := make([]float64, n)
 	sumSq := make([]float64, n)
-	workers := opt.Workers
-	samplers := make([]pairSampler, workers)
-	rngs := make([]*rand.Rand, workers)
-	for w := 0; w < workers; w++ {
-		samplers[w] = mk(opt.Seed + int64(w+1)*999_983)
-		rngs[w] = rand.New(rand.NewPCG(uint64(opt.Seed+int64(w+1)*7_368_787), 0x3c6ef372fe94f82b))
-	}
 	var drawn int64
-	target := n0
-	for {
+	for target := n0; ; target = min(2*drawn, nmax) {
 		res.Rounds++
-		if err := params.Interrupted(ctx); err != nil {
-			return nil, fmt.Errorf("baselines: %w", err)
+		quota = sched.Split(target-drawn, nv, quota)
+		err := sched.DoWithCtx(ctx, nv, opt.Workers,
+			func() *abraScratch { return pool.Get().(*abraScratch) },
+			func(a *abraScratch) { pool.Put(a) },
+			func(a *abraScratch, v int) {
+				st := &streams[v]
+				if quota[v] > 0 && st.rng == nil {
+					*st = abraStream{rng: newRNG(core.StreamSeed(opt.Seed, v)), sum: make([]float64, n), sumSq: make([]float64, n)}
+				}
+				for j := quota[v]; j > 0; j-- {
+					a.sample(st.rng, st.sum, st.sumSq)
+				}
+			})
+		if err != nil {
+			return nil, fmt.Errorf("baselines: %w", &params.CanceledError{Cause: err})
 		}
-		drawBatch(samplers, rngs, target-drawn, n, sum, sumSq)
 		drawn = target
+		// Float addition does not associate: merging the streams' running
+		// sums in stream order is what keeps the bits worker-independent.
+		clear(sum)
+		clear(sumSq)
+		for _, st := range &streams {
+			for v := range st.sum {
+				sum[v] += st.sum[v]
+				sumSq[v] += st.sumSq[v]
+			}
+		}
 		worst := 0.0
 		fn := float64(drawn)
 		for v := 0; v < n; v++ {
@@ -164,119 +175,58 @@ func progressive(ctx context.Context, g *graph.Graph, opt Options, mk func(seed 
 		if drawn >= nmax {
 			break
 		}
-		target = drawn * 2
-		if target > nmax {
-			target = nmax
-		}
 	}
 	res.Samples = drawn
-	res.BC = make([]float64, n)
-	for v := 0; v < n; v++ {
-		res.BC[v] = sum[v] / float64(drawn)
+	for v := range sum {
+		sum[v] /= float64(drawn)
 	}
+	res.BC = sum
 	return res, nil
 }
 
-// drawBatch distributes `count` samples across workers with static quotas
-// and merges per-worker accumulators (deterministic for a fixed worker
-// count and seed).
-func drawBatch(samplers []pairSampler, rngs []*rand.Rand, count int64, n int, sum, sumSq []float64) {
-	if count <= 0 {
-		return
-	}
-	const smallBatch = 1024
-	if count < smallBatch {
-		samplers[0].sampleBatch(rngs[0], count, sum, sumSq)
-		return
-	}
-	workers := len(samplers)
-	var wg sync.WaitGroup
-	localSum := make([][]float64, workers)
-	localSq := make([][]float64, workers)
-	base := count / int64(workers)
-	rem := count % int64(workers)
-	for w := 0; w < workers; w++ {
-		quota := base
-		if int64(w) < rem {
-			quota++
-		}
-		if quota == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, quota int64) {
-			defer wg.Done()
-			ls := make([]float64, n)
-			lq := make([]float64, n)
-			samplers[w].sampleBatch(rngs[w], quota, ls, lq)
-			localSum[w] = ls
-			localSq[w] = lq
-		}(w, quota)
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		if localSum[w] == nil {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			sum[v] += localSum[w][v]
-			sumSq[v] += localSq[w][v]
-		}
-	}
+// abraStream is one of ABRA's virtual sampler streams: its RNG and the
+// running sums of its samples' pair dependencies (sum and sum of squares,
+// for the Bernstein variance). It is materialized on its first nonzero
+// quota.
+type abraStream struct {
+	rng        *rand.Rand
+	sum, sumSq []float64
 }
 
-// ABRA estimates betweenness for all nodes with node-pair sampling [47].
-func ABRA(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	return progressive(ctx, g, opt, func(seed int64) pairSampler {
-		return newABRASampler(g)
-	})
-}
-
-type abraSampler struct {
+// abraScratch is one goroutine's ABRA workspace. Every sample resets what it
+// reads, so any scratch serves any stream and the bits do not depend on
+// which goroutine ran which stream.
+type abraScratch struct {
 	g       *graph.Graph
 	dag     *shortestpath.DAG
 	tau     []float64 // paths-to-target counts on the s-t DAG
 	stamp   []int32   // on-DAG marker, epoch-stamped
-	epoch   int32
+	epoch   *sched.Epoch
 	byLevel [][]graph.Node
 }
 
-func newABRASampler(g *graph.Graph) *abraSampler {
+func newABRAScratch(g *graph.Graph) *abraScratch {
 	n := g.NumNodes()
-	a := &abraSampler{
+	a := &abraScratch{
 		g:     g,
 		dag:   shortestpath.NewDAG(n),
 		tau:   make([]float64, n),
 		stamp: make([]int32, n),
 	}
-	for i := range a.stamp {
-		a.stamp[i] = -1
-	}
+	a.epoch = sched.NewEpoch(a.stamp)
 	return a
 }
 
-// sampleBatch draws count pairs back to back; the DAG, tau, and level
-// buckets stay hot across the whole batch.
-func (a *abraSampler) sampleBatch(rng *rand.Rand, count int64, acc, accSq []float64) {
-	for j := int64(0); j < count; j++ {
-		a.sampleOne(rng, acc, accSq)
-	}
-}
-
-func (a *abraSampler) sampleOne(rng *rand.Rand, acc, accSq []float64) {
-	n := a.g.NumNodes()
-	s := graph.Node(rng.IntN(n))
-	t := graph.Node(rng.IntN(n - 1))
-	if t >= s {
-		t++
-	}
+// sample draws one pair and adds its pair dependencies into acc and their
+// squares into accSq.
+func (a *abraScratch) sample(rng *rand.Rand, acc, accSq []float64) {
+	s, t := samplePair(rng, a.g.NumNodes())
 	a.dag.Run(a.g, s)
 	if a.dag.Dist[t] < 0 {
 		return // disconnected pair contributes 0 to every node
 	}
 	// Backward discovery of the s-t sub-DAG from t, bucketed by level.
-	a.epoch++
-	e := a.epoch
+	e := a.epoch.Next()
 	maxD := int(a.dag.Dist[t])
 	for len(a.byLevel) <= maxD {
 		a.byLevel = append(a.byLevel, nil)
@@ -326,39 +276,53 @@ func (a *abraSampler) sampleOne(rng *rand.Rand, acc, accSq []float64) {
 }
 
 // KADABRA estimates betweenness for all nodes with single-path sampling and
-// balanced bidirectional BFS [12].
+// balanced bidirectional BFS [12]. It is core.Run on a DirectSpace, so it
+// shares Algorithm 1's schedule, stopping rule, cancellation checkpoints
+// and spans.
 func KADABRA(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	return progressive(ctx, g, opt, func(seed int64) pairSampler {
-		return &kadabraSampler{g: g, bfs: shortestpath.NewBiBFS(g.NumNodes())}
+	if err := opt.resolve(); err != nil {
+		return nil, err
+	}
+	n := g.NumNodes()
+	if n < 2 {
+		return &Result{BC: make([]float64, n)}, nil
+	}
+	space := &core.DirectSpace{K: n, Dim: vcDim(g), Make: func(seed int64) core.Sampler {
+		return &kadabraSampler{g: g, bfs: shortestpath.NewBiBFS(n), rng: newRNG(seed)}
+	}}
+	est, err := core.Run(ctx, space, core.Options{
+		Epsilon: opt.Epsilon, Delta: opt.Delta, Workers: opt.Workers,
+		Seed: opt.Seed, MaxSamples: opt.MaxSamples,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("baselines: %w", err)
+	}
+	return &Result{
+		BC: est.ApproxRisks, Samples: est.Samples, Rounds: est.Rounds,
+		VCDim: est.VCDim, NMax: est.NMax, StoppedEarly: est.StoppedEarly,
+	}, nil
 }
 
+// kadabraSampler is one KADABRA sampler stream.
 type kadabraSampler struct {
 	g       *graph.Graph
 	bfs     *shortestpath.BiBFS
+	rng     *rand.Rand
 	pathBuf []graph.Node // reused across samples: the batch loop is allocation-free
 }
 
-// sampleBatch draws count pairs back to back with the shared path buffer.
-func (k *kadabraSampler) sampleBatch(rng *rand.Rand, count int64, acc, accSq []float64) {
-	for j := int64(0); j < count; j++ {
-		k.sampleOne(rng, acc, accSq)
-	}
-}
-
-func (k *kadabraSampler) sampleOne(rng *rand.Rand, acc, accSq []float64) {
+// DrawBatch implements core.Sampler: the loss of a sample is 1 on the inner
+// nodes of its path.
+func (k *kadabraSampler) DrawBatch(count int64, hits []int64) {
 	n := k.g.NumNodes()
-	s := graph.Node(rng.IntN(n))
-	t := graph.Node(rng.IntN(n - 1))
-	if t >= s {
-		t++
-	}
-	if _, _, ok := k.bfs.Query(k.g, s, t); !ok {
-		return // disconnected pair contributes 0
-	}
-	k.pathBuf = k.bfs.SamplePathAppend(k.g, rng, k.pathBuf)
-	for _, v := range k.pathBuf[1 : len(k.pathBuf)-1] {
-		acc[v]++
-		accSq[v]++
+	for ; count > 0; count-- {
+		s, t := samplePair(k.rng, n)
+		if _, _, ok := k.bfs.Query(k.g, s, t); !ok {
+			continue // disconnected pair contributes 0
+		}
+		k.pathBuf = k.bfs.SamplePathAppend(k.g, k.rng, k.pathBuf)
+		for _, v := range k.pathBuf[1 : len(k.pathBuf)-1] {
+			hits[v]++
+		}
 	}
 }

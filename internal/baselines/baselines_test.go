@@ -124,24 +124,49 @@ func TestBaselinesTinyGraph(t *testing.T) {
 	}
 }
 
+// TestKADABRADeterministic holds both baselines to the virtual-worker
+// contract: a fixed seed gives the same bits at every worker count. At
+// eps 0.02 the first round draws several thousand samples, so every round
+// is split across all the streams and run on several goroutines.
 func TestKADABRADeterministic(t *testing.T) {
-	g := graph.BarabasiAlbert(80, 3, 2)
-	opt := Options{Epsilon: 0.1, Delta: 0.1, Seed: 42, Workers: 3}
-	a, err := KADABRA(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ba-500", graph.BarabasiAlbert(500, 3, 11)},
+		{"road-18x18", graph.RoadNetwork(18, 18, 0.3, 5)},
 	}
-	b, err := KADABRA(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
+	algs := []struct {
+		name string
+		run  func(context.Context, *graph.Graph, Options) (*Result, error)
+	}{
+		{"abra", ABRA},
+		{"kadabra", KADABRA},
 	}
-	for v := range a.BC {
-		if a.BC[v] != b.BC[v] {
-			t.Fatalf("nondeterministic at node %d", v)
+	for _, alg := range algs {
+		for _, tg := range graphs {
+			t.Run(alg.name+"/"+tg.name, func(t *testing.T) {
+				var ref *Result
+				for _, w := range []int{1, 2, 3, 8} {
+					res, err := alg.run(context.Background(), tg.g, Options{Epsilon: 0.02, Delta: 0.05, Seed: 9, Workers: w})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref == nil {
+						ref = res
+						continue
+					}
+					if res.Samples != ref.Samples || res.Rounds != ref.Rounds {
+						t.Fatalf("workers %d: %d samples in %d rounds, workers 1: %d in %d", w, res.Samples, res.Rounds, ref.Samples, ref.Rounds)
+					}
+					for v := range ref.BC {
+						if math.Float64bits(res.BC[v]) != math.Float64bits(ref.BC[v]) {
+							t.Fatalf("workers %d: node %d est %v, workers 1: %v", w, v, res.BC[v], ref.BC[v])
+						}
+					}
+				}
+			})
 		}
-	}
-	if a.Samples != b.Samples {
-		t.Fatalf("sample counts differ: %d vs %d", a.Samples, b.Samples)
 	}
 }
 

@@ -5,63 +5,70 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
-	"sort"
 	"testing"
 	"time"
 
 	"saphyra"
+	"saphyra/internal/obs"
 	"saphyra/internal/serve"
 )
 
-// benchFleet boots the benchmark fleet over a Fig-3-sized synthetic social
-// graph — the same graph shape the single-box serving benchmarks use, so
-// the route-hit row is directly comparable to BenchmarkServeRankCacheHit.
-func benchFleet(b *testing.B) (*Fleet, []int64) {
+// benchView writes the view the benchmarks and the route-hit gates serve: a
+// Fig-3-sized synthetic social graph — the same graph shape the single-box
+// serving benchmarks use, so the route-hit row is directly comparable to
+// BenchmarkServeRankCacheHit — with non-identity original ids. It returns
+// the file, the ids and the body of one small SaPHyRa query against it.
+func benchView(t testing.TB) (path string, ids []int64, body []byte) {
+	t.Helper()
 	g := saphyra.Generate.BarabasiAlbert(4000, 5, 42)
-	ids := make([]int64, g.NumNodes())
+	ids = make([]int64, g.NumNodes())
 	for i := range ids {
 		ids[i] = int64(i)*3 + 1
 	}
-	path := b.TempDir() + "/bench.sbcv"
+	path = t.TempDir() + "/bench.sbcv"
 	if err := saphyra.BuildView(g, ids).WriteFile(path); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	f, err := StartFleet(path, FleetConfig{
-		Replicas: 3,
-		Serve:    serve.Config{DisablePrecompute: true, CacheEntries: 1 << 16},
-		Router:   RouterConfig{ProbeInterval: -1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(f.Close)
-	return f, ids
-}
-
-func benchRankBody(b *testing.B, ids []int64) []byte {
 	body, err := json.Marshal(serve.RankRequest{
 		Method:  serve.MethodSaPHyRa,
 		Targets: []int64{ids[17], ids[99], ids[1024], ids[2048]},
 		Eps:     0.05, Delta: 0.05, Seed: 7,
 	})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	return body
+	return path, ids, body
 }
 
-func postOnce(b *testing.B, client *http.Client, url string, body []byte) {
-	b.Helper()
+// benchServe is the serving config of every replica and single box here.
+var benchServe = serve.Config{DisablePrecompute: true, CacheEntries: 1 << 16}
+
+// startBenchFleet boots a 3-replica fleet on path with active probing off.
+func startBenchFleet(t testing.TB, path string) *Fleet {
+	t.Helper()
+	f, err := StartFleet(path, FleetConfig{
+		Replicas: 3,
+		Serve:    benchServe,
+		Router:   RouterConfig{ProbeInterval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
+}
+
+func postOnce(t testing.TB, client *http.Client, url string, body []byte) {
+	t.Helper()
 	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		b.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("status %d", resp.StatusCode)
 	}
 }
 
@@ -69,11 +76,11 @@ func postOnce(b *testing.B, client *http.Client, url string, body []byte) {
 // the whole cluster path: client HTTP hop to the router, ring placement,
 // router HTTP hop to the replica, replica cache hit, two relays back. The
 // single-box baseline is BenchmarkServeRankCacheHit (internal/serve);
-// TestClusterRouteHitLatencyGate holds the p99 ratio.
+// TestClusterRouteHitLatencyWallClock holds the p99 ratio.
 func BenchmarkClusterRouteHit(b *testing.B) {
-	f, ids := benchFleet(b)
+	path, _, body := benchView(b)
+	f := startBenchFleet(b, path)
 	client := &http.Client{}
-	body := benchRankBody(b, ids)
 	url := f.RouterURL + "/v1/rank"
 	postOnce(b, client, url, body) // warm the entry at its route home
 	b.ResetTimer()
@@ -87,9 +94,9 @@ func BenchmarkClusterRouteHit(b *testing.B) {
 // GET /internal/cache probe plus envelope decode against a peer that holds
 // the entry — the price a non-home replica pays to skip a recompute.
 func BenchmarkPeerFill(b *testing.B) {
-	f, ids := benchFleet(b)
+	path, ids, body := benchView(b)
+	f := startBenchFleet(b, path)
 	client := &http.Client{}
-	body := benchRankBody(b, ids)
 	pos := make(map[int64]saphyra.Node, len(ids))
 	for i, id := range ids {
 		pos[id] = saphyra.Node(i)
@@ -133,105 +140,79 @@ func BenchmarkPeerFill(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "fill/s")
 }
 
-// measureHitP99 issues n sequential cache-hit requests and returns the p99
-// latency.
-func measureHitP99(t testing.TB, client *http.Client, url string, body []byte, n int) time.Duration {
-	t.Helper()
-	lat := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
+// routeHitRequests is how many cache hits each route-hit gate sends.
+const routeHitRequests = 1200
+
+// TestClusterRouteHitLatencyGate checks what a warm cache hit through the
+// router does: each of the requests is relayed once, to the same replica,
+// and answered from that replica's cache, with no miss, no retry hop and no
+// peer fill anywhere in the fleet. What the hit costs in wall-clock time is
+// TestClusterRouteHitLatencyWallClock's bound (build tag timing), which runs
+// alone because a loaded machine moves it.
+func TestClusterRouteHitLatencyGate(t *testing.T) {
+	path, _, body := benchView(t)
+	f := startBenchFleet(t, path)
+	client := &http.Client{}
+	url := f.RouterURL + "/v1/rank"
+	postOnce(t, client, url, body)
+
+	statuszAll := func() []map[string]float64 {
+		out := []map[string]float64{statusz(t, f.RouterURL)}
+		for _, u := range f.ReplicaURLs {
+			out = append(out, statusz(t, u))
+		}
+		return out
+	}
+	before := statuszAll()
+	var home string
+	for i := 0; i < routeHitRequests; i++ {
 		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		var out serve.RankResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
 		}
-		lat = append(lat, time.Since(t0))
+		if !out.Cached {
+			t.Fatalf("request %d: not a cache hit", i)
+		}
+		replica := resp.Header.Get("X-Saphyra-Replica")
+		if home == "" {
+			home = replica
+		}
+		if replica != home {
+			t.Fatalf("request %d answered by %q, earlier ones by %q", i, replica, home)
+		}
 	}
-	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
-	return lat[n*99/100]
-}
+	after := statuszAll()
 
-// TestClusterRouteHitLatencyGate is the distributed tier's latency
-// acceptance bar: a cache hit through the router must stay within 5x the
-// p99 of the same hit against a single replica over the same transport
-// (one HTTP hop to a lone server on a loopback listener). The comparison
-// is like for like — both sides pay a real HTTP round trip — so the gate
-// prices exactly what the cluster adds: ring placement, the second hop,
-// and the relay. A floor absorbs loopback scheduling noise when the
-// single-box p99 lands in the sub-millisecond range.
-func TestClusterRouteHitLatencyGate(t *testing.T) {
-	g := saphyra.Generate.BarabasiAlbert(4000, 5, 42)
-	ids := make([]int64, g.NumNodes())
-	for i := range ids {
-		ids[i] = int64(i)*3 + 1
+	check := func(i int, key string, want float64) {
+		t.Helper()
+		if _, ok := after[i][key]; !ok {
+			t.Fatalf("no counter %s", key)
+		}
+		if d := after[i][key] - before[i][key]; d != want {
+			t.Errorf("%s: moved by %v over %d hits, want %v", key, d, routeHitRequests, want)
+		}
 	}
-	path := t.TempDir() + "/gate.sbcv"
-	if err := saphyra.BuildView(g, ids).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(serve.RankRequest{
-		Method:  serve.MethodSaPHyRa,
-		Targets: []int64{ids[17], ids[99], ids[1024], ids[2048]},
-		Eps:     0.05, Delta: 0.05, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := &http.Client{}
-	const n = 1200
-
-	// Single box over a real loopback listener.
-	single, err := serve.New(path, serve.Config{DisablePrecompute: true, CacheEntries: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: single.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	singleURL := "http://" + ln.Addr().String() + "/v1/rank"
-	postOnceT(t, client, singleURL, body)
-	singleP99 := measureHitP99(t, client, singleURL, body, n)
-
-	f, err := StartFleet(path, FleetConfig{
-		Replicas: 3,
-		Serve:    serve.Config{DisablePrecompute: true, CacheEntries: 1 << 16},
-		Router:   RouterConfig{ProbeInterval: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	routerURL := f.RouterURL + "/v1/rank"
-	postOnceT(t, client, routerURL, body)
-	clusterP99 := measureHitP99(t, client, routerURL, body, n)
-
-	floor := 500 * time.Microsecond
-	budget := 5 * max(singleP99, floor)
-	t.Logf("single-box hit p99 %v, cluster hit p99 %v, budget %v", singleP99, clusterP99, budget)
-	if clusterP99 > budget {
-		t.Fatalf("cluster cache-hit p99 %v exceeds 5x single-box p99 %v (budget %v)",
-			clusterP99, singleP99, budget)
-	}
-}
-
-func postOnceT(t testing.TB, client *http.Client, url string, body []byte) {
-	t.Helper()
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	for r, u := range f.ReplicaURLs {
+		want := 0.0
+		if u == home {
+			want = routeHitRequests
+		}
+		route := `saphyra_router_route_total{` + obs.Label("replica", u)
+		check(0, route+`,outcome="forwarded"}`, want)
+		check(0, route+`,outcome="connect_error"}`, 0)
+		check(0, route+`,outcome="upstream_5xx"}`, 0)
+		check(r+1, `saphyra_cache_events_total{kind="hit"}`, want)
+		check(r+1, `saphyra_cache_events_total{kind="miss"}`, 0)
+		for _, res := range []string{"hit", "miss", "rejected"} {
+			check(r+1, `saphyra_peer_fill_total{result="`+res+`"}`, 0)
+		}
+		check(r+1, `saphyra_internal_cache_total{result="hit"}`, 0)
+		check(r+1, `saphyra_internal_cache_total{result="miss"}`, 0)
 	}
 }

@@ -150,27 +150,8 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 	epsPrime := opt.Epsilon / lambda
 	est.EpsPrime = epsPrime
 
-	n0 := int64(math.Ceil(stats.VCConstant / (epsPrime * epsPrime) * math.Log(1/opt.Delta)))
-	if n0 < 1 {
-		n0 = 1
-	}
-	nmax := stats.VCSampleSize(epsPrime, opt.Delta, est.VCDim)
-	if nmax < n0 {
-		nmax = n0
-	}
-	if opt.MaxSamples > 0 {
-		if n0 > opt.MaxSamples {
-			n0 = opt.MaxSamples
-		}
-		if nmax > opt.MaxSamples {
-			nmax = opt.MaxSamples
-		}
-	}
+	n0, nmax, rounds := Schedule(epsPrime, opt.Delta, est.VCDim, opt.MaxSamples)
 	est.N0, est.NMax = n0, nmax
-	rounds := int64(1)
-	if nmax > n0 {
-		rounds = int64(math.Ceil(math.Log2(float64(nmax) / float64(n0))))
-	}
 
 	// Uniform union-bound split of delta instead of the paper's Eq 13
 	// (DESIGN §15): each of the k hypotheses gets one Bernstein check per
@@ -212,10 +193,7 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 		if n >= nmax {
 			break
 		}
-		target = n * 2
-		if target > nmax {
-			target = nmax
-		}
+		target = min(2*n, nmax)
 	}
 	est.Samples = n
 	for i := range hits {
@@ -224,6 +202,27 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 	}
 	return est, nil
 }
+
+// Schedule returns Algorithm 1's doubling schedule for per-sample tolerance
+// eps: the first round's size n0, the VC ceiling nmax for a class of
+// dimension dim, both capped by maxSamples when it is positive, and the
+// number of doubling rounds from n0 to nmax, over which the union bound
+// splits delta.
+func Schedule(eps, delta float64, dim int, maxSamples int64) (n0, nmax, rounds int64) {
+	n0 = max(1, int64(math.Ceil(stats.VCConstant/(eps*eps)*math.Log(1/delta))))
+	nmax = max(n0, stats.VCSampleSize(eps, delta, dim))
+	if maxSamples > 0 {
+		n0, nmax = min(n0, maxSamples), min(nmax, maxSamples)
+	}
+	rounds = 1
+	if nmax > n0 {
+		rounds = int64(math.Ceil(math.Log2(float64(nmax) / float64(n0))))
+	}
+	return n0, nmax, rounds
+}
+
+// StreamSeed is the seed of virtual sampler stream v under base seed seed.
+func StreamSeed(seed int64, v int) int64 { return seed + int64(v+1)*1_000_003 }
 
 // samplerSet is the engine's fixed set of sched.VirtualWorkers independent
 // sampler streams. The count and the per-stream seeds are pure functions of
@@ -246,7 +245,7 @@ func makeSamplers(space Space, seed int64) *samplerSet {
 
 func (s *samplerSet) get(v int) Sampler {
 	if s.ss[v] == nil {
-		s.ss[v] = s.space.NewSampler(s.seed + int64(v+1)*1_000_003)
+		s.ss[v] = s.space.NewSampler(StreamSeed(s.seed, v))
 	}
 	return s.ss[v]
 }
@@ -319,8 +318,8 @@ func drawParallelWith(ctx context.Context, samplers *samplerSet, workers int, to
 }
 
 // DirectSpace adapts a plain sampling problem (no partition) to the Space
-// interface: lambdaHat = 0 and exact risks are all zero. Used by baselines
-// and as the "no exact subspace" ablation.
+// interface: lambdaHat = 0 and exact risks are all zero. The k-path
+// estimator and the KADABRA baseline run on it.
 type DirectSpace struct {
 	K    int
 	Dim  int

@@ -65,16 +65,9 @@ func LargestComponent(g *Graph) (*Graph, []Node) {
 // sorted; duplicates are ignored), with nodes renumbered densely in sorted
 // order, plus the mapping new id -> old id.
 func Subgraph(g *Graph, nodes []Node) (*Graph, []Node) {
-	inSet := make(map[Node]Node, len(nodes))
-	sorted := make([]Node, 0, len(nodes))
-	for _, u := range nodes {
-		if _, ok := inSet[u]; !ok {
-			inSet[u] = 0
-			sorted = append(sorted, u)
-		}
-	}
 	// Dense renumbering in ascending old-id order keeps things deterministic.
-	sortNodes(sorted)
+	sorted := DedupSorted(nodes)
+	inSet := make(map[Node]Node, len(sorted))
 	for i, u := range sorted {
 		inSet[u] = Node(i)
 	}
@@ -90,38 +83,4 @@ func Subgraph(g *Graph, nodes []Node) (*Graph, []Node) {
 	}
 	b.SetNumNodes(len(sorted))
 	return b.Build(), sorted
-}
-
-func sortNodes(a []Node) {
-	// insertion-free: use sort.Slice via small shim to avoid importing sort
-	// everywhere; kept here for reuse.
-	quickSortNodes(a)
-}
-
-func quickSortNodes(a []Node) {
-	if len(a) < 24 {
-		for i := 1; i < len(a); i++ {
-			for j := i; j > 0 && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-		return
-	}
-	pivot := a[len(a)/2]
-	lo, hi := 0, len(a)-1
-	for lo <= hi {
-		for a[lo] < pivot {
-			lo++
-		}
-		for a[hi] > pivot {
-			hi--
-		}
-		if lo <= hi {
-			a[lo], a[hi] = a[hi], a[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSortNodes(a[:hi+1])
-	quickSortNodes(a[lo:])
 }

@@ -131,26 +131,3 @@ func DiameterUpperBound(g *Graph) int32 {
 	}
 	return bound
 }
-
-// SubsetDiameterUpperBound returns an upper bound on the diameter of the node
-// subset A (the maximum pairwise distance between members of A), using the
-// paper's bound VD(A) <= 2*max_{t in A} d(s, t) for any s in A (Section
-// IV-C). Returns 0 for subsets of size < 2 and -1 if some pair of A is
-// disconnected (infinite subset diameter).
-func SubsetDiameterUpperBound(g *Graph, a []Node) int32 {
-	if len(a) < 2 {
-		return 0
-	}
-	dist := BFSDistances(g, a[0], nil)
-	var far int32
-	for _, t := range a {
-		d := dist[t]
-		if d == -1 {
-			return -1
-		}
-		if d > far {
-			far = d
-		}
-	}
-	return 2 * far
-}

@@ -84,51 +84,3 @@ func TestApproxDiameterIsLowerBoundAndTightOnPaths(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSubsetDiameterUpperBound(t *testing.T) {
-	g := Path(10)
-	// subset {0, 9}: true subset diameter 9, bound from s=0 is 2*9=18
-	if got := SubsetDiameterUpperBound(g, []Node{0, 9}); got != 18 {
-		t.Errorf("bound = %d, want 18", got)
-	}
-	// subsets of size < 2
-	if got := SubsetDiameterUpperBound(g, []Node{3}); got != 0 {
-		t.Errorf("singleton bound = %d, want 0", got)
-	}
-	// property: bound >= true pairwise max distance
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(30)
-		g := ErdosRenyi(n, int64(2*n), seed)
-		lcc, _ := LargestComponent(g)
-		if lcc.NumNodes() < 3 {
-			return true
-		}
-		a := []Node{Node(rng.Intn(lcc.NumNodes())), Node(rng.Intn(lcc.NumNodes())), Node(rng.Intn(lcc.NumNodes()))}
-		bound := SubsetDiameterUpperBound(lcc, a)
-		// exact pairwise max
-		var exact int32
-		for _, s := range a {
-			dist := BFSDistances(lcc, s, nil)
-			for _, x := range a {
-				if dist[x] > exact {
-					exact = dist[x]
-				}
-			}
-		}
-		return bound >= exact
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSubsetDiameterDisconnected(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	g := b.Build()
-	if got := SubsetDiameterUpperBound(g, []Node{0, 2}); got != -1 {
-		t.Errorf("disconnected subset bound = %d, want -1", got)
-	}
-}

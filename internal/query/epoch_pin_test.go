@@ -30,11 +30,13 @@ import (
 // epoch must reproduce the pinned digest exactly.
 var epochPins = map[uint32]string{
 	2: "e73b48e843214d50cb9b2a251b00ba8cebf67eed5262fb910c27deec1c874e1b",
+	3: "ac0bd5efd4d999a97647845b2a7993c5370b4998922af6e5c8e515e67f8af7d3",
 }
 
 // TestEngineEpochPin holds engineEpoch to the bits it names: every measure,
 // every betweenness algorithm and every VC bound, at one and three workers,
-// on seeded small graphs including a road grid.
+// on seeded small graphs including a road grid. Each query must also give
+// the same bits at three workers as at one.
 func TestEngineEpochPin(t *testing.T) {
 	want, ok := epochPins[engineEpoch]
 	if !ok {
@@ -80,8 +82,14 @@ func pinQuerySet(t *testing.T) string {
 			{Measure: Betweenness, Algorithm: AlgKADABRA, Targets: pg.targets, Epsilon: 0.05, Delta: 0.05, Seed: 10},
 			{Measure: KPath, Targets: pg.targets, K: 4, Epsilon: 0.05, Delta: 0.05, Seed: 11},
 			{Measure: Closeness, Targets: pg.targets, Epsilon: 0.05, Delta: 0.05, Seed: 12},
+			// At eps 0.02 the baselines' rounds are large enough to be
+			// split across every sampler stream and run on several
+			// goroutines.
+			{Measure: Betweenness, Algorithm: AlgABRA, Targets: pg.targets, Epsilon: 0.02, Delta: 0.05, Seed: 14},
+			{Measure: Betweenness, Algorithm: AlgKADABRA, Targets: pg.targets, Epsilon: 0.02, Delta: 0.05, Seed: 15},
 		}
 		for qi, q := range queries {
+			var ref *Result
 			for _, w := range []int{1, 3} {
 				q.Workers = w
 				res, err := r.Rank(context.Background(), q)
@@ -90,6 +98,11 @@ func pinQuerySet(t *testing.T) string {
 				}
 				if res.Samples > 0 {
 					sampled++
+				}
+				if ref == nil {
+					ref = res
+				} else if !sameBits(res, ref) {
+					t.Fatalf("%s query %d: workers %d and workers 1 give different bits", pg.name, qi, w)
 				}
 				pinWrite(h, fmt.Sprintf("%s/q%d/w%d", pg.name, qi, w), res.Nodes, res.Scores, res.Samples, 0)
 			}
@@ -128,6 +141,20 @@ func pinQuerySet(t *testing.T) string {
 		t.Fatalf("only %d pinned queries drew samples", sampled)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sameBits reports whether two results name the same nodes with the same
+// score bits and sample count.
+func sameBits(a, b *Result) bool {
+	if a.Samples != b.Samples || len(a.Nodes) != len(b.Nodes) {
+		return false
+	}
+	for i := range a.Nodes {
+		if a.Nodes[i] != b.Nodes[i] || math.Float64bits(a.Scores[i]) != math.Float64bits(b.Scores[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func pinWrite(h hash.Hash, label string, nodes []graph.Node, scores []float64, samples int64, dim int) {
