@@ -203,6 +203,7 @@ type abraScratch struct {
 	stamp   []int32   // on-DAG marker, epoch-stamped
 	epoch   *sched.Epoch
 	byLevel [][]graph.Node
+	target  [1]graph.Node // the sample's t, as RunTruncated's target list
 }
 
 func newABRAScratch(g *graph.Graph) *abraScratch {
@@ -221,7 +222,11 @@ func newABRAScratch(g *graph.Graph) *abraScratch {
 // squares into accSq.
 func (a *abraScratch) sample(rng *rand.Rand, acc, accSq []float64) {
 	s, t := samplePair(rng, a.g.NumNodes())
-	a.dag.Run(a.g, s)
+	// The BFS stops once t's level is final. The walks below read Dist on
+	// levels below t's, Sigma there and at t, all final by then, so the
+	// pair dependencies equal those of a full run from s.
+	a.target[0] = t
+	a.dag.RunTruncated(a.g, s, a.target[:])
 	if a.dag.Dist[t] < 0 {
 		return // disconnected pair contributes 0 to every node
 	}

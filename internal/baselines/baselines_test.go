@@ -209,3 +209,19 @@ func TestKADABRAProducesFalseZeros(t *testing.T) {
 		t.Error("expected some false zeros from KADABRA at coarse epsilon")
 	}
 }
+
+// TestABRASampleAllocatesNothing: once its level buckets have grown, an
+// ABRA sample (a BFS truncated at t's level and the two walks of the s-t
+// sub-DAG) allocates nothing.
+func TestABRASampleAllocatesNothing(t *testing.T) {
+	g := graph.BarabasiAlbert(2000, 3, 5)
+	a := newABRAScratch(g)
+	rng := newRNG(3)
+	acc, accSq := make([]float64, g.NumNodes()), make([]float64, g.NumNodes())
+	for range 2000 {
+		a.sample(rng, acc, accSq)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { a.sample(rng, acc, accSq) }); allocs != 0 {
+		t.Errorf("ABRA sample allocates %.2f times, want 0", allocs)
+	}
+}

@@ -3,9 +3,11 @@ package closeness
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"saphyra/internal/bicomp"
+	"saphyra/internal/datasets"
 	"saphyra/internal/graph"
 	"saphyra/internal/msbfs"
 	"saphyra/internal/sched"
@@ -67,6 +69,30 @@ func BenchmarkClosenessView(b *testing.B) {
 	}
 }
 
+// BenchmarkClosenessAllNodes prices the whole-network ranking a daemon
+// precomputes at boot: every node a target, on the Flickr stand-in at scale
+// 4 (24k nodes, the graph bench/run.sh serves), over its view at the
+// daemon's defaults (eps 0.05, delta 0.01) and one worker. k = n keeps
+// every round in the source shape, so this is sampleBatch's pricing loop
+// end to end: the MS-BFS passes plus the target-major accumulate. The view
+// build is outside the timed loop.
+func BenchmarkClosenessAllNodes(b *testing.B) {
+	g := datasets.Flickr.Build(4)
+	d := bicomp.Decompose(g)
+	eng := NewEngineView(bicomp.NewBlockCSR(d, bicomp.NewOutReach(d)))
+	targets := allNodes(g)
+	opt := Options{Epsilon: 0.05, Delta: 0.01, Seed: 1, Workers: 1}
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.EstimateInto(context.Background(), targets, opt, &res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Samples), "samples/op")
+}
+
 // BenchmarkClosenessLegacy pins the pre-MS-BFS engine — one scalar BFS per
 // sampled source (legacy_test.go) — so the bit-parallel win stays
 // measurable against BenchmarkCloseness after the production code moved on.
@@ -94,7 +120,7 @@ func BenchmarkClosenessSampleBatch(b *testing.B) {
 	s := sc.activate(eng, 0, benchOpt.Seed, len(nodes))
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.sampleBatch(context.Background(), eng, sc.aIndex, len(nodes), nil, int64(b.N))
+	s.sampleBatch(context.Background(), eng, sc.sourcePasses(eng.n, 1)[0], sc.aIndex, len(nodes), nil, int64(b.N))
 	if s.err != nil {
 		b.Fatal(s.err)
 	}
@@ -111,8 +137,9 @@ func TestSampleBatchAllocatesNothing(t *testing.T) {
 	sc := eng.acquire(nodes)
 	defer eng.release(sc)
 	s := sc.activate(eng, 0, benchOpt.Seed, len(nodes))
+	p := sc.sourcePasses(eng.n, 1)[0]
 	allocs := testing.AllocsPerRun(1, func() {
-		s.sampleBatch(context.Background(), eng, sc.aIndex, len(nodes), nil, 4096)
+		s.sampleBatch(context.Background(), eng, p, sc.aIndex, len(nodes), nil, 4096)
 	})
 	if s.err != nil {
 		t.Fatal(s.err)
@@ -186,5 +213,36 @@ func TestTargetShapeMemoryBound(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSourceShapeMemoryBound: the source shape's traversals and depth
+// tables belong to the goroutines running streams, not to the streams, so
+// a whole-network call holds min(Workers, VirtualWorkers) of them however
+// many of the streams draw.
+func TestSourceShapeMemoryBound(t *testing.T) {
+	old := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(old)
+	g := graph.BarabasiAlbert(1200, 3, 6)
+	a := allNodes(g)
+	for _, workers := range []int{1, 3} {
+		eng := NewEngine(g)
+		res, err := eng.Estimate(context.Background(), a, Options{Epsilon: 0.2, Delta: 0.05, Seed: 9, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shapes := roundShapes(len(a), Options{Epsilon: 0.2, Delta: 0.05}, res.Rounds); slices.Contains(shapes, true) {
+			t.Fatalf("round shapes %v, want the source shape throughout", shapes)
+		}
+		sc := eng.free[0]
+		if len(sc.src) != workers {
+			t.Errorf("workers=%d: %d source-shape workspaces, want %d", workers, len(sc.src), workers)
+		}
+		// A goroutine that stole no stream never sized its table.
+		for i, p := range sc.src {
+			if n := len(p.tdist); n != 0 && n != len(a)*msbfs.MaxLanes || slices.ContainsFunc(p.tdist, func(d int32) bool { return d != 0 }) {
+				t.Errorf("workers=%d: workspace %d: table of %d entries, not all zero; want %d zeros", workers, i, len(p.tdist), len(a)*msbfs.MaxLanes)
+			}
+		}
 	}
 }

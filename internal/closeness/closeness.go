@@ -274,6 +274,8 @@ type callScratch struct {
 	// equivalent to merging all-zero accumulators.
 	streams [sched.VirtualWorkers]*stream
 	active  [sched.VirtualWorkers]bool
+	src     []*sourcePass // one per goroutine running source-shape streams
+	srcNext atomic.Int32  // hands src passes to those goroutines
 	tgt     targetScratch
 }
 
@@ -322,17 +324,35 @@ func (e *Engine) release(sc *callScratch) {
 }
 
 // stream is one virtual worker's sample stream: a seeded RNG drawing
-// sources, cumulative accumulators, and the source shape's MS-BFS
-// traversal and per-target distance rows (both built on the stream's first
-// source-shape round, so target-shape-only calls never pay for them).
+// sources and cumulative accumulators. Its passes run on the workspace of
+// the goroutine that takes it (sourcePass, targetPass), so a stream holds
+// no traversal or table.
 type stream struct {
 	pcg   *rand.PCG
 	rng   *rand.Rand
-	trav  *msbfs.Traversal
 	local []stats.MeanVar // cumulative across rounds, reset per call
-	tdist []int32         // tdist[i*msbfs.MaxLanes+j]: dist(srcs[j], nodes[i])
-	srcs  [msbfs.MaxLanes]graph.Node
 	err   error
+}
+
+// sourcePass is one goroutine's source-shape workspace: an MS-BFS
+// traversal and the depth table, tdist[i*64+j] = dist(srcs[j], nodes[i]).
+// The table is all zeros between passes, so any stream can use any pass
+// and a call holds min(Workers, VirtualWorkers) tables, not one per stream.
+// Built on a call's first source-shape round, so target-shape-only calls
+// never pay for them.
+type sourcePass struct {
+	trav  *msbfs.Traversal
+	tdist []int32
+	srcs  [msbfs.MaxLanes]graph.Node
+}
+
+// sourcePasses returns the first workers pooled source-shape workspaces,
+// building the missing ones.
+func (sc *callScratch) sourcePasses(n, workers int) []*sourcePass {
+	for len(sc.src) < workers {
+		sc.src = append(sc.src, &sourcePass{trav: msbfs.New(n)})
+	}
+	return sc.src[:workers]
 }
 
 // resize returns s with length n, reusing the backing array when it fits.
@@ -367,16 +387,18 @@ func (sc *callScratch) activate(e *Engine, v int, seed0 int64, k int) *stream {
 }
 
 // sampleBatch draws count sources in RNG order and prices them against the
-// targets in MS-BFS batches of up to 64 lanes. The accumulator adds run
-// lane-by-lane (source order) with targets inner — element for element the
-// float sequence of the scalar one-BFS-per-sample loop, so the bits match.
-func (s *stream) sampleBatch(ctx context.Context, e *Engine, aIndex []int32, k int, stop *sched.Stop, count int64) {
+// targets in MS-BFS batches of up to 64 lanes on workspace p. Each pass
+// fills the target-major depth table, whose zero entries mean "the source
+// itself or unreached", and accumulate replays it one target row at a time.
+// On a whole-network call the passes and that replay are the whole cost;
+// DESIGN.md section 11 gives the measured split.
+func (s *stream) sampleBatch(ctx context.Context, e *Engine, p *sourcePass, aIndex []int32, k int, stop *sched.Stop, count int64) {
 	n := e.n
-	if s.trav == nil {
-		s.trav = msbfs.New(n)
-	}
-	s.tdist = resize(s.tdist, k*msbfs.MaxLanes)
-	tdist := s.tdist
+	// The table is all zeros between passes: fresh from make, or cleared
+	// row by row as accumulate consumes it (and whole on a failed pass).
+	// Shrinking k keeps that true of the backing array's tail.
+	p.tdist = resize(p.tdist, k*msbfs.MaxLanes)
+	tdist := p.tdist
 	onSettle := func(u graph.Node, lanes uint64, depth int32) {
 		ai := aIndex[u]
 		if ai < 0 {
@@ -392,30 +414,74 @@ func (s *stream) sampleBatch(ctx context.Context, e *Engine, aIndex []int32, k i
 		if L > msbfs.MaxLanes {
 			L = msbfs.MaxLanes
 		}
-		srcs := s.srcs[:L]
+		srcs := p.srcs[:L]
 		for j := range srcs {
 			srcs[j] = graph.Node(s.rng.IntN(n))
 		}
-		for i := range tdist {
-			tdist[i] = -1
-		}
-		if err := s.trav.RunCtx(ctx, e.off, e.nbr, srcs, stop, onSettle); err != nil {
+		if err := p.trav.RunCtx(ctx, e.off, e.nbr, srcs, stop, onSettle); err != nil {
+			clear(tdist)
 			s.err = err
 			return
 		}
-		// tdist[i][j] > 0 iff target i is reachable from source j and is not
-		// the source itself — exactly the scalar path's `v != u && dist[v] > 0`.
-		for j := 0; j < L; j++ {
-			for i := 0; i < k; i++ {
-				x := 0.0
-				if d := tdist[i*msbfs.MaxLanes+j]; d > 0 {
-					x = 1 / float64(d)
-				}
-				s.local[i].Add(x)
-			}
-		}
+		accumulate(s.local, tdist, L)
 		count -= int64(L)
 	}
+}
+
+// accumulate adds one pass's losses to the targets' accumulators and
+// clears the table behind it. tdist[i*64+j] is dist(srcs[j], nodes[i]),
+// or 0 for the source itself or an unreached target; lanes [L, 64) are
+// all 0. The loop is target-major: it reads each target's 64-entry row
+// once, in order, with four targets' accumulators live in registers so
+// their independent sum chains overlap. Only the order of the adds within
+// one accumulator decides its bits, and every target still takes its adds
+// in lane (draw) order -- element for element the float sequence of the
+// scalar one-BFS-per-sample loop.
+func accumulate(local []stats.MeanVar, tdist []int32, L int) {
+	const w = msbfs.MaxLanes
+	k := len(local)
+	i := 0
+	for ; i+4 <= k; i += 4 {
+		blk := tdist[i*w : (i+4)*w]
+		r0, r1, r2, r3 := blk[:L], blk[w:w+L], blk[2*w:2*w+L], blk[3*w:3*w+L]
+		m0, m1, m2, m3 := local[i], local[i+1], local[i+2], local[i+3]
+		for j, d := range r0 {
+			m0.Add(loss(d))
+			m1.Add(loss(r1[j]))
+			m2.Add(loss(r2[j]))
+			m3.Add(loss(r3[j]))
+		}
+		local[i], local[i+1], local[i+2], local[i+3] = m0, m1, m2, m3
+		clear(blk)
+	}
+	for ; i < k; i++ {
+		row := tdist[i*w : i*w+L]
+		m := local[i]
+		for _, d := range row {
+			m.Add(loss(d))
+		}
+		local[i] = m
+		clear(row)
+	}
+}
+
+// recip[d] = 1/float64(d), built by that very division, with recip[0] = 0.
+var recip = func() (r [256]float64) {
+	for d := 1; d < len(r); d++ {
+		r[d] = 1 / float64(d)
+	}
+	return r
+}()
+
+// loss is a sample's loss for a target at BFS depth d >= 0 from the
+// source: 1/d, or 0 when d is 0 (the source itself, or unreached). Small
+// depths read the memo, larger ones divide; both give the IEEE quotient,
+// so this is the one definition of the loss for both round shapes.
+func loss(d int32) float64 {
+	if uint32(d) < uint32(len(recip)) {
+		return recip[d]
+	}
+	return 1 / float64(d)
 }
 
 // batchParallel draws count samples split across the virtual-worker
@@ -464,7 +530,8 @@ func (e *Engine) batchParallel(ctx context.Context, sc *callScratch, opt Options
 }
 
 // sourceRound prices the round in the source shape: every stream runs its
-// own MS-BFS passes over its sampled sources (sampleBatch).
+// own MS-BFS passes over its sampled sources (sampleBatch), on the
+// workspace of the goroutine that took it.
 func (e *Engine) sourceRound(ctx context.Context, sc *callScratch, opt Options, stop *sched.Stop) error {
 	k := len(sc.nodes)
 	nv := sched.VirtualWorkers
@@ -474,6 +541,7 @@ func (e *Engine) sourceRound(ctx context.Context, sc *callScratch, opt Options, 
 		// polled before each stream. Skipping the generic work-stealing
 		// machinery (and its escaping closure) keeps the single-worker
 		// steady state allocation-free.
+		p := sc.sourcePasses(e.n, 1)[0]
 		for v := 0; v < nv; v++ {
 			if ctx.Err() != nil {
 				return &params.CanceledError{Cause: context.Cause(ctx)}
@@ -485,23 +553,30 @@ func (e *Engine) sourceRound(ctx context.Context, sc *callScratch, opt Options, 
 			if s.err != nil {
 				continue
 			}
-			s.sampleBatch(ctx, e, sc.aIndex, k, stop, quota[v])
+			s.sampleBatch(ctx, e, p, sc.aIndex, k, stop, quota[v])
 		}
-	} else if err := sched.DoCtx(ctx, nv, opt.Workers, func(v int) {
-		if quota[v] == 0 {
-			return
+	} else {
+		passes := sc.sourcePasses(e.n, min(opt.Workers, nv))
+		sc.srcNext.Store(0)
+		if err := sched.DoWithCtx(ctx, nv, len(passes),
+			func() *sourcePass { return passes[sc.srcNext.Add(1)-1] },
+			func(*sourcePass) {},
+			func(p *sourcePass, v int) {
+				if quota[v] == 0 {
+					return
+				}
+				s := sc.activate(e, v, opt.Seed, k)
+				if s.err != nil {
+					return // an earlier round aborted this stream; keep the first error
+				}
+				s.sampleBatch(ctx, e, p, sc.aIndex, k, stop, quota[v])
+			}); err != nil {
+			// All-or-nothing: a stream may have drawn while another never ran.
+			// The caller discards the whole estimate, so the polluted per-stream
+			// accumulators never surface (and release re-pools the scratch —
+			// streams re-seed on first use, so the pool is not poisoned).
+			return &params.CanceledError{Cause: err}
 		}
-		s := sc.activate(e, v, opt.Seed, k)
-		if s.err != nil {
-			return // an earlier round aborted this stream; keep the first error
-		}
-		s.sampleBatch(ctx, e, sc.aIndex, k, stop, quota[v])
-	}); err != nil {
-		// All-or-nothing: a stream may have drawn while another never ran.
-		// The caller discards the whole estimate, so the polluted per-stream
-		// accumulators never surface (and release re-pools the scratch —
-		// streams re-seed on first use, so the pool is not poisoned).
-		return &params.CanceledError{Cause: err}
 	}
 	for v := 0; v < nv; v++ {
 		s := sc.streams[v]
@@ -732,11 +807,7 @@ func (p *targetPass) run(ctx context.Context, e *Engine, sc *callScratch, b int,
 		for _, r := range ts.rows[sg.lo:sg.hi] {
 			row := table[int(r)*p.lanes:][:p.lanes]
 			for l, d := range row {
-				x := 0.0
-				if d > 0 {
-					x = 1 / float64(d)
-				}
-				local[l].Add(x)
+				local[l].Add(loss(d))
 			}
 		}
 	}

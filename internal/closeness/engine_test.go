@@ -21,13 +21,17 @@ import (
 // labels equal scalar BFS labels from either end, and every target's
 // accumulator adds run in the same source order, so the whole float
 // pipeline is replayed exactly. The cases beyond ba and road pin the round
-// shapes: one keeps the source shape throughout, two flip between doubling
+// shapes: four keep the source shape throughout, two flip between doubling
 // rounds, and one draws rounds whose source chunks straddle stream
-// boundaries.
+// boundaries. The source-shape cases cover the edges of its accumulate
+// loop: a target count off the interleave width, unreached (target, lane)
+// entries, which the depth table leaves 0, and passes of fewer than 64
+// lanes after a full one.
 func TestEngineMatchesLegacyBitwise(t *testing.T) {
 	old := runtime.GOMAXPROCS(8) // let the clamp keep multi-worker runs real
 	defer runtime.GOMAXPROCS(old)
 	ba, big := graph.BarabasiAlbert(400, 3, 6), graph.BarabasiAlbert(1200, 3, 6)
+	comps := disjointUnion(graph.BarabasiAlbert(1500, 3, 6), graph.BarabasiAlbert(1100, 3, 7))
 	for _, tc := range []struct {
 		name   string
 		g      *graph.Graph
@@ -40,6 +44,15 @@ func TestEngineMatchesLegacyBitwise(t *testing.T) {
 		// k = n = 1200: 19 target batches never undercut the 16 passes of a
 		// round of at most 1,024 samples.
 		{"source-shape", big, allNodes(big), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
+		// 1,199 targets: the last three rows take the one-target tail.
+		{"source-shape-tail", big, allNodes(big)[1:], Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
+		// Two components: every source leaves the other component's
+		// targets unreached in its lane.
+		{"source-shape-components", comps, allNodes(comps), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
+		// One round of 1,800 samples, 112 or 113 per stream: each stream
+		// runs a 64-lane pass, then one of 48 or 49 lanes, over 2,599
+		// targets on both components (41 batches against 32 passes).
+		{"source-shape-short-pass", comps, allNodes(comps)[1:], Options{Epsilon: 0.02, Delta: 0.05, Seed: 9, MaxSamples: 1800}, []bool{false}},
 		// The same targets at a tighter eps: rounds of 720 samples make 16
 		// source passes, but the third round's 1,440 need 32, so it flips
 		// to 19 target passes.
@@ -99,6 +112,20 @@ func roundShapes(k int, opt Options, rounds int) []bool {
 	return shapes
 }
 
+// disjointUnion returns the graphs side by side, the nodes of gs[i]
+// shifted past those of gs[:i], with no edge between them.
+func disjointUnion(gs ...*graph.Graph) *graph.Graph {
+	var edges []graph.Edge
+	n := 0
+	for _, g := range gs {
+		for _, e := range g.Edges() {
+			edges = append(edges, graph.Edge{U: e.U + graph.Node(n), V: e.V + graph.Node(n)})
+		}
+		n += g.NumNodes()
+	}
+	return graph.FromEdges(n, edges)
+}
+
 func allNodes(g *graph.Graph) []graph.Node {
 	return everyNth(g, 1)
 }
@@ -145,37 +172,61 @@ func TestEnginePoolReuse(t *testing.T) {
 
 // TestEngineFaultedCallDoesNotPoisonPool: a call killed by an injected
 // mid-traversal fault returns a typed error and leaves the engine's pooled
-// workspaces clean — the next call reproduces a fresh engine's bits.
+// workspaces clean — the next call reproduces a fresh engine's bits. In
+// the source shape the fault lands after a pass's first levels have
+// written depths, on a graph with two components, so a depth table left
+// dirty would read as distances to targets the next call never reaches.
 func TestEngineFaultedCallDoesNotPoisonPool(t *testing.T) {
 	defer faultinject.Reset()
-	g := graph.BarabasiAlbert(300, 3, 8)
-	eng := NewEngine(g)
-	a := []graph.Node{1, 5, 42, 250}
-	opt := Options{Epsilon: 0.05, Delta: 0.05, Seed: 4, Workers: 2}
+	ba := graph.BarabasiAlbert(300, 3, 8)
+	comps := disjointUnion(graph.BarabasiAlbert(800, 3, 8), graph.BarabasiAlbert(500, 3, 9))
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		a     []graph.Node
+		opt   Options
+		fault faultinject.Fault
+	}{
+		{"target-shape", ba, []graph.Node{1, 5, 42, 250}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 4, Workers: 2}, faultinject.Fault{Times: 1}},
+		// One worker and a seeded gate, so the fault lands at the same
+		// level every run: past a pass's first level, where a depth table
+		// left dirty changes the next call's bits.
+		{"source-shape", comps, allNodes(comps), Options{Epsilon: 0.2, Delta: 0.05, Seed: 4, Workers: 1}, faultinject.Fault{Times: 1, Prob: 0.2, Seed: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			eng := NewEngine(tc.g)
+			boom := errors.New("boom")
+			fault := tc.fault
+			fault.Err = boom
+			faultinject.Enable()
+			faultinject.Set("msbfs.run", fault)
+			// Another seed, so the checked call's passes root elsewhere and
+			// do not simply rewrite the depths the faulted pass left.
+			faulted := tc.opt
+			faulted.Seed++
+			if _, err := eng.Estimate(context.Background(), tc.a, faulted); !errors.Is(err, boom) {
+				t.Fatalf("faulted call: err = %v, want injected fault", err)
+			}
+			faultinject.Reset()
 
-	boom := errors.New("boom")
-	faultinject.Enable()
-	faultinject.Set("msbfs.run", faultinject.Fault{Err: boom, Times: 1})
-	if _, err := eng.Estimate(context.Background(), a, opt); !errors.Is(err, boom) {
-		t.Fatalf("faulted call: err = %v, want injected fault", err)
-	}
-	faultinject.Reset()
-
-	got, err := eng.Estimate(context.Background(), a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewEngine(g).Estimate(context.Background(), a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Samples != want.Samples {
-		t.Fatalf("samples %d != %d after faulted call", got.Samples, want.Samples)
-	}
-	for i := range want.Closeness {
-		if got.Closeness[i] != want.Closeness[i] {
-			t.Fatalf("Closeness[%d] = %v, want %v: pool poisoned by faulted call", i, got.Closeness[i], want.Closeness[i])
-		}
+			got, err := eng.Estimate(context.Background(), tc.a, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewEngine(tc.g).Estimate(context.Background(), tc.a, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Samples != want.Samples {
+				t.Fatalf("samples %d != %d after faulted call", got.Samples, want.Samples)
+			}
+			for i := range want.Closeness {
+				if got.Closeness[i] != want.Closeness[i] {
+					t.Fatalf("Closeness[%d] = %v, want %v: pool poisoned by faulted call", i, got.Closeness[i], want.Closeness[i])
+				}
+			}
+		})
 	}
 }
 

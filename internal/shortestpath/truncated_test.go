@@ -38,11 +38,12 @@ func TestRunTruncatedMatchesFull(t *testing.T) {
 					t.Fatalf("trial %d: Sigma[%d] = %g, want %g", trial, tgt, trunc.Sigma[tgt], full.Sigma[tgt])
 				}
 			}
-			// every node the truncated run settled at a level strictly below
-			// the cut must agree with the full run
+			// every node the truncated run settled agrees with the full run,
+			// Sigma included: ABRA's pair dependencies read both below t
 			for _, u := range trunc.Order {
-				if trunc.Dist[u] != full.Dist[u] {
-					t.Fatalf("trial %d: touched node %d Dist %d != full %d", trial, u, trunc.Dist[u], full.Dist[u])
+				if trunc.Dist[u] != full.Dist[u] || trunc.Sigma[u] != full.Sigma[u] {
+					t.Fatalf("trial %d: touched node %d Dist/Sigma %d/%g != full %d/%g", trial, u,
+						trunc.Dist[u], trunc.Sigma[u], full.Dist[u], full.Sigma[u])
 				}
 			}
 		}
