@@ -14,8 +14,11 @@ import (
 // the run arrays: NodeBlocks[u] is RunBlock over u's run range, Blocks
 // inverts it, and IsCut is "two or more runs". NodeBlocks alias RunBlock
 // and EdgeBlock / CompLabel / CompSize alias the section, so the only
-// allocations are the Blocks inversion and the IsCut bitmap — O(n + runs)
-// work versus the O(n + m) Hopcroft–Tarjan pass.
+// allocations are the Blocks inversion, the IsCut bitmap and one
+// block-owner stamp per block. The work is O(n + m + runs), one sequential
+// read of each section (the EdgeBlock cross-check reads every directed edge
+// once), where the Hopcroft–Tarjan DFS it replaces chases the adjacency in
+// visit order.
 //
 // The section is validated against the run arrays before use: the run
 // index must tile [0, runs) in order, every run's block id must be in
@@ -91,15 +94,21 @@ func NewDecompositionFromView(v *BlockCSR, numBlocks int64, edgeBlock, compLabel
 
 	// Cross-check EdgeBlock against the run layout: node u's CSR segment of
 	// EdgeBlock must assign exactly RunStart[j+1]-RunStart[j] edges to the
-	// block of each run j, and nothing to any other block. Runs per node are
-	// tiny (barely above 1 on real networks), so the inner scan is O(deg).
+	// block of each run j, and nothing to any other block. owner[b] = u+1
+	// stamps the blocks of u's runs (0 is no node), so each edge's block is
+	// checked in O(1) and the pass is O(n + m + runs) however many runs a
+	// hub cutpoint has. counts[b] is the edge budget u's run of b has left.
+	owner := make([]int32, numBlocks)
 	for u := 0; u < n; u++ {
 		lo, hi := v.RunOff[u], v.RunOff[u+1]
 		base := g.AdjOffset(graph.Node(u))
 		deg := int64(g.Degree(graph.Node(u)))
+		stamp := int32(u + 1)
 		remaining := int64(0)
 		for j := lo; j < hi; j++ {
-			counts[v.RunBlock[j]] = v.RunStart[j+1] - v.RunStart[j]
+			b := v.RunBlock[j]
+			owner[b] = stamp
+			counts[b] = v.RunStart[j+1] - v.RunStart[j]
 			remaining += v.RunStart[j+1] - v.RunStart[j]
 		}
 		if remaining != deg {
@@ -110,17 +119,10 @@ func NewDecompositionFromView(v *BlockCSR, numBlocks int64, edgeBlock, compLabel
 			if int64(b) < 0 || int64(b) >= numBlocks {
 				return nil, fmt.Errorf("bicomp: edge %d assigned to block %d outside [0,%d)", i, b, numBlocks)
 			}
-			ok := false
-			for j := lo; j < hi; j++ {
-				if v.RunBlock[j] == b {
-					ok = counts[b] > 0
-					counts[b]--
-					break
-				}
-			}
-			if !ok {
+			if owner[b] != stamp || counts[b] <= 0 {
 				return nil, fmt.Errorf("bicomp: node %d edge %d assigned to block %d, disagrees with run layout", u, i-base, b)
 			}
+			counts[b]--
 		}
 	}
 

@@ -197,8 +197,10 @@ func (o *OutReach) FlatR() []int64 {
 // NewOutReachFromFlat reconstructs the OutReach tables from a flattened R
 // table (FlatR) and the decomposition, in O(runs + n) — without the
 // block-cut-tree DP of NewOutReach. S/Q/W/WTotal and the cutpoint rNode
-// cache all derive from R. The r-values are validated with Claim 9 (the sum
-// over each block must equal its component's size), so a corrupt or
+// cache all derive from R; the rNode rows share one backing array and are
+// filled by a per-cutpoint cursor, so a cutpoint whose blocks are met out
+// of NodeBlocks order is an error. The r-values are validated with Claim 9
+// (the sum over each block must equal its component's size), so a corrupt or
 // mismatched section returns an error instead of silently poisoning every
 // downstream estimate; reconstruction from an intact section is
 // bitwise-identical to NewOutReach (tested).
@@ -218,6 +220,25 @@ func NewOutReachFromFlat(d *Decomposition, flat []int64) (*OutReach, error) {
 		W:     make([]int64, d.NumBlocks),
 		rNode: make([][]int64, len(d.NodeBlocks)),
 	}
+	// Every cutpoint's rNode row is a slice of one backing array, empty with
+	// room for one entry per block of the node. Its length is a cursor:
+	// blocks are visited in ascending id and NodeBlocks[v] ascends, so the
+	// next entry of v's row belongs to the block being visited.
+	var cutRuns int
+	for v, is := range d.IsCut {
+		if is {
+			cutRuns += len(d.NodeBlocks[v])
+		}
+	}
+	rBack := make([]int64, cutRuns)
+	at := 0
+	for v, is := range d.IsCut {
+		if is {
+			k := len(d.NodeBlocks[v])
+			o.rNode[v] = rBack[at : at : at+k]
+			at += k
+		}
+	}
 	off := 0
 	for b := 0; b < d.NumBlocks; b++ {
 		members := d.Blocks[b]
@@ -232,16 +253,11 @@ func NewOutReachFromFlat(d *Decomposition, flat []int64) (*OutReach, error) {
 			S += r
 			Q += r * r
 			if d.IsCut[v] {
-				if o.rNode[v] == nil {
-					o.rNode[v] = make([]int64, len(d.NodeBlocks[v]))
-					for k := range o.rNode[v] {
-						o.rNode[v][k] = 1
-					}
+				row, bs := o.rNode[v], d.NodeBlocks[v]
+				if k := len(row); k == len(bs) || bs[k] != int32(b) {
+					return nil, fmt.Errorf("bicomp: out-reach section: cutpoint %d is a member of block %d out of its run layout order", v, b)
 				}
-				bs := d.NodeBlocks[v]
-				if k := sort.Search(len(bs), func(i int) bool { return bs[i] >= int32(b) }); k < len(bs) && bs[k] == int32(b) {
-					o.rNode[v][k] = r
-				}
+				o.rNode[v] = append(row, r)
 			} else if r != 1 {
 				return nil, fmt.Errorf("bicomp: out-reach section: non-cutpoint %d has r = %d in block %d", v, r, b)
 			}

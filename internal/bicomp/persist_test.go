@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,11 +13,12 @@ import (
 	"saphyra/internal/graph"
 )
 
-// reseal recomputes the crc64 trailer over a mutated file image so content
-// mutations reach the section validators instead of tripping the open-time
-// checksum — the shape of corruption a buggy writer (not bit rot) produces.
+// reseal recomputes the checksum trailer over a mutated file image so
+// content mutations reach the section validators instead of tripping the
+// open-time checksum — the shape of corruption a buggy writer (not bit rot)
+// produces.
 func reseal(b []byte) {
-	binary.NativeEndian.PutUint64(b[len(b)-8:], crc64.Checksum(b[:len(b)-8], crcTable))
+	binary.NativeEndian.PutUint64(b[len(b)-8:], viewChecksum(b[:len(b)-8]))
 }
 
 func roundTrip(t *testing.T, v *BlockCSR) (*BlockCSR, func()) {
@@ -130,7 +130,7 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 		}
 	}
 	check("magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, "magic")
-	check("version", func(b []byte) []byte { b[8]++; return b }, "version")
+	check("version", func(b []byte) []byte { b[8]++; return b }, "version", "saphyra -save-view")
 	check("endian", func(b []byte) []byte { b[12], b[15] = b[15], b[12]; return b }, "endianness")
 	check("truncated", func(b []byte) []byte { return b[:len(b)-8] }, "truncated")
 	check("short", func(b []byte) []byte { return b[:20] }, "too short")
@@ -474,8 +474,34 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 	}
 	// The EdgeBlock table starts 16 bytes into the section, after the
 	// numBlocks/numComps prelude; CompLabel follows EdgeBlock.
-	sectionOff := decompOffset(int64(g.NumNodes()), g.NumEdges(), int64(len(v.RunBlock)))
-	labelOff := sectionOff + 16 + 2*g.NumEdges()*4
+	n, m := int64(g.NumNodes()), g.NumEdges()
+	sectionOff := decompOffset(n, m, int64(len(v.RunBlock)))
+	labelOff := sectionOff + 16 + 2*m*4
+	// RunBlock follows offsets, adj, Nbr, RNbr, NbrRun, Mate and RunOff.
+	runBlockOff := headerSize + (n+1)*8 + 3*(2*m*4) + 2*(2*m*8) + (n+1)*8
+	runStartOff := runBlockOff + 2*pad8(int64(len(v.RunBlock))*4) // after RunBlock and RunR
+	setEdgeBlock := func(b []byte, i int64, blk int32) {
+		binary.NativeEndian.PutUint32(b[sectionOff+16+4*i:], uint32(blk))
+	}
+	runs := func(u graph.Node) []int32 { return v.RunBlock[v.RunOff[u]:v.RunOff[u+1]] }
+	// twoRun is a cutpoint of the tree with exactly two runs, one edge each.
+	twoRun := graph.Node(-1)
+	for u := graph.Node(0); int64(u) < n && twoRun < 0; u++ {
+		if len(runs(u)) == 2 && g.Degree(u) == 2 {
+			twoRun = u
+		}
+	}
+	// stale is a node whose predecessor has two runs of one edge each, the
+	// first in a block stale is not in.
+	stale := graph.Node(-1)
+	for u := graph.Node(1); int64(u) < n && stale < 0; u++ {
+		if p := runs(u - 1); len(p) == 2 && g.Degree(u-1) == 2 && g.Degree(u) > 0 && !slices.Contains(runs(u), p[0]) {
+			stale = u
+		}
+	}
+	if twoRun < 0 || stale < 0 {
+		t.Fatal("test tree lacks a two-run cutpoint or a stale-owner candidate")
+	}
 	for _, tc := range []struct {
 		name, wantSub string
 		mutate        func(b []byte)
@@ -488,6 +514,40 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 		// the recount.
 		{"label", "component label", func(b []byte) {
 			binary.NativeEndian.PutUint32(b[labelOff:], uint32(len(v.D.CompSize)+7))
+		}},
+		// Over-count: the edge of twoRun's first run moved to its second
+		// run, so the second run's block gets two edges against a length
+		// of one.
+		{"overcount", "run layout", func(b []byte) {
+			i := g.AdjOffset(twoRun)
+			if v.D.EdgeBlock[i] != runs(twoRun)[0] {
+				i++
+			}
+			setEdgeBlock(b, i, runs(twoRun)[1])
+		}},
+		// Stale owner: an edge of stale given a valid block of the
+		// previous node's runs that is not one of stale's own. The
+		// previous node's runs are skewed to lengths 3 and -1, its two
+		// edges both in the first run's block, so it passes with a budget
+		// of one edge left in that block: only the owner stamp, not the
+		// count, can refuse stale's edge.
+		{"staleowner", "run layout", func(b []byte) {
+			prev := stale - 1
+			lo := v.RunOff[prev]
+			binary.NativeEndian.PutUint64(b[runStartOff+8*(lo+1):], uint64(v.RunStart[lo]+3))
+			for i := g.AdjOffset(prev); i < g.AdjOffset(prev)+2; i++ {
+				setEdgeBlock(b, i, runs(prev)[0])
+			}
+			setEdgeBlock(b, g.AdjOffset(stale), runs(prev)[0])
+		}},
+		// twoRun's two run blocks swapped: each run still matches its
+		// edge count, but the out-reach rebuild meets its blocks in
+		// ascending id and its cursor finds the other block.
+		{"cursor", "run layout", func(b []byte) {
+			at := runBlockOff + 4*v.RunOff[twoRun]
+			bs := runs(twoRun)
+			binary.NativeEndian.PutUint32(b[at:], uint32(bs[1]))
+			binary.NativeEndian.PutUint32(b[at+4:], uint32(bs[0]))
 		}},
 	} {
 		b := append([]byte(nil), good...)
