@@ -17,7 +17,7 @@
 //
 // Determinism: Decompose assigns block ids by a fixed DFS, so the
 // decomposition — and with it every view annotation and the view file's
-// decomposition and out-reach sections — is a pure function of the graph.
+// run arrays and decomposition section — is a pure function of the graph.
 // Two builds of one graph write the same bytes.
 package bicomp
 
@@ -32,19 +32,25 @@ import (
 // Decomposition is the result of biconnected-component decomposition of a
 // graph. Every edge belongs to exactly one block; every non-isolated node
 // belongs to at least one block; cutpoints belong to several.
+//
+// Block membership is held twice, as two flat CSR arrays over the same
+// (block, node) incidences: block-major (BlockOff, BlockNodes) and
+// node-major (NodeOff, NodeBlock). Block, NodeBlocks and IsCut read them. A
+// view's RunOff and RunBlock are the node-major pair: node v's runs are its
+// blocks, in the same order.
 type Decomposition struct {
 	G         *graph.Graph
 	NumBlocks int
 	// EdgeBlock maps each directed-edge CSR index (see graph.EdgeIndex) to
 	// the id of the block containing that edge.
 	EdgeBlock []int32
-	// Blocks[b] is the sorted list of nodes of block b.
-	Blocks [][]graph.Node
-	// NodeBlocks[v] is the sorted list of block ids containing node v.
-	// Isolated nodes have an empty list; cutpoints have two or more entries.
-	NodeBlocks [][]int32
-	// IsCut[v] reports whether v is a cutpoint.
-	IsCut []bool
+	// Block b's nodes, ascending, are BlockNodes[BlockOff[b]:BlockOff[b+1]].
+	BlockOff   []int64
+	BlockNodes []graph.Node
+	// Node v's block ids, ascending, are NodeBlock[NodeOff[v]:NodeOff[v+1]].
+	// Isolated nodes have none; cutpoints have two or more.
+	NodeOff   []int64
+	NodeBlock []int32
 	// CompLabel and CompSize describe connected components (graph package
 	// labeling); the out-reach machinery needs per-component sizes.
 	CompLabel []int32
@@ -53,6 +59,44 @@ type Decomposition struct {
 	// memoized per-block diameter upper bounds (see BlockDiameterUpperBound)
 	diamMu sync.Mutex
 	diamUB []int32
+}
+
+// Block returns the sorted nodes of block b.
+func (d *Decomposition) Block(b int32) []graph.Node {
+	lo, hi := d.BlockOff[b], d.BlockOff[b+1]
+	return d.BlockNodes[lo:hi:hi]
+}
+
+// NodeBlocks returns the sorted ids of the blocks containing node v.
+func (d *Decomposition) NodeBlocks(v graph.Node) []int32 {
+	lo, hi := d.NodeOff[v], d.NodeOff[v+1]
+	return d.NodeBlock[lo:hi:hi]
+}
+
+// IsCut reports whether v is a cutpoint: a node of two or more blocks.
+func (d *Decomposition) IsCut(v graph.Node) bool { return d.NodeOff[v+1]-d.NodeOff[v] >= 2 }
+
+// searchRuns returns the index k in [lo, hi) with blocks[k] == b, or -1.
+// blocks must ascend strictly over [lo, hi) — one node's run blocks, the
+// node-major NodeBlock range of Decomposition and BlockCSR.RunBlock alike.
+// The typical 1-3 entry list is scanned linearly (with early exit); hub
+// cutpoints bridging thousands of pendant blocks fall back to binary search.
+func searchRuns(blocks []int32, lo, hi int64, b int32) int64 {
+	if hi-lo <= 8 {
+		for j := lo; j < hi; j++ {
+			switch bb := blocks[j]; {
+			case bb == b:
+				return j
+			case bb > b:
+				return -1
+			}
+		}
+		return -1
+	}
+	if k, ok := slices.BinarySearch(blocks[lo:hi], b); ok {
+		return lo + int64(k)
+	}
+	return -1
 }
 
 type dfsFrame struct {
@@ -70,10 +114,9 @@ type halfEdge struct {
 func Decompose(g *graph.Graph) *Decomposition {
 	n := g.NumNodes()
 	d := &Decomposition{
-		G:          g,
-		EdgeBlock:  make([]int32, 2*g.NumEdges()),
-		NodeBlocks: make([][]int32, n),
-		IsCut:      make([]bool, n),
+		G:         g,
+		EdgeBlock: make([]int32, 2*g.NumEdges()),
+		BlockOff:  []int64{0},
 	}
 	for i := range d.EdgeBlock {
 		d.EdgeBlock[i] = -1
@@ -94,15 +137,15 @@ func Decompose(g *graph.Graph) *Decomposition {
 		stamp[i] = -1
 	}
 
+	// popBlock appends the next block, in id order, to the block-major CSR.
 	popBlock := func(u, v graph.Node) {
 		bid := int32(d.NumBlocks)
 		d.NumBlocks++
-		var members []graph.Node
+		start := len(d.BlockNodes)
 		addMember := func(x graph.Node) {
 			if stamp[x] != bid {
 				stamp[x] = bid
-				members = append(members, x)
-				d.NodeBlocks[x] = append(d.NodeBlocks[x], bid)
+				d.BlockNodes = append(d.BlockNodes, x)
 			}
 		}
 		for {
@@ -116,8 +159,8 @@ func Decompose(g *graph.Graph) *Decomposition {
 				break
 			}
 		}
-		slices.Sort(members)
-		d.Blocks = append(d.Blocks, members)
+		slices.Sort(d.BlockNodes[start:])
+		d.BlockOff = append(d.BlockOff, int64(len(d.BlockNodes)))
 	}
 
 	for start := 0; start < n; start++ {
@@ -173,9 +216,22 @@ func Decompose(g *graph.Graph) *Decomposition {
 		}
 	}
 
-	// Cutpoints are exactly the nodes in >= 2 blocks.
+	// Transpose to the node-major CSR: count, place, fill. Blocks are
+	// visited in ascending id, so each node's list comes out sorted.
+	d.NodeOff = make([]int64, n+1)
+	for _, x := range d.BlockNodes {
+		d.NodeOff[x+1]++
+	}
 	for v := 0; v < n; v++ {
-		d.IsCut[v] = len(d.NodeBlocks[v]) >= 2
+		d.NodeOff[v+1] += d.NodeOff[v]
+	}
+	d.NodeBlock = make([]int32, len(d.BlockNodes))
+	next := slices.Clone(d.NodeOff[:n])
+	for b := int32(0); int(b) < d.NumBlocks; b++ {
+		for _, x := range d.Block(b) {
+			d.NodeBlock[next[x]] = b
+			next[x]++
+		}
 	}
 	return d
 }
@@ -183,9 +239,9 @@ func Decompose(g *graph.Graph) *Decomposition {
 // Cutpoints returns the sorted list of cutpoints.
 func (d *Decomposition) Cutpoints() []graph.Node {
 	var cuts []graph.Node
-	for v, is := range d.IsCut {
-		if is {
-			cuts = append(cuts, graph.Node(v))
+	for v := graph.Node(0); int(v) < d.G.NumNodes(); v++ {
+		if d.IsCut(v) {
+			cuts = append(cuts, v)
 		}
 	}
 	return cuts
@@ -195,7 +251,7 @@ func (d *Decomposition) Cutpoints() []graph.Node {
 // or -1 if none exists. Two distinct blocks share at most one node, so the
 // common block is unique for s != t.
 func (d *Decomposition) CommonBlock(s, t graph.Node) int32 {
-	a, b := d.NodeBlocks[s], d.NodeBlocks[t]
+	a, b := d.NodeBlocks(s), d.NodeBlocks(t)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -221,7 +277,7 @@ func (d *Decomposition) BlockOfEdge(u, v graph.Node) int32 {
 }
 
 // BlockSize returns the number of nodes of block b.
-func (d *Decomposition) BlockSize(b int32) int { return len(d.Blocks[b]) }
+func (d *Decomposition) BlockSize(b int32) int { return int(d.BlockOff[b+1] - d.BlockOff[b]) }
 
 // blockBFS is a reusable, epoch-stamped workspace for BFS restricted to the
 // edges of one block.
@@ -278,7 +334,7 @@ func (w *blockBFS) run(d *Decomposition, b int32, source graph.Node) (ecc int32,
 func (d *Decomposition) BlockDiameter(b int32) int32 {
 	w := d.newBlockBFS()
 	var diam int32
-	for _, s := range d.Blocks[b] {
+	for _, s := range d.Block(b) {
 		if e, _ := w.run(d, b, s); e > diam {
 			diam = e
 		}
@@ -291,7 +347,7 @@ func (d *Decomposition) BlockDiameter(b int32) int32 {
 // passes, upper = 2 * eccentricity of the second source. upper >= true
 // diameter >= lower always.
 func (d *Decomposition) BlockDiameterBounds(b int32) (lo, hi int32) {
-	nodes := d.Blocks[b]
+	nodes := d.Block(b)
 	if len(nodes) <= 1 {
 		return 0, 0
 	}
@@ -323,10 +379,10 @@ func (d *Decomposition) BlockDiameterUpperBound(b int32) int32 {
 	}
 	d.diamMu.Unlock()
 	var v int32
-	switch {
-	case len(d.Blocks[b]) == 2:
+	switch size := d.BlockSize(b); {
+	case size == 2:
 		v = 1
-	case len(d.Blocks[b]) <= ExactDiameterMaxBlock:
+	case size <= ExactDiameterMaxBlock:
 		v = d.BlockDiameter(b)
 	default:
 		_, v = d.BlockDiameterBounds(b)
@@ -351,10 +407,12 @@ func (d *Decomposition) MaxBlockDiameterUpperBound() int32 {
 }
 
 // Validate checks decomposition invariants (every edge in exactly one block,
-// node block lists sorted and consistent). For tests and debugging.
+// both membership CSRs sorted and each the transpose of the other). For
+// tests and debugging.
 func (d *Decomposition) Validate() error {
 	g := d.G
-	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
+	n := g.NumNodes()
+	for u := graph.Node(0); int(u) < n; u++ {
 		base := g.AdjOffset(u)
 		for i, v := range g.Neighbors(u) {
 			b := d.EdgeBlock[base+int64(i)]
@@ -366,31 +424,29 @@ func (d *Decomposition) Validate() error {
 			}
 		}
 	}
-	for v, bs := range d.NodeBlocks {
+	if len(d.NodeOff) != n+1 || len(d.BlockOff) != d.NumBlocks+1 ||
+		len(d.NodeBlock) != len(d.BlockNodes) || d.NodeOff[n] != int64(len(d.NodeBlock)) ||
+		d.BlockOff[d.NumBlocks] != int64(len(d.BlockNodes)) {
+		return fmt.Errorf("bicomp: membership CSR shapes inconsistent")
+	}
+	for v := graph.Node(0); int(v) < n; v++ {
+		bs := d.NodeBlocks(v)
 		for i := 1; i < len(bs); i++ {
 			if bs[i-1] >= bs[i] {
-				return fmt.Errorf("bicomp: NodeBlocks[%d] not sorted", v)
+				return fmt.Errorf("bicomp: NodeBlocks(%d) not sorted", v)
 			}
 		}
-		if d.IsCut[v] != (len(bs) >= 2) {
-			return fmt.Errorf("bicomp: IsCut[%d]=%v inconsistent with %d blocks", v, d.IsCut[v], len(bs))
-		}
 	}
-	var total int
-	for b, members := range d.Blocks {
+	for b := int32(0); int(b) < d.NumBlocks; b++ {
+		members := d.Block(b)
 		if len(members) < 2 {
 			return fmt.Errorf("bicomp: block %d has %d nodes", b, len(members))
 		}
-		total += len(members)
-		for _, u := range members {
-			found := false
-			for _, bb := range d.NodeBlocks[u] {
-				if bb == int32(b) {
-					found = true
-					break
-				}
+		for i, u := range members {
+			if i > 0 && members[i-1] >= u {
+				return fmt.Errorf("bicomp: block %d members not sorted", b)
 			}
-			if !found {
+			if searchRuns(d.NodeBlock, d.NodeOff[u], d.NodeOff[u+1], b) < 0 {
 				return fmt.Errorf("bicomp: node %d missing block %d in NodeBlocks", u, b)
 			}
 		}

@@ -51,17 +51,11 @@ func TestDecomposePaperFig2(t *testing.T) {
 	}
 	wantCuts := []byte{'c', 'd', 'i'}
 	for _, name := range wantCuts {
-		if !d.IsCut[names[name]] {
+		if !d.IsCut(names[name]) {
 			t.Errorf("%c should be a cutpoint", name)
 		}
 	}
-	numCuts := 0
-	for _, is := range d.IsCut {
-		if is {
-			numCuts++
-		}
-	}
-	if numCuts != 3 {
+	if numCuts := len(d.Cutpoints()); numCuts != 3 {
 		t.Errorf("cutpoints = %d, want 3", numCuts)
 	}
 	// Block sizes: {5, 3, 2, 3, 2} in some order.
@@ -86,8 +80,8 @@ func TestDecomposeTree(t *testing.T) {
 	// Internal nodes are cutpoints, leaves are not.
 	for v := 0; v < g.NumNodes(); v++ {
 		wantCut := g.Degree(graph.Node(v)) > 1
-		if d.IsCut[v] != wantCut {
-			t.Errorf("node %d (deg %d): IsCut = %v", v, g.Degree(graph.Node(v)), d.IsCut[v])
+		if d.IsCut(graph.Node(v)) != wantCut {
+			t.Errorf("node %d (deg %d): IsCut = %v", v, g.Degree(graph.Node(v)), d.IsCut(graph.Node(v)))
 		}
 	}
 }
@@ -140,7 +134,7 @@ func TestDecomposeDisconnected(t *testing.T) {
 	if d.NumBlocks != 2 {
 		t.Fatalf("blocks = %d, want 2", d.NumBlocks)
 	}
-	if len(d.NodeBlocks[3]) != 0 || len(d.NodeBlocks[6]) != 0 {
+	if len(d.NodeBlocks(3)) != 0 || len(d.NodeBlocks(6)) != 0 {
 		t.Error("isolated nodes should belong to no block")
 	}
 }
@@ -157,8 +151,8 @@ func TestCutpointsMatchBruteForce(t *testing.T) {
 		}
 		brute := testutil.BruteCutpoints(g)
 		for v := 0; v < n; v++ {
-			if d.IsCut[v] != brute[v] {
-				t.Logf("seed %d: node %d IsCut=%v brute=%v", seed, v, d.IsCut[v], brute[v])
+			if d.IsCut(graph.Node(v)) != brute[v] {
+				t.Logf("seed %d: node %d IsCut=%v brute=%v", seed, v, d.IsCut(graph.Node(v)), brute[v])
 				return false
 			}
 		}

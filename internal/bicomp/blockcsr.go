@@ -27,13 +27,14 @@ import (
 //
 // Memory: 24 bytes per directed edge (Nbr + RNbr at 4 each, NbrRun + Mate
 // at 8 each — 48m bytes total) plus ~24 bytes per run; the number of runs
-// is sum_u |NodeBlocks[u]| <= n + (cutpoint memberships), i.e. barely
+// is sum_u |NodeBlocks(u)| <= n + (cutpoint memberships), i.e. barely
 // above n for real networks.
 //
 // A BlockCSR is built either in memory by NewBlockCSR or opened zero-copy
 // from a serialized file by OpenMapped (see persist.go). Either way it
 // carries its validated decomposition and out-reach tables: OpenMapped
-// rebuilds both from the file's sections before it returns.
+// rebuilds both from the file's decomposition section and run arrays
+// before it returns.
 type BlockCSR struct {
 	G *graph.Graph
 	D *Decomposition
@@ -65,17 +66,16 @@ type BlockCSR struct {
 	RunDegSum []int64
 }
 
-// NewBlockCSR builds the view in O(n + m) time. The per-node block lists of
-// d are already sorted, so runs come out in ascending block order and the
+// NewBlockCSR builds the view in O(n + m) time. The run index is the
+// decomposition's node-major membership CSR and RunR its r column: RunOff,
+// RunBlock and RunR alias d.NodeOff, d.NodeBlock and o.NodeR. Each node's
+// blocks ascend, so its runs come out in ascending block order and the
 // in-CSR-order fill keeps neighbors sorted within each run.
 func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 	g := d.G
 	n := g.NumNodes()
 	m2 := int64(2 * g.NumEdges())
-	var runs int64
-	for _, bs := range d.NodeBlocks {
-		runs += int64(len(bs))
-	}
+	runs := int64(len(d.NodeBlock))
 	v := &BlockCSR{
 		G:         g,
 		D:         d,
@@ -84,9 +84,9 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 		RNbr:      make([]int32, m2),
 		NbrRun:    make([]int64, m2),
 		Mate:      make([]int64, m2),
-		RunOff:    make([]int64, n+1),
-		RunBlock:  make([]int32, runs),
-		RunR:      make([]int32, runs),
+		RunOff:    d.NodeOff,
+		RunBlock:  d.NodeBlock,
+		RunR:      o.NodeR,
 		RunStart:  make([]int64, runs+1),
 		RunDegSum: make([]int64, runs),
 	}
@@ -101,10 +101,9 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 	runOf := make([]int64, m2)
 	var cnt, cursor []int64
 
-	var run int64
 	for u := 0; u < n; u++ {
-		v.RunOff[u] = run
-		bs := d.NodeBlocks[u]
+		run := v.RunOff[u]
+		bs := d.NodeBlocks(graph.Node(u))
 		if len(bs) == 0 {
 			continue // isolated node: no edges, no runs
 		}
@@ -115,8 +114,6 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 		cnt = cnt[:len(bs)]
 		cursor = cursor[:len(bs)]
 		for k, b := range bs {
-			v.RunBlock[run+int64(k)] = b
-			v.RunR[run+int64(k)] = int32(o.Of(b, graph.Node(u)))
 			blockPos[b] = int32(k)
 			cnt[k] = 0
 		}
@@ -142,10 +139,8 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 			runOf[p] = run + int64(k)
 			v.RunDegSum[run+int64(k)] += int64(g.Degree(w))
 		}
-		run += int64(len(bs))
 	}
-	v.RunOff[n] = run
-	v.RunStart[run] = m2
+	v.RunStart[runs] = m2
 
 	// Reciprocal pass: for grouped edge p = (u -> w), locate the reverse
 	// edge (w -> u) via the sorted original adjacency and record its grouped
@@ -193,27 +188,9 @@ func (v *BlockCSR) RunEdges(j int64) (lo, hi int64) {
 }
 
 // FindRun returns the run index of node u for block b, or -1 if u has no
-// edges in b. Runs are sorted by block id: the typical 1-3 entry list is
-// scanned linearly (with early exit), hub cutpoints bridging thousands of
-// pendant blocks fall back to binary search.
+// edges in b (see searchRuns).
 func (v *BlockCSR) FindRun(u graph.Node, b int32) int64 {
-	lo, hi := v.RunOff[u], v.RunOff[u+1]
-	if hi-lo <= 8 {
-		for j := lo; j < hi; j++ {
-			switch bb := v.RunBlock[j]; {
-			case bb == b:
-				return j
-			case bb > b:
-				return -1
-			}
-		}
-		return -1
-	}
-	blocks := v.RunBlock[lo:hi]
-	if k, ok := slices.BinarySearch(blocks, b); ok {
-		return lo + int64(k)
-	}
-	return -1
+	return searchRuns(v.RunBlock, v.RunOff[u], v.RunOff[u+1], b)
 }
 
 // Validate checks the view's invariants. For tests and debugging.
@@ -222,67 +199,32 @@ func (v *BlockCSR) FindRun(u graph.Node, b int32) int64 {
 // ascending block order, grouped adjacency is a per-node permutation of the
 // graph's, the NbrRun/Mate reciprocal index round-trips, per-edge
 // r-annotations agree with the reciprocal run's owner annotation, and
-// RunDegSum matches the graph. Every annotation is then cross-checked
-// against the view's decomposition (EdgeBlock) and out-reach (OutReach.Of).
+// RunDegSum matches the graph. The view is then cross-checked against its
+// decomposition and out-reach: the run index and RunR are D's node-major
+// membership CSR and O's r column, and each grouped edge's run block and
+// reciprocal run agree with EdgeBlock and the run search.
 func (v *BlockCSR) Validate() error {
 	if err := v.validateStructure(); err != nil {
 		return err
 	}
 	g, d, o := v.G, v.D, v.O
-	n := g.NumNodes()
-	if got, want := v.RunOff[n], int64(len(v.RunBlock)); got != want {
-		return fmt.Errorf("bicomp: RunOff[n] = %d, want %d runs", got, want)
+	if !slices.Equal(v.RunOff, d.NodeOff) || !slices.Equal(v.RunBlock, d.NodeBlock) || !slices.Equal(v.RunR, o.NodeR) {
+		return fmt.Errorf("bicomp: run arrays differ from the decomposition's node-major membership and r column")
 	}
-	if got, want := v.RunStart[len(v.RunStart)-1], int64(2*g.NumEdges()); got != want {
-		return fmt.Errorf("bicomp: RunStart sentinel = %d, want 2m = %d", got, want)
-	}
-	for u := graph.Node(0); int(u) < n; u++ {
+	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
 		lo, hi := v.Runs(u)
-		if int(hi-lo) != len(d.NodeBlocks[u]) {
-			return fmt.Errorf("bicomp: node %d has %d runs, want %d blocks", u, hi-lo, len(d.NodeBlocks[u]))
-		}
-		if lo < hi && v.RunStart[lo] != g.AdjOffset(u) {
-			return fmt.Errorf("bicomp: node %d first run starts at %d, want %d", u, v.RunStart[lo], g.AdjOffset(u))
-		}
-		var degSeen int64
 		for j := lo; j < hi; j++ {
 			b := v.RunBlock[j]
-			if b != d.NodeBlocks[u][j-lo] {
-				return fmt.Errorf("bicomp: node %d run %d block %d != NodeBlocks %d", u, j-lo, b, d.NodeBlocks[u][j-lo])
-			}
-			if int64(v.RunR[j]) != o.Of(b, u) {
-				return fmt.Errorf("bicomp: node %d block %d RunR %d != Of %d", u, b, v.RunR[j], o.Of(b, u))
-			}
 			elo, ehi := v.RunEdges(j)
-			var degSum int64
 			for i := elo; i < ehi; i++ {
 				w := v.Nbr[i]
-				if i > elo && v.Nbr[i-1] >= w {
-					return fmt.Errorf("bicomp: node %d run of block %d not sorted", u, b)
-				}
 				if got := d.BlockOfEdge(u, w); got != b {
 					return fmt.Errorf("bicomp: edge (%d,%d) grouped under block %d, EdgeBlock says %d", u, w, b, got)
 				}
-				if int64(v.RNbr[i]) != o.Of(b, w) {
-					return fmt.Errorf("bicomp: edge (%d,%d) RNbr %d != Of %d", u, w, v.RNbr[i], o.Of(b, w))
+				if want := v.FindRun(w, b); v.NbrRun[i] != want {
+					return fmt.Errorf("bicomp: edge (%d,%d) NbrRun %d != %d", u, w, v.NbrRun[i], want)
 				}
-				jr := v.NbrRun[i]
-				if want := v.FindRun(w, b); jr != want {
-					return fmt.Errorf("bicomp: edge (%d,%d) NbrRun %d != %d", u, w, jr, want)
-				}
-				mate := v.Mate[i]
-				if mate < v.RunStart[jr] || mate >= v.RunStart[jr+1] || v.Nbr[mate] != u {
-					return fmt.Errorf("bicomp: edge (%d,%d) Mate %d does not point back at %d", u, w, mate, u)
-				}
-				degSum += int64(g.Degree(w))
 			}
-			if degSum != v.RunDegSum[j] {
-				return fmt.Errorf("bicomp: node %d block %d RunDegSum %d != %d", u, b, v.RunDegSum[j], degSum)
-			}
-			degSeen += ehi - elo
-		}
-		if degSeen != int64(g.Degree(u)) {
-			return fmt.Errorf("bicomp: node %d runs cover %d edges, degree %d", u, degSeen, g.Degree(u))
 		}
 	}
 	return nil

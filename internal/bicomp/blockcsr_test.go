@@ -61,7 +61,7 @@ func TestBlockCSRFindRun(t *testing.T) {
 	v := buildView(t, g)
 	d := v.D
 	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		for _, b := range d.NodeBlocks[u] {
+		for _, b := range d.NodeBlocks(u) {
 			j := v.FindRun(u, b)
 			if j < 0 {
 				t.Fatalf("node %d block %d: FindRun returned -1", u, b)
@@ -84,7 +84,7 @@ func TestBlockCSRMatchesEdgeBlockScan(t *testing.T) {
 	d := v.D
 	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
 		base := g.AdjOffset(u)
-		for _, b := range d.NodeBlocks[u] {
+		for _, b := range d.NodeBlocks(u) {
 			var want []graph.Node
 			for i, w := range g.Neighbors(u) {
 				if d.EdgeBlock[base+int64(i)] == b {

@@ -6,123 +6,117 @@ import (
 	"saphyra/internal/graph"
 )
 
-// NewDecompositionFromView reconstructs the Decomposition of a view from
-// the file's decomposition section (persist.go flag bit 3) without
-// rerunning the Decompose DFS. The section carries what the view's own
-// arrays cannot reproduce — the block count, the per-directed-edge block
-// map, and the connected-component labeling; everything else derives from
-// the run arrays: NodeBlocks[u] is RunBlock over u's run range, Blocks
-// inverts it, and IsCut is "two or more runs". NodeBlocks alias RunBlock
-// and EdgeBlock / CompLabel / CompSize alias the section, so the only
-// allocations are the Blocks inversion, the IsCut bitmap and one
-// block-owner stamp per block. The work is O(n + m + runs), one sequential
-// read of each section (the EdgeBlock cross-check reads every directed edge
-// once), where the Hopcroft–Tarjan DFS it replaces chases the adjacency in
-// visit order.
+// openTables rebuilds a view's decomposition and out-reach tables from the
+// file's decomposition section (persist.go flag bit 3) and the run arrays,
+// without rerunning the Decompose DFS or the NewOutReach block-cut-tree DP.
+// The section carries what the view's own arrays cannot reproduce: the
+// block count, the per-directed-edge block map and the connected-component
+// labeling. Everything else is the run index. D's node-major membership
+// CSR (NodeOff, NodeBlock) and O's node-major r column alias RunOff,
+// RunBlock and RunR; one inversion fills the block-major CSR (BlockOff,
+// BlockNodes) and r column from them. EdgeBlock, CompLabel and CompSize
+// alias the section. The work is O(n + m + runs), one sequential read of
+// each section, and the heap it allocates is O(runs + blocks + components):
+// nothing per node.
 //
-// The section is validated against the run arrays before use: the run
-// index must tile [0, runs) in order, every run's block id must be in
-// range, no block may be empty, each node's per-block edge counts in
-// EdgeBlock must match its run lengths, and the component labeling must
-// recount to CompSize exactly. Any mismatch is an error — OpenMapped then
-// rejects the file.
-func NewDecompositionFromView(v *BlockCSR, numBlocks int64, edgeBlock, compLabel []int32, compSize []int64) (*Decomposition, error) {
+// Every array is checked before it is sliced or trusted, and any mismatch
+// is an error (OpenMapped then rejects the file):
+//   - the run index tiles [0, runs) in order;
+//   - each node's runs tile its CSR segment: the first starts at the
+//     node's adjacency offset, every run has positive length, the last
+//     ends at the next node's offset, and the run blocks ascend strictly
+//     and lie in [0, numBlocks);
+//   - each node's EdgeBlock entries give every run's block exactly the
+//     run's length and no other block anything;
+//   - no block is empty, and the component labeling recounts to CompSize;
+//   - every r is at least 1, exactly 1 at a non-cutpoint, and each block's
+//     r values sum to its component's size (Claim 9).
+func (v *BlockCSR) openTables(numBlocks int64, edgeBlock, compLabel []int32, compSize []int64) error {
 	g := v.G
 	n := g.NumNodes()
 	m2 := int64(2 * g.NumEdges())
 	if int64(len(edgeBlock)) != m2 || len(compLabel) != n {
-		return nil, fmt.Errorf("bicomp: decomposition section shape mismatch (%d edge blocks for 2m = %d, %d labels for n = %d)",
+		return fmt.Errorf("bicomp: decomposition section shape mismatch (%d edge blocks for 2m = %d, %d labels for n = %d)",
 			len(edgeBlock), m2, len(compLabel), n)
 	}
 	runs := int64(len(v.RunBlock))
 	if numBlocks < 0 || numBlocks > runs {
-		return nil, fmt.Errorf("bicomp: implausible block count %d for %d runs", numBlocks, runs)
+		return fmt.Errorf("bicomp: implausible block count %d for %d runs", numBlocks, runs)
 	}
-	// The run index is sliced below; check it tiles [0, runs) in order
-	// first, so a bad RunOff is an error rather than a bounds panic.
 	if len(v.RunOff) != n+1 || v.RunOff[0] != 0 || v.RunOff[n] != runs {
-		return nil, fmt.Errorf("bicomp: run index does not span [0, %d)", runs)
-	}
-	for u := 0; u < n; u++ {
-		if v.RunOff[u] > v.RunOff[u+1] {
-			return nil, fmt.Errorf("bicomp: run index not monotone at node %d", u)
-		}
+		return fmt.Errorf("bicomp: run index does not span [0, %d)", runs)
 	}
 
-	// Invert the runs into Blocks: count, place, fill. Nodes are visited in
-	// ascending order, so each member list comes out sorted exactly as
-	// Decompose emits it. The same pass rejects out-of-range and empty
-	// blocks.
-	counts := make([]int64, numBlocks)
-	for _, b := range v.RunBlock {
-		if int64(b) < 0 || int64(b) >= numBlocks {
-			return nil, fmt.Errorf("bicomp: run block id %d outside [0,%d)", b, numBlocks)
-		}
-		counts[b]++
-	}
-	for b, c := range counts {
-		if c == 0 {
-			return nil, fmt.Errorf("bicomp: serialized block %d has no members", b)
-		}
-	}
-	members := make([]graph.Node, len(v.RunBlock))
-	blocks := make([][]graph.Node, numBlocks)
-	var at int64
-	for b := range blocks {
-		blocks[b] = members[at : at : at+counts[b]]
-		at += counts[b]
-	}
-	d := &Decomposition{
-		G:          g,
-		NumBlocks:  int(numBlocks),
-		EdgeBlock:  edgeBlock,
-		Blocks:     blocks,
-		NodeBlocks: make([][]int32, n),
-		IsCut:      make([]bool, n),
-		CompLabel:  compLabel,
-		CompSize:   compSize,
-	}
+	// One pass over the nodes checks each node's runs, then its EdgeBlock
+	// entries against them. blockOff[b+1] counts block b's members.
+	// budget[b] is the edge budget of the current node's run of b: set from
+	// the run's length, spent one per edge. The runs' lengths are positive
+	// and sum to the degree, so a node that passes spends every budget to
+	// zero, and a block that is not one of the node's runs has none left:
+	// one array read per edge, however many runs a hub cutpoint has.
+	blockOff := make([]int64, numBlocks+1)
+	budget := make([]int64, numBlocks)
 	for u := 0; u < n; u++ {
 		lo, hi := v.RunOff[u], v.RunOff[u+1]
-		d.NodeBlocks[u] = v.RunBlock[lo:hi:hi]
-		d.IsCut[u] = hi-lo >= 2
-		for j := lo; j < hi; j++ {
-			b := v.RunBlock[j]
-			blocks[b] = append(blocks[b], graph.Node(u))
+		if lo > hi || hi > runs {
+			return fmt.Errorf("bicomp: run index not monotone at node %d", u)
 		}
-	}
-
-	// Cross-check EdgeBlock against the run layout: node u's CSR segment of
-	// EdgeBlock must assign exactly RunStart[j+1]-RunStart[j] edges to the
-	// block of each run j, and nothing to any other block. owner[b] = u+1
-	// stamps the blocks of u's runs (0 is no node), so each edge's block is
-	// checked in O(1) and the pass is O(n + m + runs) however many runs a
-	// hub cutpoint has. counts[b] is the edge budget u's run of b has left.
-	owner := make([]int32, numBlocks)
-	for u := 0; u < n; u++ {
-		lo, hi := v.RunOff[u], v.RunOff[u+1]
 		base := g.AdjOffset(graph.Node(u))
 		deg := int64(g.Degree(graph.Node(u)))
-		stamp := int32(u + 1)
-		remaining := int64(0)
+		end := base
 		for j := lo; j < hi; j++ {
 			b := v.RunBlock[j]
-			owner[b] = stamp
-			counts[b] = v.RunStart[j+1] - v.RunStart[j]
-			remaining += v.RunStart[j+1] - v.RunStart[j]
+			if int64(b) < 0 || int64(b) >= numBlocks {
+				return fmt.Errorf("bicomp: run block id %d outside [0,%d)", b, numBlocks)
+			}
+			if j > lo && v.RunBlock[j-1] >= b {
+				return fmt.Errorf("bicomp: node %d run layout: run blocks not strictly ascending", u)
+			}
+			if v.RunStart[j] != end || v.RunStart[j+1] <= end {
+				return fmt.Errorf("bicomp: node %d run layout: run %d spans [%d, %d), not a nonempty run from %d",
+					u, j-lo, v.RunStart[j], v.RunStart[j+1], end)
+			}
+			end = v.RunStart[j+1]
+			if r := v.RunR[j]; r < 1 || (hi-lo == 1 && r != 1) {
+				return fmt.Errorf("bicomp: node %d has r = %d in block %d (want >= 1, and 1 at a non-cutpoint)", u, r, b)
+			}
+			blockOff[b+1]++
+			budget[b] = v.RunStart[j+1] - v.RunStart[j]
 		}
-		if remaining != deg {
-			return nil, fmt.Errorf("bicomp: node %d runs cover %d edges, degree %d", u, remaining, deg)
+		if end != base+deg {
+			return fmt.Errorf("bicomp: node %d runs cover %d edges, degree %d", u, end-base, deg)
 		}
 		for i := base; i < base+deg; i++ {
 			b := edgeBlock[i]
 			if int64(b) < 0 || int64(b) >= numBlocks {
-				return nil, fmt.Errorf("bicomp: edge %d assigned to block %d outside [0,%d)", i, b, numBlocks)
+				return fmt.Errorf("bicomp: edge %d assigned to block %d outside [0,%d)", i, b, numBlocks)
 			}
-			if owner[b] != stamp || counts[b] <= 0 {
-				return nil, fmt.Errorf("bicomp: node %d edge %d assigned to block %d, disagrees with run layout", u, i-base, b)
+			if budget[b] <= 0 {
+				return fmt.Errorf("bicomp: node %d edge %d assigned to block %d, disagrees with run layout", u, i-base, b)
 			}
-			counts[b]--
+			budget[b]--
+		}
+	}
+
+	// Invert the runs into the block-major CSR: place, then fill with
+	// budget, now all zero, as the per-block cursor. Nodes are visited in
+	// ascending order, so each block's members come out sorted exactly as
+	// Decompose emits them.
+	for b := int64(0); b < numBlocks; b++ {
+		if blockOff[b+1] == 0 {
+			return fmt.Errorf("bicomp: serialized block %d has no members", b)
+		}
+		blockOff[b+1] += blockOff[b]
+	}
+	copy(budget, blockOff)
+	blockNodes := make([]graph.Node, runs)
+	blockR := make([]int32, runs)
+	for u := 0; u < n; u++ {
+		for j := v.RunOff[u]; j < v.RunOff[u+1]; j++ {
+			p := &budget[v.RunBlock[j]]
+			blockNodes[*p] = graph.Node(u)
+			blockR[*p] = v.RunR[j]
+			*p++
 		}
 	}
 
@@ -130,14 +124,32 @@ func NewDecompositionFromView(v *BlockCSR, numBlocks int64, edgeBlock, compLabel
 	recount := make([]int64, len(compSize))
 	for u, c := range compLabel {
 		if c < 0 || int(c) >= len(compSize) {
-			return nil, fmt.Errorf("bicomp: node %d component label %d outside [0,%d)", u, c, len(compSize))
+			return fmt.Errorf("bicomp: node %d component label %d outside [0,%d)", u, c, len(compSize))
 		}
 		recount[c]++
 	}
 	for c, got := range recount {
 		if got != compSize[c] {
-			return nil, fmt.Errorf("bicomp: component %d recounts to %d nodes, section says %d", c, got, compSize[c])
+			return fmt.Errorf("bicomp: component %d recounts to %d nodes, section says %d", c, got, compSize[c])
 		}
 	}
-	return d, nil
+
+	d := &Decomposition{
+		G:          g,
+		NumBlocks:  int(numBlocks),
+		EdgeBlock:  edgeBlock,
+		BlockOff:   blockOff,
+		BlockNodes: blockNodes,
+		NodeOff:    v.RunOff,
+		NodeBlock:  v.RunBlock,
+		CompLabel:  compLabel,
+		CompSize:   compSize,
+	}
+	o := &OutReach{D: d, R: blockR, NodeR: v.RunR}
+	o.sum()
+	if err := o.CheckClaim9(); err != nil {
+		return err
+	}
+	v.D, v.O = d, o
+	return nil
 }

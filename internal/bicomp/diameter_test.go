@@ -44,14 +44,14 @@ func TestBlockDiameterUpperBoundIsUpperBound(t *testing.T) {
 				t.Fatalf("graph %d block %d: double sweep (%d, %d) excludes exact %d", gi, b, lo, hi, exact)
 			}
 			want := exact
-			if size := len(d.Blocks[b]); size > ExactDiameterMaxBlock {
+			if size := d.BlockSize(b); size > ExactDiameterMaxBlock {
 				want = hi
 				sweptBlocks++
 			} else if size > 2 {
 				exactBlocks++
 			}
 			if ub := d.BlockDiameterUpperBound(b); ub != want {
-				t.Fatalf("graph %d block %d (%d nodes): upper bound %d, want %d", gi, b, len(d.Blocks[b]), ub, want)
+				t.Fatalf("graph %d block %d (%d nodes): upper bound %d, want %d", gi, b, d.BlockSize(b), ub, want)
 			}
 		}
 	}

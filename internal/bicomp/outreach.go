@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"saphyra/internal/graph"
@@ -28,18 +27,16 @@ import (
 //	bca(v) = sum_{C_i contains v} (S_i - r_i(v)) (r_i(v) - 1) / (n(n-1)).
 type OutReach struct {
 	D *Decomposition
-	// R[b][j] = r_b(v) for v = D.Blocks[b][j].
-	R [][]int64
+	// The r values as two columns over the membership CSRs of D:
+	// R[k] = r_b(D.BlockNodes[k]) in block-major order (BlockR(b) is block
+	// b's slice), NodeR[k] = r_b(v) for b = D.NodeBlock[k] in node-major
+	// order. Non-cutpoints always have r = 1. A view's RunR is NodeR.
+	R, NodeR []int32
 	// S[b], Q[b], W[b] as defined above. W[b] = S[b]^2 - Q[b].
 	S, Q, W []int64
 	// WTotal = sum_b W[b] as float64 (can exceed int64 for path-like graphs
 	// at extreme scale).
 	WTotal float64
-	// rNode[v][k] = r_b(v) for b = D.NodeBlocks[v][k]; allocated only for
-	// cutpoints (non-cutpoints always have r = 1). A short cache-local scan
-	// of NodeBlocks[v] replaces the map lookup Of() used to do — Of sits on
-	// the hot path of both the exact 2-hop phase and the sampler tables.
-	rNode [][]int64
 
 	// seenPool recycles the epoch-stamped block-dedup scratch of BlocksOf
 	// (called with A = V by full-network ranking).
@@ -49,46 +46,41 @@ type OutReach struct {
 // NewOutReach computes all out-reach quantities in O(n + total block size)
 // using a weighted DP over the block-cut tree.
 func NewOutReach(d *Decomposition) *OutReach {
-	o := &OutReach{
-		D:     d,
-		R:     make([][]int64, d.NumBlocks),
-		S:     make([]int64, d.NumBlocks),
-		Q:     make([]int64, d.NumBlocks),
-		W:     make([]int64, d.NumBlocks),
-		rNode: make([][]int64, len(d.NodeBlocks)),
-	}
-
-	// Build the block-cut tree. Tree nodes: blocks [0, L), then cutpoints
-	// [L, L+C). Each tree node carries a vertex weight: a block's weight is
+	// The block-cut tree. Tree nodes: blocks [0, L), then cutpoints
+	// [L, L+C). Its edges are the memberships of cutpoints, read from D's
+	// two CSRs. Each tree node carries a vertex weight: a block's weight is
 	// the number of its non-cutpoint vertices; a cutpoint's weight is 1.
 	// Subtree weight sums then count distinct graph vertices exactly once.
 	L := d.NumBlocks
-	cutIndex := make(map[graph.Node]int32)
-	var cuts []graph.Node
-	for v, is := range d.IsCut {
-		if is {
-			cutIndex[graph.Node(v)] = int32(L + len(cuts))
-			cuts = append(cuts, graph.Node(v))
-		}
+	cutIndex := make([]int32, d.G.NumNodes())
+	cuts := d.Cutpoints()
+	for i, v := range cuts {
+		cutIndex[v] = int32(L + i)
 	}
 	T := L + len(cuts)
-	weight := make([]int64, T)
-	treeAdj := make([][]int32, T)
-	for b := 0; b < L; b++ {
-		w := int64(len(d.Blocks[b]))
-		for _, v := range d.Blocks[b] {
-			if d.IsCut[v] {
-				w--
-				c := cutIndex[v]
-				treeAdj[b] = append(treeAdj[b], c)
-				treeAdj[c] = append(treeAdj[c], int32(b))
+	forTreeNbrs := func(x int32, f func(y int32)) {
+		if int(x) >= L {
+			for _, b := range d.NodeBlocks(cuts[int(x)-L]) {
+				f(b)
+			}
+			return
+		}
+		for _, v := range d.Block(x) {
+			if d.IsCut(v) {
+				f(cutIndex[v])
 			}
 		}
-		weight[b] = w
 	}
-	for i, v := range cuts {
-		weight[L+i] = 1
-		_ = v
+	weight := make([]int64, T)
+	for b := int32(0); int(b) < L; b++ {
+		for _, v := range d.Block(b) {
+			if !d.IsCut(v) {
+				weight[b]++
+			}
+		}
+	}
+	for i := L; i < T; i++ {
+		weight[i] = 1
 	}
 
 	// Iterative rooted DP: subtree weights and parent pointers per tree
@@ -107,196 +99,86 @@ func NewOutReach(d *Decomposition) *OutReach {
 		order = append(order, int32(root))
 		for head := 0; head < len(order); head++ {
 			x := order[head]
-			for _, y := range treeAdj[x] {
+			forTreeNbrs(x, func(y int32) {
 				if !visited[y] {
 					visited[y] = true
 					parent[y] = x
 					order = append(order, y)
 				}
-			}
+			})
 		}
 		// accumulate subtree weights bottom-up (reverse BFS order)
 		for i := len(order) - 1; i >= 0; i-- {
 			x := order[i]
 			sub[x] = weight[x]
-			for _, y := range treeAdj[x] {
+			forTreeNbrs(x, func(y int32) {
 				if y != parent[x] {
 					sub[x] += sub[y]
 				}
-			}
+			})
 		}
 	}
 
 	// r_b(v): 1 for non-cutpoints. For cutpoint c in block b, removing the
 	// tree edge (c, b) splits the component; r is the weight of the side
 	// containing c.
-	for b := 0; b < L; b++ {
-		members := d.Blocks[b]
-		rs := make([]int64, len(members))
-		var compSize int64
-		if len(members) > 0 {
-			compSize = d.CompSize[d.CompLabel[members[0]]]
+	rOf := func(b int32, v graph.Node) int32 {
+		if !d.IsCut(v) {
+			return 1
 		}
-		var S, Q int64
-		for j, v := range members {
-			r := int64(1)
-			if d.IsCut[v] {
-				c := cutIndex[v]
-				var down int64
-				if parent[c] == int32(b) {
-					down = compSize - sub[c]
-				} else {
-					// parent of block b must be c (tree edge orientation)
-					down = sub[int32(b)]
-				}
-				r = compSize - down
-				if o.rNode[v] == nil {
-					o.rNode[v] = make([]int64, len(d.NodeBlocks[v]))
-					for k := range o.rNode[v] {
-						o.rNode[v][k] = 1
-					}
-				}
-				// NodeBlocks[v] is sorted: binary search keeps hub
-				// cutpoints (thousands of pendant blocks) O(deg log deg)
-				// instead of O(deg^2) across their blocks.
-				bs := d.NodeBlocks[v]
-				if k := sort.Search(len(bs), func(i int) bool { return bs[i] >= int32(b) }); k < len(bs) && bs[k] == int32(b) {
-					o.rNode[v][k] = r
-				}
-			}
-			rs[j] = r
-			S += r
-			Q += r * r
+		if c := cutIndex[v]; parent[c] == b {
+			return int32(sub[c])
 		}
-		o.R[b] = rs
-		o.S[b] = S
-		o.Q[b] = Q
-		o.W[b] = S*S - Q
-		o.WTotal += float64(o.W[b])
+		// the parent of block b is v's tree node (tree edge orientation)
+		return int32(d.CompSize[d.CompLabel[v]] - sub[b])
 	}
+	o := &OutReach{D: d, R: make([]int32, len(d.BlockNodes)), NodeR: make([]int32, len(d.NodeBlock))}
+	for b := int32(0); int(b) < L; b++ {
+		for k := d.BlockOff[b]; k < d.BlockOff[b+1]; k++ {
+			o.R[k] = rOf(b, d.BlockNodes[k])
+		}
+	}
+	for v := graph.Node(0); int(v) < d.G.NumNodes(); v++ {
+		for k := d.NodeOff[v]; k < d.NodeOff[v+1]; k++ {
+			o.NodeR[k] = rOf(d.NodeBlock[k], v)
+		}
+	}
+	o.sum()
 	return o
 }
 
-// FlatR returns the R table flattened in (block, member) order — for each
-// block b in ascending id, r_b(v) for each member v of D.Blocks[b] in member
-// order. This is the payload of the view file's out-reach section
-// (persist.go flag bit 1); NewOutReachFromFlat is the inverse. The length
-// equals the view's run count.
-func (o *OutReach) FlatR() []int64 {
-	var total int
-	for _, rs := range o.R {
-		total += len(rs)
-	}
-	flat := make([]int64, 0, total)
-	for _, rs := range o.R {
-		flat = append(flat, rs...)
-	}
-	return flat
-}
-
-// NewOutReachFromFlat reconstructs the OutReach tables from a flattened R
-// table (FlatR) and the decomposition, in O(runs + n) — without the
-// block-cut-tree DP of NewOutReach. S/Q/W/WTotal and the cutpoint rNode
-// cache all derive from R; the rNode rows share one backing array and are
-// filled by a per-cutpoint cursor, so a cutpoint whose blocks are met out
-// of NodeBlocks order is an error. The r-values are validated with Claim 9
-// (the sum over each block must equal its component's size), so a corrupt or
-// mismatched section returns an error instead of silently poisoning every
-// downstream estimate; reconstruction from an intact section is
-// bitwise-identical to NewOutReach (tested).
-func NewOutReachFromFlat(d *Decomposition, flat []int64) (*OutReach, error) {
-	var total int
-	for _, ms := range d.Blocks {
-		total += len(ms)
-	}
-	if len(flat) != total {
-		return nil, fmt.Errorf("bicomp: out-reach table has %d entries, decomposition has %d memberships", len(flat), total)
-	}
-	o := &OutReach{
-		D:     d,
-		R:     make([][]int64, d.NumBlocks),
-		S:     make([]int64, d.NumBlocks),
-		Q:     make([]int64, d.NumBlocks),
-		W:     make([]int64, d.NumBlocks),
-		rNode: make([][]int64, len(d.NodeBlocks)),
-	}
-	// Every cutpoint's rNode row is a slice of one backing array, empty with
-	// room for one entry per block of the node. Its length is a cursor:
-	// blocks are visited in ascending id and NodeBlocks[v] ascends, so the
-	// next entry of v's row belongs to the block being visited.
-	var cutRuns int
-	for v, is := range d.IsCut {
-		if is {
-			cutRuns += len(d.NodeBlocks[v])
-		}
-	}
-	rBack := make([]int64, cutRuns)
-	at := 0
-	for v, is := range d.IsCut {
-		if is {
-			k := len(d.NodeBlocks[v])
-			o.rNode[v] = rBack[at : at : at+k]
-			at += k
-		}
-	}
-	off := 0
-	for b := 0; b < d.NumBlocks; b++ {
-		members := d.Blocks[b]
-		rs := flat[off : off+len(members) : off+len(members)]
-		off += len(members)
+// sum derives S, Q, W and WTotal from the block-major column R.
+func (o *OutReach) sum() {
+	nb := o.D.NumBlocks
+	o.S, o.Q, o.W = make([]int64, nb), make([]int64, nb), make([]int64, nb)
+	o.WTotal = 0
+	for b := int32(0); int(b) < nb; b++ {
 		var S, Q int64
-		for j, v := range members {
-			r := rs[j]
-			if r < 1 {
-				return nil, fmt.Errorf("bicomp: out-reach section: block %d member %d has r = %d < 1", b, v, r)
-			}
-			S += r
-			Q += r * r
-			if d.IsCut[v] {
-				row, bs := o.rNode[v], d.NodeBlocks[v]
-				if k := len(row); k == len(bs) || bs[k] != int32(b) {
-					return nil, fmt.Errorf("bicomp: out-reach section: cutpoint %d is a member of block %d out of its run layout order", v, b)
-				}
-				o.rNode[v] = append(row, r)
-			} else if r != 1 {
-				return nil, fmt.Errorf("bicomp: out-reach section: non-cutpoint %d has r = %d in block %d", v, r, b)
-			}
+		for _, r := range o.BlockR(b) {
+			S += int64(r)
+			Q += int64(r) * int64(r)
 		}
-		if len(members) > 0 {
-			if comp := d.CompSize[d.CompLabel[members[0]]]; S != comp {
-				return nil, fmt.Errorf("bicomp: out-reach section: block %d sums to %d, component size is %d (Claim 9)", b, S, comp)
-			}
-		}
-		o.R[b] = rs
 		o.S[b] = S
 		o.Q[b] = Q
 		o.W[b] = S*S - Q
 		o.WTotal += float64(o.W[b])
 	}
-	return o, nil
 }
 
-// Of returns r_b(v) for node v in block b. Non-cutpoints always have r = 1;
-// cutpoint values are found in the node's block list — a cache-local scan
-// for the typical short list, a binary search (NodeBlocks is sorted) for
-// hub cutpoints that bridge thousands of pendant blocks. Calling it for a
-// node outside the block returns 1 (callers must ensure membership).
+// BlockR returns r_b(v) for the members v of block b, aligned with
+// D.Block(b).
+func (o *OutReach) BlockR(b int32) []int32 {
+	lo, hi := o.D.BlockOff[b], o.D.BlockOff[b+1]
+	return o.R[lo:hi:hi]
+}
+
+// Of returns r_b(v) for node v in block b, found in v's node-major range
+// by the run search BlockCSR.FindRun uses. Calling it for a node outside
+// the block returns 1 (callers must ensure membership).
 func (o *OutReach) Of(b int32, v graph.Node) int64 {
-	if !o.D.IsCut[v] {
-		return 1
-	}
-	bs := o.D.NodeBlocks[v]
-	if len(bs) <= 8 {
-		for k, bb := range bs {
-			if bb == b {
-				return o.rNode[v][k]
-			}
-		}
-		return 1
-	}
-	k := sort.Search(len(bs), func(i int) bool { return bs[i] >= b })
-	if k < len(bs) && bs[k] == b {
-		return o.rNode[v][k]
+	d := o.D
+	if k := searchRuns(d.NodeBlock, d.NodeOff[v], d.NodeOff[v+1], b); k >= 0 {
+		return int64(o.NodeR[k])
 	}
 	return 1
 }
@@ -352,7 +234,7 @@ func (o *OutReach) BlocksOf(a []graph.Node) []int32 {
 	e := st.epoch
 	var out []int32
 	for _, v := range a {
-		for _, b := range o.D.NodeBlocks[v] {
+		for _, b := range o.D.NodeBlocks(v) {
 			if st.stamp[b] != e {
 				st.stamp[b] = e
 				out = append(out, b)
@@ -367,19 +249,15 @@ func (o *OutReach) BlocksOf(a []graph.Node) []int32 {
 // BCA returns bca(v) (Eq 21): the probability that v is a break point of a
 // random shortest path of the SP space. Zero for non-cutpoints.
 func (o *OutReach) BCA(v graph.Node) float64 {
-	if !o.D.IsCut[v] {
-		return 0
-	}
+	lo, hi := o.D.NodeOff[v], o.D.NodeOff[v+1]
 	n := float64(o.D.G.NumNodes())
-	if n < 2 {
+	if hi-lo < 2 || n < 2 {
 		return 0
 	}
-	// NodeBlocks[v] and rNode[v] are index-aligned, so no per-block Of()
-	// re-search is needed (rNode is always allocated for cutpoints).
 	var acc float64
-	for k, b := range o.D.NodeBlocks[v] {
-		r := float64(o.rNode[v][k])
-		S := float64(o.S[b])
+	for k := lo; k < hi; k++ {
+		r := float64(o.NodeR[k])
+		S := float64(o.S[o.D.NodeBlock[k]])
 		acc += (S - r) * (r - 1)
 	}
 	return acc / (n * (n - 1))
@@ -393,16 +271,16 @@ func (o *OutReach) PairMass(b int32, s, t graph.Node) float64 {
 }
 
 // CheckClaim9 verifies sum_{v in C_i} r_i(v) = |component| for every block
-// (Claim 9 / Eq 18). For tests.
+// (Claim 9 / Eq 18). OpenMapped runs it on every view it opens.
 func (o *OutReach) CheckClaim9() error {
-	for b := 0; b < o.D.NumBlocks; b++ {
-		members := o.D.Blocks[b]
+	for b := int32(0); int(b) < o.D.NumBlocks; b++ {
+		members := o.D.Block(b)
 		if len(members) == 0 {
 			continue
 		}
 		comp := o.D.CompSize[o.D.CompLabel[members[0]]]
 		if o.S[b] != comp {
-			return fmt.Errorf("bicomp: block %d: sum r = %d, component size = %d", b, o.S[b], comp)
+			return fmt.Errorf("bicomp: block %d: sum r = %d, component size = %d (Claim 9)", b, o.S[b], comp)
 		}
 	}
 	return nil

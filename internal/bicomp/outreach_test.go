@@ -22,7 +22,7 @@ func TestOutReachPathGraph(t *testing.T) {
 		if r := o.Of(b, 1); r != 2 {
 			t.Errorf("r_%d(1) = %d, want 2", b, r)
 		}
-		for _, v := range d.Blocks[b] {
+		for _, v := range d.Block(b) {
 			if v != 1 {
 				if r := o.Of(b, v); r != 1 {
 					t.Errorf("r_%d(%d) = %d, want 1", b, v, r)
@@ -42,7 +42,7 @@ func TestOutReachPaperFig2(t *testing.T) {
 	// Cutpoint d belongs to C1={a..e}, C3={d,f}, C5={d,i}. With n=11:
 	// out-reach of d w.r.t. C1 is {d, f, i, j, k} = 5.
 	var c1 int32 = -1
-	for _, b := range d.NodeBlocks[names['d']] {
+	for _, b := range d.NodeBlocks(names['d']) {
 		if d.BlockSize(b) == 5 {
 			c1 = b
 		}
@@ -67,8 +67,8 @@ func TestOutReachMatchesBruteForce(t *testing.T) {
 			return false
 		}
 		for b := int32(0); int(b) < d.NumBlocks; b++ {
-			for _, v := range d.Blocks[b] {
-				want := testutil.BruteOutReach(g, d.Blocks[b], v)
+			for _, v := range d.Block(b) {
+				want := testutil.BruteOutReach(g, d.Block(b), v)
 				if got := o.Of(b, v); got != want {
 					t.Logf("seed %d: r_%d(%d) = %d, brute %d", seed, b, v, got, want)
 					return false
@@ -148,7 +148,7 @@ func TestGammaMatchesBruteForce(t *testing.T) {
 		o := NewOutReach(d)
 		var brute float64
 		for b := int32(0); int(b) < d.NumBlocks; b++ {
-			members := d.Blocks[b]
+			members := d.Block(b)
 			for _, s := range members {
 				for _, u := range members {
 					if s == u {
@@ -239,7 +239,7 @@ func TestPairMass(t *testing.T) {
 	g := graph.Path(3)
 	d := Decompose(g)
 	o := NewOutReach(d)
-	b := d.NodeBlocks[0][0] // block {0,1}
+	b := d.NodeBlocks(0)[0] // block {0,1}
 	// r(0)=1, r_b(1)=2
 	if got := o.PairMass(b, 0, 1); got != 2 {
 		t.Errorf("PairMass = %g, want 2", got)
@@ -262,7 +262,7 @@ func TestLemma13Identity(t *testing.T) {
 		// pairs (s,t), shortest paths p of q'_st/(sigma nn) * inner(v, p).
 		inner := make([]float64, n)
 		for b := int32(0); int(b) < d.NumBlocks; b++ {
-			members := d.Blocks[b]
+			members := d.Block(b)
 			for _, s := range members {
 				for _, u := range members {
 					if s == u {

@@ -5,14 +5,14 @@
 // writing machine's native byte order:
 //
 //	[0:8)   magic "SaPHyBCV"
-//	[8:12)  format version (uint32, currently 2)
+//	[8:12)  format version (uint32, currently 3)
 //	[12:16) byte-order probe 0x01020304 (uint32, native order)
 //	[16:24) n     — number of nodes (int64)
 //	[24:32) m     — number of undirected edges (int64)
 //	[32:40) runs  — number of neighbor runs (int64)
 //	[40:48) flags (int64; bit 0: original-id map section present;
-//	        bits 1, 2, 3: out-reach, checksum and decomposition sections,
-//	        always set)
+//	        bits 2, 3: checksum and decomposition sections, always set;
+//	        bit 1, the out-reach section of versions 1 and 2, is unused)
 //	[48:56) total file size in bytes (int64; truncation check)
 //	offsets   int64[n+1]     graph CSR offsets
 //	adj       int32[2m]      graph CSR adjacency (sorted per node)
@@ -25,7 +25,6 @@
 //	RunR      int32[runs]    owner r-value per run (padded to 8 bytes)
 //	RunStart  int64[runs+1]  edge range per run
 //	RunDegSum int64[runs]    neighbor degree mass per run
-//	outreach  int64[runs]    r_b(v) per (block, member) pair
 //	decomp    numBlocks int64; numComps int64;
 //	          EdgeBlock  int32[2m]       block id per directed CSR edge
 //	          CompLabel  int32[n]        component label per node (padded)
@@ -41,30 +40,31 @@
 // less. The two generator polynomials are coprime, so an error slips past
 // both only if their degree-64 product divides it: every burst of up to 64
 // bits is caught, and so is every odd number of flipped bits, because the
-// Castagnoli polynomial has the factor x+1. Version 1 files are refused
-// with the version error; rebuild them with saphyra -save-view.
+// Castagnoli polynomial has the factor x+1.
 //
-// Every section but ids is required: OpenMapped rejects a file whose flags
-// lack the out-reach, checksum or decomposition bit, and asks for a rebuild
-// with saphyra -save-view.
+// Version 3 dropped the out-reach section of versions 1 and 2, a second,
+// block-major copy of RunR that nothing checked against it. Files of an
+// older version are refused with the version error; rebuild them with
+// saphyra -save-view. Every section but ids is required: OpenMapped rejects
+// a file whose flags lack the checksum or decomposition bit, and asks for
+// the same rebuild.
 //
 // The optional ids section preserves the dense-id -> original-id map of
 // graph.LoadEdgeList, so a view built from a compacted edge list still
 // reports results in the file's id space. Files whose ids are already
 // dense omit it.
 //
-// The out-reach section is the OutReach.R table flattened in block order:
-// for each block b in ascending id, r_b(v) for each member v of
-// D.Blocks[b] in member order. Its length equals the run count — runs and
-// (block, member) incidences are the same relation counted from the two
-// sides. The decomposition section carries the parts of the biconnected
+// The decomposition section carries the parts of the biconnected
 // decomposition that the view's own arrays cannot reproduce: the block
 // count, the per-directed-edge block map and the connected-component
-// labeling. OpenMapped rebuilds View.D from it and the run arrays
-// (NewDecompositionFromView) and View.O from the out-reach section with a
-// Claim 9 check (NewOutReachFromFlat), in O(n + runs) and without the
-// O(n+m) Decompose DFS or the NewOutReach block-cut-tree DP. A section that
-// fails either check fails the open; nothing is recomputed from the graph.
+// labeling. The run index is the rest: RunOff and RunBlock are the
+// decomposition's node-major membership CSR and RunR its out-reach r
+// column, so every r an estimator reads comes from RunR. OpenMapped
+// rebuilds View.D and View.O from the section and the run arrays
+// (openTables), checking the runs' tiling, EdgeBlock against the runs and
+// RunR against Claim 9, in O(n + m + runs) and without the Decompose DFS or
+// the NewOutReach block-cut-tree DP. A file that fails a check fails the
+// open; nothing is recomputed from the graph.
 //
 // Native byte order makes the read path a straight reinterpretation of the
 // mapped pages — the probe field turns a cross-endian file into a clean
@@ -92,13 +92,11 @@ import (
 
 const (
 	persistMagic   = "SaPHyBCV"
-	persistVersion = 2
+	persistVersion = 3
 	orderProbe     = uint32(0x01020304)
 	headerSize     = 56
 	// flagIDs marks the presence of the optional original-id section.
 	flagIDs = int64(1)
-	// flagOutReach marks the out-reach section. Required.
-	flagOutReach = int64(2)
 	// flagChecksum marks the checksum trailer: the last 8 bytes of the file
 	// are viewChecksum of every byte before them. OpenMapped verifies it
 	// before decoding any section, so a torn or bit-rotted file is a clean
@@ -109,7 +107,7 @@ const (
 	flagDecomp = int64(8)
 	// requiredFlags is the set every readable file carries; each bit has
 	// been written by every WriteFile since format version 1 gained it.
-	requiredFlags = flagOutReach | flagChecksum | flagDecomp
+	requiredFlags = flagChecksum | flagDecomp
 	// knownFlags is the union of every flag bit this build understands.
 	knownFlags = flagIDs | requiredFlags
 	// maxDim rejects absurd header values before any size arithmetic, so a
@@ -153,7 +151,7 @@ func persistSize(n, m, runs, comps int64, hasIDs bool) int64 {
 }
 
 // decompOffset is the byte offset of the decomposition section's prelude
-// (equivalently: the size of everything through the out-reach section).
+// (equivalently: the size of everything through RunDegSum).
 // decodeView needs it before the total-size check, because the section's
 // length depends on the component count stored in its own prelude.
 func decompOffset(n, m, runs int64) int64 {
@@ -169,7 +167,6 @@ func decompOffset(n, m, runs int64) int64 {
 	size += pad8(runs * 4) // RunR
 	size += (runs + 1) * 8 // RunStart
 	size += runs * 8       // RunDegSum
-	size += runs * 8       // outreach
 	return size
 }
 
@@ -215,10 +212,6 @@ func (v *BlockCSR) writeTo(w io.Writer, ids []int64) (int64, error) {
 			return 0, fmt.Errorf("bicomp: id map has %d entries for %d nodes", len(ids), n)
 		}
 		flags |= flagIDs
-	}
-	flatR := v.O.FlatR()
-	if int64(len(flatR)) != runs {
-		return 0, fmt.Errorf("bicomp: out-reach table has %d entries for %d runs", len(flatR), runs)
 	}
 	d := v.D
 	comps := int64(len(d.CompSize))
@@ -284,9 +277,6 @@ func (v *BlockCSR) writeTo(w io.Writer, ids []int64) (int64, error) {
 		if err := put(int64Bytes(sec)); err != nil {
 			return written, err
 		}
-	}
-	if err := put(int64Bytes(flatR)); err != nil {
-		return written, err
 	}
 	var prelude [16]byte
 	binary.NativeEndian.PutUint64(prelude[0:8], uint64(d.NumBlocks))
@@ -464,7 +454,6 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 		RunStart:  r.i64(runs + 1),
 		RunDegSum: r.i64(runs),
 	}
-	flatR := r.i64(runs)
 	r.off += 16 // decomposition prelude: already decoded above
 	edgeBlock := r.i32(2*m, false)
 	compLabel := r.i32(n, true)
@@ -477,10 +466,7 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 		return nil, nil, fmt.Errorf("bicomp: embedded graph: %w", err)
 	}
 	view.G = g
-	if view.D, err = NewDecompositionFromView(view, numBlocks, edgeBlock, compLabel, compSize); err != nil {
-		return nil, nil, err
-	}
-	if view.O, err = NewOutReachFromFlat(view.D, flatR); err != nil {
+	if err := view.openTables(numBlocks, edgeBlock, compLabel, compSize); err != nil {
 		return nil, nil, err
 	}
 	return view, ids, nil
@@ -492,7 +478,7 @@ func missingSections(missing int64) string {
 	for _, f := range []struct {
 		bit  int64
 		name string
-	}{{flagOutReach, "out-reach"}, {flagChecksum, "checksum"}, {flagDecomp, "decomposition"}} {
+	}{{flagChecksum, "checksum"}, {flagDecomp, "decomposition"}} {
 		if missing&f.bit != 0 {
 			names = append(names, f.name)
 		}
@@ -508,9 +494,10 @@ func missingSections(missing int64) string {
 // one copy of the physical pages.
 //
 // View.D and View.O are complete: OpenMapped rebuilds them from the file's
-// decomposition and out-reach sections before returning, and their
-// section-backed slices (EdgeBlock, CompLabel, CompSize, the R rows) alias
-// the mapping like the view arrays do.
+// decomposition section and run arrays before returning. Their node-major
+// arrays (NodeOff, NodeBlock, NodeR) are the mapped RunOff, RunBlock and
+// RunR, and EdgeBlock, CompLabel and CompSize alias the section; only the
+// block-major CSR, its r column and the per-block sums are heap.
 type Mapped struct {
 	View *BlockCSR
 	// IDs is the embedded dense-id -> original-id map, or nil when the file

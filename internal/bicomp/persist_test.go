@@ -131,6 +131,13 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 	}
 	check("magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, "magic")
 	check("version", func(b []byte) []byte { b[8]++; return b }, "version", "saphyra -save-view")
+	// A view file of format version 2, which carried a second, block-major
+	// copy of RunR in an out-reach section: refused, with the rebuild hint.
+	check("v2", func(b []byte) []byte {
+		binary.NativeEndian.PutUint32(b[8:12], 2)
+		reseal(b)
+		return b
+	}, "version 2", "rebuild it with saphyra -save-view")
 	check("endian", func(b []byte) []byte { b[12], b[15] = b[15], b[12]; return b }, "endianness")
 	check("truncated", func(b []byte) []byte { return b[:len(b)-8] }, "truncated")
 	check("short", func(b []byte) []byte { return b[:20] }, "too short")
@@ -140,7 +147,7 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 	for _, req := range []struct {
 		flag int64
 		name string
-	}{{flagOutReach, "out-reach"}, {flagChecksum, "checksum"}, {flagDecomp, "decomposition"}} {
+	}{{flagChecksum, "checksum"}, {flagDecomp, "decomposition"}} {
 		// The case name stays out of the file name: the error quotes the
 		// path, which must not satisfy the substring check by itself.
 		check(fmt.Sprintf("flag%d", req.flag), func(b []byte) []byte {
@@ -239,7 +246,7 @@ func TestOpenMappedRejectsUnknownFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[40] |= 0x10 // set an undefined flag bit (0x01 = ids, 0x02 = out-reach, 0x04 = checksum, 0x08 = decomposition)
+	b[40] |= 0x10 // set an undefined flag bit (0x01 = ids, 0x04 = checksum, 0x08 = decomposition)
 	reseal(b)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
@@ -275,134 +282,71 @@ func openRejects(t *testing.T, path, wantSub string) {
 }
 
 func sameOutReach(a, b *OutReach) bool {
-	if len(a.R) != len(b.R) || a.WTotal != b.WTotal ||
-		!slices.Equal(a.S, b.S) || !slices.Equal(a.Q, b.Q) || !slices.Equal(a.W, b.W) {
-		return false
-	}
-	for i := range a.R {
-		if !slices.Equal(a.R[i], b.R[i]) {
-			return false
-		}
-	}
-	if len(a.rNode) != len(b.rNode) {
-		return false
-	}
-	for i := range a.rNode {
-		if !slices.Equal(a.rNode[i], b.rNode[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.R, b.R) && slices.Equal(a.NodeR, b.NodeR) &&
+		slices.Equal(a.S, b.S) && slices.Equal(a.Q, b.Q) && slices.Equal(a.W, b.W) &&
+		a.WTotal == b.WTotal
 }
 
-// TestPersistOutReachRoundTrip: OpenMapped rebuilds the OutReach tables
-// from the out-reach section (flag bit 1) without the NewOutReach DP,
-// bitwise-identical to the in-memory build; a file without the section
-// (the layout of a build predating it) is rejected.
-func TestPersistOutReachRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"ba", graph.BarabasiAlbert(400, 3, 13)},
-		{"road", graph.RoadNetwork(12, 12, 0.1, 5)},
-		{"tree", graph.RandomTree(150, 9)}, // every internal node is a cutpoint
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			v := buildView(t, tc.g)
-			dir := t.TempDir()
-
-			path := filepath.Join(dir, "v2.sbcv")
-			if err := v.WriteFile(path, nil); err != nil {
-				t.Fatal(err)
-			}
-			m, err := OpenMapped(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			if !slices.Equal(m.View.O.FlatR(), v.O.FlatR()) {
-				t.Fatal("serialized out-reach section differs from FlatR")
-			}
-			if !sameOutReach(m.View.O, v.O) {
-				t.Fatal("out-reach reconstructed from the section differs from the in-memory build")
-			}
-
-			good, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, runs := int64(v.G.NumNodes()), int64(len(v.RunBlock))
-			secOff := decompOffset(n, v.G.NumEdges(), runs) - runs*8
-			legacy := filepath.Join(dir, "v1.sbcv")
-			if err := os.WriteFile(legacy, stripSection(good, secOff, runs*8, flagOutReach), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			openRejects(t, legacy, "out-reach")
-		})
-	}
-}
-
-func mustSize(t *testing.T, path string) int64 {
-	t.Helper()
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.Size()
-}
-
-// TestPersistOutReachCorruptSectionFallsBack: garbage in the out-reach
-// section must never reach an estimate — NewOutReachFromFlat rejects it
-// (Claim 9) and OpenMapped fails instead of recomputing the tables.
+// TestPersistOutReachCorruptSectionFallsBack: a wrong r value must never
+// reach an estimate. RunR is the only serialized copy of r, and OpenMapped
+// checks it as it rebuilds the out-reach tables: r >= 1, r = 1 at a
+// non-cutpoint, and each block's r values summing to its component's size
+// (Claim 9). Each corruption is resealed, so it models a buggy writer
+// rather than bit rot: the open-time checksum must not be the only defense.
 func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 	g := graph.RandomTree(100, 4)
 	v := buildView(t, g)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.sbcv")
+	path := filepath.Join(dir, "good.sbcv")
 	if err := v.WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := int64(len(v.RunBlock))
-	// Reseal so the corruption models a buggy writer rather than bit rot —
-	// the open-time checksum must not be the only defense.
-	sectionOff := decompOffset(int64(g.NumNodes()), g.NumEdges(), runs) - runs*8
-	b[sectionOff] ^= 0x5a
-	reseal(b)
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
+	// RunR follows offsets, adj, Nbr, RNbr, NbrRun, Mate, RunOff and RunBlock.
+	n, m := int64(g.NumNodes()), g.NumEdges()
+	runROff := headerSize + (n+1)*8 + 3*(2*m*4) + 2*(2*m*8) + (n+1)*8 + pad8(int64(len(v.RunBlock))*4)
+	cut, leaf := int64(-1), int64(-1) // a cutpoint run with r > 1, a non-cutpoint run
+	for u := graph.Node(0); int64(u) < n; u++ {
+		lo, hi := v.Runs(u)
+		if hi-lo >= 2 && cut < 0 && v.RunR[lo] > 1 {
+			cut = lo
+		}
+		if hi-lo == 1 && leaf < 0 {
+			leaf = lo
+		}
 	}
-
-	if _, err := NewOutReachFromFlat(v.D, make([]int64, runs+1)); err == nil {
-		t.Fatal("length mismatch accepted")
+	if cut < 0 || leaf < 0 {
+		t.Fatal("test tree lacks a cutpoint run with r > 1 or a non-cutpoint")
 	}
-	openRejects(t, path, "out-reach section")
+	for _, tc := range []struct {
+		name, wantSub string
+		run           int64
+		r             int32
+	}{
+		{"claim9", "Claim 9", cut, v.RunR[cut] + 1},
+		{"zero", "want >= 1", cut, 0},
+		{"noncut", "1 at a non-cutpoint", leaf, 2},
+	} {
+		b := append([]byte(nil), good...)
+		binary.NativeEndian.PutUint32(b[runROff+4*tc.run:], uint32(tc.r))
+		reseal(b)
+		p := filepath.Join(dir, tc.name+".sbcv")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		openRejects(t, p, tc.wantSub)
+	}
 }
 
 func sameDecomposition(a, b *Decomposition) bool {
-	if a.NumBlocks != b.NumBlocks ||
-		!slices.Equal(a.EdgeBlock, b.EdgeBlock) ||
-		!slices.Equal(a.IsCut, b.IsCut) ||
-		!slices.Equal(a.CompLabel, b.CompLabel) ||
-		!slices.Equal(a.CompSize, b.CompSize) ||
-		len(a.Blocks) != len(b.Blocks) || len(a.NodeBlocks) != len(b.NodeBlocks) {
-		return false
-	}
-	for i := range a.Blocks {
-		if !slices.Equal(a.Blocks[i], b.Blocks[i]) {
-			return false
-		}
-	}
-	for i := range a.NodeBlocks {
-		if !slices.Equal(a.NodeBlocks[i], b.NodeBlocks[i]) {
-			return false
-		}
-	}
-	return true
+	return a.NumBlocks == b.NumBlocks &&
+		slices.Equal(a.EdgeBlock, b.EdgeBlock) &&
+		slices.Equal(a.BlockOff, b.BlockOff) && slices.Equal(a.BlockNodes, b.BlockNodes) &&
+		slices.Equal(a.NodeOff, b.NodeOff) && slices.Equal(a.NodeBlock, b.NodeBlock) &&
+		slices.Equal(a.CompLabel, b.CompLabel) && slices.Equal(a.CompSize, b.CompSize)
 }
 
 // TestPersistDecompRoundTrip: OpenMapped rebuilds the full Decomposition
@@ -456,10 +400,10 @@ func TestPersistDecompRoundTrip(t *testing.T) {
 }
 
 // TestPersistDecompCorruptSectionFallsBack: garbage in the decomposition
-// section must never reach an estimate — NewDecompositionFromView rejects
-// it against the run arrays and OpenMapped fails instead of recomputing. A
-// mutated prelude (which changes the implied section size) is caught by the
-// size check before any section is decoded.
+// section or the run layout must never reach an estimate — the open checks
+// one against the other and fails instead of recomputing. A mutated prelude
+// (which changes the implied section size) is caught by the size check
+// before any section is decoded.
 func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 	g := graph.RandomTree(100, 4)
 	v := buildView(t, g)
@@ -491,11 +435,11 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 			twoRun = u
 		}
 	}
-	// stale is a node whose predecessor has two runs of one edge each, the
-	// first in a block stale is not in.
+	// stale is a node with edges whose predecessor has a run in a block
+	// stale is not in.
 	stale := graph.Node(-1)
 	for u := graph.Node(1); int64(u) < n && stale < 0; u++ {
-		if p := runs(u - 1); len(p) == 2 && g.Degree(u-1) == 2 && g.Degree(u) > 0 && !slices.Contains(runs(u), p[0]) {
+		if p := runs(u - 1); len(p) > 0 && g.Degree(u) > 0 && !slices.Contains(runs(u), p[0]) {
 			stale = u
 		}
 	}
@@ -527,22 +471,25 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 		}},
 		// Stale owner: an edge of stale given a valid block of the
 		// previous node's runs that is not one of stale's own. The
-		// previous node's runs are skewed to lengths 3 and -1, its two
-		// edges both in the first run's block, so it passes with a budget
-		// of one edge left in that block: only the owner stamp, not the
-		// count, can refuse stale's edge.
+		// previous node spent that block's edge budget to zero, so the
+		// budget refuses stale's edge.
 		{"staleowner", "run layout", func(b []byte) {
-			prev := stale - 1
-			lo := v.RunOff[prev]
+			setEdgeBlock(b, g.AdjOffset(stale), runs(stale - 1)[0])
+		}},
+		// twoRun's runs skewed to lengths 3 and -1, both its edges in the
+		// first run's block: the lengths still sum to its degree and the
+		// edges match the budgets, but the second run's edge range is
+		// inverted and slicing Nbr over it would panic.
+		{"tiling", "run layout", func(b []byte) {
+			lo := v.RunOff[twoRun]
 			binary.NativeEndian.PutUint64(b[runStartOff+8*(lo+1):], uint64(v.RunStart[lo]+3))
-			for i := g.AdjOffset(prev); i < g.AdjOffset(prev)+2; i++ {
-				setEdgeBlock(b, i, runs(prev)[0])
+			for i := g.AdjOffset(twoRun); i < g.AdjOffset(twoRun)+2; i++ {
+				setEdgeBlock(b, i, runs(twoRun)[0])
 			}
-			setEdgeBlock(b, g.AdjOffset(stale), runs(prev)[0])
 		}},
 		// twoRun's two run blocks swapped: each run still matches its
-		// edge count, but the out-reach rebuild meets its blocks in
-		// ascending id and its cursor finds the other block.
+		// edge count, but its run blocks no longer ascend, which the run
+		// search relies on.
 		{"cursor", "run layout", func(b []byte) {
 			at := runBlockOff + 4*v.RunOff[twoRun]
 			bs := runs(twoRun)

@@ -131,13 +131,13 @@ func (p *BCPreprocessed) eccentricity() int32 {
 // and the cumulative r(t) excision table. They are pure functions of the
 // block, so each block's tables are built once, by the first query that
 // samples from it, with alias.Build's arithmetic, and every later query
-// reads them. The layout is flat and aligned with O.R's block order: block
-// b's members own entries [off[b], off[b+1]) of every column. Retained
-// memory is 32 bytes per block-membership entry (three float64 columns and
-// two int32 ones) plus 8 bytes and one ready bit per block.
+// reads them. The layout is flat and aligned with the block-major
+// membership CSR: block b's members own entries [D.BlockOff[b],
+// D.BlockOff[b+1]) of every column, as they do of O.R. Retained memory is
+// 32 bytes per block-membership entry (three float64 columns and two int32
+// ones) plus one ready bit per block.
 type blockTables struct {
 	once  sync.Once
-	off   []int64
 	ready []atomic.Uint32 // bit b%32 of word b/32: block b is built
 
 	mu                       sync.Mutex // serializes builds
@@ -153,19 +153,15 @@ func (t *blockTables) block(o *bicomp.OutReach, b int32) (src, dst alias.Table, 
 	if t.ready[b>>5].Load()&(1<<(b&31)) == 0 {
 		t.build(o, b)
 	}
-	lo, hi := t.off[b], t.off[b+1]
+	lo, hi := o.D.BlockOff[b], o.D.BlockOff[b+1]
 	return alias.Of(t.srcProb[lo:hi], t.srcAlias[lo:hi]),
 		alias.Of(t.dstProb[lo:hi], t.dstAlias[lo:hi]),
 		t.dstCum[lo:hi]
 }
 
 func (t *blockTables) init(o *bicomp.OutReach) {
-	t.off = make([]int64, len(o.R)+1)
-	for b, rs := range o.R {
-		t.off[b+1] = t.off[b] + int64(len(rs))
-	}
-	total := t.off[len(o.R)]
-	t.ready = make([]atomic.Uint32, (len(o.R)+31)/32)
+	total := len(o.R)
+	t.ready = make([]atomic.Uint32, (o.D.NumBlocks+31)/32)
 	t.srcProb = make([]float64, total)
 	t.dstProb = make([]float64, total)
 	t.dstCum = make([]float64, total)
@@ -179,8 +175,8 @@ func (t *blockTables) build(o *bicomp.OutReach, b int32) {
 	if t.ready[b>>5].Load()&(1<<(b&31)) != 0 {
 		return // built by a concurrent query while we waited
 	}
-	lo, hi := t.off[b], t.off[b+1]
-	rs := o.R[b]
+	lo, hi := o.D.BlockOff[b], o.D.BlockOff[b+1]
+	rs := o.BlockR(b)
 	t.srcW = slices.Grow(t.srcW[:0], len(rs))[:len(rs)]
 	t.dstW = slices.Grow(t.dstW[:0], len(rs))[:len(rs)]
 	cum := t.dstCum[lo:hi]
@@ -447,7 +443,7 @@ func newBCSpace(ctx context.Context, p *BCPreprocessed, nodes []graph.Node, bloc
 	q.members = slices.Grow(q.members[:0], nb)[:nb]
 	for j, b := range blocksA {
 		q.blockW[j] = float64(o.W[b])
-		q.members[j] = d.Blocks[b]
+		q.members[j] = d.Block(b)
 		q.srcTab[j], q.dstTab[j], q.dstCum[j] = p.tables.block(o, b)
 	}
 	sp.blockTab = alias.Build(q.blockProb, q.blockAlias, q.blockW)

@@ -160,7 +160,7 @@ func TestExactBCMatchesBruteForce(t *testing.T) {
 			if !inBlocksA {
 				continue
 			}
-			members := p.D.Blocks[b]
+			members := p.D.Block(b)
 			for _, s := range members {
 				for _, u := range members {
 					if s == u {
@@ -236,7 +236,7 @@ func TestGenBCDistribution(t *testing.T) {
 	}
 	want := map[pathKey]float64{}
 	for _, bID := range blocksA {
-		members := p.D.Blocks[bID]
+		members := p.D.Block(bID)
 		for _, s := range members {
 			for _, u := range members {
 				if s == u {
@@ -261,7 +261,7 @@ func TestGenBCDistribution(t *testing.T) {
 	// probabilities: E[hit_v] = sum_{paths with v inner} Pr[path].
 	wantHit := make([]float64, len(nodes))
 	for _, bID := range blocksA {
-		members := p.D.Blocks[bID]
+		members := p.D.Block(bID)
 		for _, s := range members {
 			for _, u := range members {
 				if s == u {

@@ -269,11 +269,11 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLog is the tentpole acceptance test: with the slow-query
-// log armed at a threshold every compute crosses, one slow request writes
-// one structured JSON line whose span tree accounts for >= 90% of the
-// request's wall time.
-func TestSlowQueryLog(t *testing.T) {
+// logSlowQuery runs one rank request through a server that logs every
+// request as slow and returns the single entry it wrote, with its span
+// tree present.
+func logSlowQuery(t *testing.T) slowQueryEntry {
+	t.Helper()
 	g := saphyra.Generate.BarabasiAlbert(400, 3, 5)
 	var buf bytes.Buffer
 	path, ids := writeTestView(t, g)
@@ -301,32 +301,31 @@ func TestSlowQueryLog(t *testing.T) {
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
 		t.Fatalf("%d entries, want 1:\n%s", n, buf.String())
 	}
-	var e struct {
-		Endpoint   string         `json:"endpoint"`
-		Outcome    string         `json:"outcome"`
-		DurationMs float64        `json:"duration_ms"`
-		Generation uint64         `json:"generation"`
-		QueryKey   string         `json:"query_key"`
-		Trace      *obs.TraceJSON `json:"trace"`
-	}
+	var e slowQueryEntry
 	if err := json.Unmarshal([]byte(line), &e); err != nil {
 		t.Fatalf("entry is not valid JSON: %v\n%s", err, line)
 	}
+	if e.Trace == nil || len(e.Trace.Spans) == 0 {
+		t.Fatal("entry has no span tree")
+	}
+	return e
+}
+
+// TestSlowQueryLog pins the slow-query entry's shape: endpoint, outcome,
+// generation, a 64-hex query key, and a span tree naming every phase. Its
+// wall-clock half, the tree's coverage of the request's duration, is
+// TestSlowQueryLogCoverageWallClock (build tag timing).
+func TestSlowQueryLog(t *testing.T) {
+	e := logSlowQuery(t)
 	if e.Endpoint != "rank" || e.Outcome != "ok" {
 		t.Errorf("endpoint=%q outcome=%q", e.Endpoint, e.Outcome)
 	}
 	if e.Generation != 1 {
 		t.Errorf("generation = %d", e.Generation)
 	}
-	if len(e.QueryKey) != 64 {
+	if !regexp.MustCompile(`^[0-9a-f]{64}$`).MatchString(e.QueryKey) {
 		t.Errorf("query_key = %q, want 64 hex chars", e.QueryKey)
 	}
-	if e.Trace == nil || len(e.Trace.Spans) == 0 {
-		t.Fatal("entry has no span tree")
-	}
-
-	// The span tree must account for >= 90% of the request's wall time.
-	var topUs float64
 	names := map[string]bool{}
 	var walk func(sp *obs.SpanJSON)
 	walk = func(sp *obs.SpanJSON) {
@@ -336,11 +335,7 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 	for _, sp := range e.Trace.Spans {
-		topUs += sp.DurUs
 		walk(sp)
-	}
-	if cover := topUs / (e.DurationMs * 1e3); cover < 0.90 {
-		t.Errorf("span tree covers %.0f%% of %.2fms wall time, want >= 90%%", 100*cover, e.DurationMs)
 	}
 	for _, want := range []string{"request", "cache", "flight", "compute", "rank", "core.exact", "core.round"} {
 		if !names[want] {

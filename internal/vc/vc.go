@@ -79,7 +79,7 @@ func SubsetBound(d *bicomp.Decomposition, a []graph.Node) int64 {
 			continue
 		}
 		seen[v] = struct{}{}
-		for _, b := range d.NodeBlocks[v] {
+		for _, b := range d.NodeBlocks(v) {
 			byBlock[b] = append(byBlock[b], v)
 		}
 	}
@@ -142,7 +142,7 @@ type SubsetScratch struct {
 func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, full int, s *SubsetScratch) int {
 	s.groups = s.groups[:0]
 	for _, v := range a {
-		for _, b := range d.NodeBlocks[v] {
+		for _, b := range d.NodeBlocks(v) {
 			s.groups = append(s.groups, uint64(uint32(b))<<32|uint64(uint32(v)))
 		}
 	}

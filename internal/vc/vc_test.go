@@ -99,7 +99,7 @@ func TestSubsetBoundIsUpperBound(t *testing.T) {
 		// brute: max over intra-block pairs and their shortest paths
 		var actual int64
 		for b := int32(0); int(b) < d.NumBlocks; b++ {
-			members := d.Blocks[b]
+			members := d.Block(b)
 			for _, s := range members {
 				for _, u := range members {
 					if s == u {

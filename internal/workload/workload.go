@@ -485,12 +485,6 @@ type Table2Row struct {
 // Table2 builds the networks-summary row (Table II) for an environment.
 func Table2(e *Env, net datasets.Network) Table2Row {
 	dec := e.Prep.D
-	cut := 0
-	for _, is := range dec.IsCut {
-		if is {
-			cut++
-		}
-	}
 	return Table2Row{
 		Network:    e.Name,
 		Nodes:      e.G.NumNodes(),
@@ -500,7 +494,7 @@ func Table2(e *Env, net datasets.Network) Table2Row {
 		PaperEdges: net.PaperEdges,
 		PaperDiam:  net.PaperDiam,
 		Blocks:     dec.NumBlocks,
-		Cutpoints:  cut,
+		Cutpoints:  len(dec.Cutpoints()),
 	}
 }
 
