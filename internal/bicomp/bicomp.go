@@ -31,7 +31,8 @@ import (
 
 // Decomposition is the result of biconnected-component decomposition of a
 // graph. Every edge belongs to exactly one block; every non-isolated node
-// belongs to at least one block; cutpoints belong to several.
+// belongs to at least one block; cutpoints belong to several. Two blocks
+// share at most one node, so an edge's block is the one holding both ends.
 //
 // Block membership is held twice, as two flat CSR arrays over the same
 // (block, node) incidences: block-major (BlockOff, BlockNodes) and
@@ -41,9 +42,6 @@ import (
 type Decomposition struct {
 	G         *graph.Graph
 	NumBlocks int
-	// EdgeBlock maps each directed-edge CSR index (see graph.EdgeIndex) to
-	// the id of the block containing that edge.
-	EdgeBlock []int32
 	// Block b's nodes, ascending, are BlockNodes[BlockOff[b]:BlockOff[b+1]].
 	BlockOff   []int64
 	BlockNodes []graph.Node
@@ -104,22 +102,32 @@ type dfsFrame struct {
 	idx       int
 }
 
+// halfEdge is the DFS stack's edge u -> v, at CSR position at.
 type halfEdge struct {
 	u, v graph.Node
+	at   int64
 }
 
 // Decompose runs an iterative Hopcroft–Tarjan biconnected-component
 // decomposition. Time O(n + m), no recursion (safe for long paths such as
 // road networks).
 func Decompose(g *graph.Graph) *Decomposition {
+	d, _ := decompose(g, false)
+	return d
+}
+
+// decompose is Decompose. With withEdges it also returns the block of each
+// directed CSR edge: the DFS pushes every edge once, from one end, and
+// records its block at that CSR position; one pass then copies it to the
+// reverse direction.
+func decompose(g *graph.Graph, withEdges bool) (d *Decomposition, edgeBlock []int32) {
 	n := g.NumNodes()
-	d := &Decomposition{
-		G:         g,
-		EdgeBlock: make([]int32, 2*g.NumEdges()),
-		BlockOff:  []int64{0},
-	}
-	for i := range d.EdgeBlock {
-		d.EdgeBlock[i] = -1
+	d = &Decomposition{G: g, BlockOff: []int64{0}}
+	if withEdges {
+		edgeBlock = make([]int32, 2*g.NumEdges())
+		for i := range edgeBlock {
+			edgeBlock[i] = -1
+		}
 	}
 	d.CompLabel, d.CompSize, _ = graph.ConnectedComponents(g)
 
@@ -151,8 +159,9 @@ func Decompose(g *graph.Graph) *Decomposition {
 		for {
 			e := edgeStack[len(edgeStack)-1]
 			edgeStack = edgeStack[:len(edgeStack)-1]
-			d.EdgeBlock[g.EdgeIndex(e.u, e.v)] = bid
-			d.EdgeBlock[g.EdgeIndex(e.v, e.u)] = bid
+			if edgeBlock != nil {
+				edgeBlock[e.at] = bid
+			}
 			addMember(e.u)
 			addMember(e.v)
 			if e.u == u && e.v == v {
@@ -174,15 +183,17 @@ func Decompose(g *graph.Graph) *Decomposition {
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			nbrs := g.Neighbors(f.u)
+			base := g.AdjOffset(f.u)
 			advanced := false
 			for f.idx < len(nbrs) {
 				v := nbrs[f.idx]
+				at := base + int64(f.idx)
 				f.idx++
 				if v == f.parent {
 					continue
 				}
 				if disc[v] == -1 {
-					edgeStack = append(edgeStack, halfEdge{f.u, v})
+					edgeStack = append(edgeStack, halfEdge{f.u, v, at})
 					disc[v] = time
 					low[v] = time
 					time++
@@ -191,7 +202,7 @@ func Decompose(g *graph.Graph) *Decomposition {
 					break
 				}
 				if disc[v] < disc[f.u] { // back edge to an ancestor
-					edgeStack = append(edgeStack, halfEdge{f.u, v})
+					edgeStack = append(edgeStack, halfEdge{f.u, v, at})
 					if disc[v] < low[f.u] {
 						low[f.u] = disc[v]
 					}
@@ -233,7 +244,22 @@ func Decompose(g *graph.Graph) *Decomposition {
 			next[x]++
 		}
 	}
-	return d
+
+	if edgeBlock != nil {
+		// Copy each pushed edge's block to its unpushed reverse. Owners
+		// ascend, so they meet every node's sorted adjacency in order: the
+		// cursor of w is the CSR position of u in w's list, with no search.
+		off, adj := g.CSR()
+		cursor := slices.Clone(off[:n])
+		for p, w := range adj {
+			q := cursor[w]
+			cursor[w]++
+			if edgeBlock[p] < 0 {
+				edgeBlock[p] = edgeBlock[q]
+			}
+		}
+	}
+	return d, edgeBlock
 }
 
 // Cutpoints returns the sorted list of cutpoints.
@@ -267,13 +293,12 @@ func (d *Decomposition) CommonBlock(s, t graph.Node) int32 {
 }
 
 // BlockOfEdge returns the block id of the undirected edge {u, v}, or -1 if
-// the edge is absent.
+// the edge is absent: the common block of its ends.
 func (d *Decomposition) BlockOfEdge(u, v graph.Node) int32 {
-	idx := d.G.EdgeIndex(u, v)
-	if idx < 0 {
+	if !d.G.HasEdge(u, v) {
 		return -1
 	}
-	return d.EdgeBlock[idx]
+	return d.CommonBlock(u, v)
 }
 
 // BlockSize returns the number of nodes of block b.
@@ -298,7 +323,9 @@ func (d *Decomposition) newBlockBFS() *blockBFS {
 }
 
 // run executes a BFS from source using only block-b edges and returns the
-// eccentricity of source and the farthest node found.
+// eccentricity of source and the farthest node found. Every queued node is
+// in block b, so an edge to a neighbour is a block-b edge exactly when the
+// neighbour is in block b too.
 func (w *blockBFS) run(d *Decomposition, b int32, source graph.Node) (ecc int32, far graph.Node) {
 	w.epoch++
 	e := w.epoch
@@ -310,20 +337,17 @@ func (w *blockBFS) run(d *Decomposition, b int32, source graph.Node) (ecc int32,
 	for head := 0; head < len(w.queue); head++ {
 		u := w.queue[head]
 		du := w.dist[u]
-		base := d.G.AdjOffset(u)
-		for i, v := range d.G.Neighbors(u) {
-			if d.EdgeBlock[base+int64(i)] != b {
+		for _, v := range d.G.Neighbors(u) {
+			if w.stamp[v] == e || searchRuns(d.NodeBlock, d.NodeOff[v], d.NodeOff[v+1], b) < 0 {
 				continue
 			}
-			if w.stamp[v] != e {
-				w.stamp[v] = e
-				w.dist[v] = du + 1
-				if du+1 > ecc {
-					ecc = du + 1
-					far = v
-				}
-				w.queue = append(w.queue, v)
+			w.stamp[v] = e
+			w.dist[v] = du + 1
+			if du+1 > ecc {
+				ecc = du + 1
+				far = v
 			}
+			w.queue = append(w.queue, v)
 		}
 	}
 	return ecc, far
@@ -406,24 +430,12 @@ func (d *Decomposition) MaxBlockDiameterUpperBound() int32 {
 	return bd
 }
 
-// Validate checks decomposition invariants (every edge in exactly one block,
-// both membership CSRs sorted and each the transpose of the other). For
-// tests and debugging.
+// Validate checks decomposition invariants (both membership CSRs sorted and
+// each the transpose of the other, and every edge's ends sharing a block).
+// For tests and debugging.
 func (d *Decomposition) Validate() error {
 	g := d.G
 	n := g.NumNodes()
-	for u := graph.Node(0); int(u) < n; u++ {
-		base := g.AdjOffset(u)
-		for i, v := range g.Neighbors(u) {
-			b := d.EdgeBlock[base+int64(i)]
-			if b < 0 || int(b) >= d.NumBlocks {
-				return fmt.Errorf("bicomp: edge (%d,%d) has invalid block %d", u, v, b)
-			}
-			if rb := d.EdgeBlock[g.EdgeIndex(v, u)]; rb != b {
-				return fmt.Errorf("bicomp: edge (%d,%d) block %d != reverse %d", u, v, b, rb)
-			}
-		}
-	}
 	if len(d.NodeOff) != n+1 || len(d.BlockOff) != d.NumBlocks+1 ||
 		len(d.NodeBlock) != len(d.BlockNodes) || d.NodeOff[n] != int64(len(d.NodeBlock)) ||
 		d.BlockOff[d.NumBlocks] != int64(len(d.BlockNodes)) {
@@ -449,6 +461,11 @@ func (d *Decomposition) Validate() error {
 			if searchRuns(d.NodeBlock, d.NodeOff[u], d.NodeOff[u+1], b) < 0 {
 				return fmt.Errorf("bicomp: node %d missing block %d in NodeBlocks", u, b)
 			}
+		}
+	}
+	for _, e := range g.Edges() {
+		if d.CommonBlock(e.U, e.V) < 0 {
+			return fmt.Errorf("bicomp: edge (%d,%d) lies in no block", e.U, e.V)
 		}
 	}
 	return nil

@@ -205,6 +205,116 @@ func TestBlockOfEdge(t *testing.T) {
 	}
 }
 
+// bruteEdgeClasses partitions g's edges into blocks by brute force: two
+// edges {v, a} and {v, b} that share a node v are in one block exactly when
+// a and b are connected in G - v, and the blocks are the union-find closure
+// of that relation. It returns the class of an edge, given its ends.
+func bruteEdgeClasses(g *graph.Graph) func(u, v graph.Node) int {
+	edges := g.Edges()
+	index := map[graph.Edge]int{}
+	for i, e := range edges {
+		index[e] = i
+	}
+	edgeOf := func(u, v graph.Node) int { return index[graph.Edge{U: min(u, v), V: max(u, v)}] }
+	parent := make([]int, len(edges))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(i int) int {
+		if parent[i] != i {
+			parent[i] = find(parent[i])
+		}
+		return parent[i]
+	}
+	n := g.NumNodes()
+	label := make([]int, n)
+	for v := graph.Node(0); int(v) < n; v++ {
+		// Label the components of G - v by BFS.
+		for i := range label {
+			label[i] = -1
+		}
+		for s := graph.Node(0); int(s) < n; s++ {
+			if s == v || label[s] >= 0 {
+				continue
+			}
+			label[s] = int(s)
+			queue := []graph.Node{s}
+			for len(queue) > 0 {
+				x := queue[0]
+				queue = queue[1:]
+				for _, y := range g.Neighbors(x) {
+					if y != v && label[y] < 0 {
+						label[y] = int(s)
+						queue = append(queue, y)
+					}
+				}
+			}
+		}
+		nbrs := g.Neighbors(v)
+		for i, a := range nbrs {
+			for _, b := range nbrs[i+1:] {
+				if label[a] == label[b] {
+					parent[find(edgeOf(v, a))] = find(edgeOf(v, b))
+				}
+			}
+		}
+	}
+	return func(u, v graph.Node) int { return find(edgeOf(u, v)) }
+}
+
+// TestBlockOfEdgeMatchesBruteForce: BlockOfEdge partitions the edges into
+// exactly the brute-force blocks, and every run of the view holds exactly
+// its owner's edges of one block.
+func TestBlockOfEdgeMatchesBruteForce(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		n := 8 + 3*int(seed)
+		g := testutil.RandomConnectedGraph(n, int(seed%4)*n/3, seed)
+		class := bruteEdgeClasses(g)
+		v := NewBlockCSR(g)
+		d := v.D
+		// class -> block and block -> class must both be functions.
+		blockOf, classOf := map[int]int32{}, map[int32]int{}
+		for _, e := range g.Edges() {
+			b, c := d.BlockOfEdge(e.U, e.V), class(e.U, e.V)
+			if b < 0 {
+				t.Fatalf("seed %d: edge %v has no block", seed, e)
+			}
+			if got, ok := blockOf[c]; ok && got != b {
+				t.Fatalf("seed %d: edge %v in block %d, its brute-force class is in block %d", seed, e, b, got)
+			}
+			if got, ok := classOf[b]; ok && got != c {
+				t.Fatalf("seed %d: block %d holds edges of two brute-force classes", seed, b)
+			}
+			blockOf[c], classOf[b] = b, c
+		}
+		if len(classOf) != d.NumBlocks {
+			t.Fatalf("seed %d: %d brute-force classes, %d blocks", seed, len(classOf), d.NumBlocks)
+		}
+		for u := graph.Node(0); int(u) < n; u++ {
+			lo, hi := v.Runs(u)
+			for j := lo; j < hi; j++ {
+				elo, ehi := v.RunEdges(j)
+				run := class(u, v.Nbr[elo])
+				for _, w := range v.Nbr[elo:ehi] {
+					if class(u, w) != run {
+						t.Fatalf("seed %d: node %d run %d mixes two blocks", seed, u, j-lo)
+					}
+				}
+				var want int64
+				for _, w := range g.Neighbors(u) {
+					if class(u, w) == run {
+						want++
+					}
+				}
+				if want != ehi-elo {
+					t.Fatalf("seed %d: node %d run %d holds %d edges of its block, the node has %d", seed, u, j-lo, ehi-elo, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBlockDiameter(t *testing.T) {
 	g := graph.Cycle(10)
 	d := Decompose(g)

@@ -11,10 +11,10 @@ import (
 // adjacency structure. It re-orders every node's neighbor list so that
 // neighbors sharing a biconnected block are contiguous ("runs"), and
 // annotates each run with the block id and the owner's out-reach r-value in
-// that block, and each grouped edge with the neighbor's r-value. Hot loops
-// that previously resolved EdgeBlock per directed edge and OutReach.Of per
-// endpoint (the exact 2-hop phase, the sampler's per-target tables) instead
-// stream over the runs with zero lookups.
+// that block, and each grouped edge with the neighbor's r-value. The runs
+// are the repo's one edge-to-block map: an edge's block is its run's block.
+// Hot loops (the exact 2-hop phase, the sampler's per-target tables) stream
+// over the runs with no per-edge block or OutReach.Of lookup.
 //
 // Layout. Nbr and RNbr are edge-parallel arrays of length 2m aligned with
 // each other; node u's grouped adjacency occupies the same CSR segment
@@ -32,9 +32,9 @@ import (
 //
 // A BlockCSR is built either in memory by NewBlockCSR or opened zero-copy
 // from a serialized file by OpenMapped (see persist.go). Either way it
-// carries its validated decomposition and out-reach tables: OpenMapped
-// rebuilds both from the file's decomposition section and run arrays
-// before it returns.
+// carries its decomposition and out-reach tables: OpenMapped rebuilds both
+// from the file's decomposition section and run arrays, checked, before it
+// returns.
 type BlockCSR struct {
 	G *graph.Graph
 	D *Decomposition
@@ -66,15 +66,18 @@ type BlockCSR struct {
 	RunDegSum []int64
 }
 
-// NewBlockCSR builds the view in O(n + m) time. The run index is the
-// decomposition's node-major membership CSR and RunR its r column: RunOff,
-// RunBlock and RunR alias d.NodeOff, d.NodeBlock and o.NodeR. Each node's
-// blocks ascend, so its runs come out in ascending block order and the
-// in-CSR-order fill keeps neighbors sorted within each run.
-func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
-	g := d.G
+// NewBlockCSR decomposes g, computes its out-reach tables and builds the
+// view, in O(n + m) time. The run index is the decomposition's node-major
+// membership CSR and RunR its r column: RunOff, RunBlock and RunR alias
+// d.NodeOff, d.NodeBlock and o.NodeR. The decomposition DFS also fills a
+// per-edge block map, which the grouping pass below consumes and drops.
+// Each node's blocks ascend, so its runs come out in ascending block order
+// and the in-CSR-order fill keeps neighbors sorted within each run.
+func NewBlockCSR(g *graph.Graph) *BlockCSR {
 	n := g.NumNodes()
 	m2 := int64(2 * g.NumEdges())
+	d, edgeBlock := decompose(g, true)
+	o := NewOutReach(d)
 	runs := int64(len(d.NodeBlock))
 	v := &BlockCSR{
 		G:         g,
@@ -120,7 +123,7 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 		base := g.AdjOffset(graph.Node(u))
 		nbrs := g.Neighbors(graph.Node(u))
 		for i := range nbrs {
-			cnt[blockPos[d.EdgeBlock[base+int64(i)]]]++
+			cnt[blockPos[edgeBlock[base+int64(i)]]]++
 		}
 		acc := base
 		for k := range bs {
@@ -129,7 +132,7 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 			acc += cnt[k]
 		}
 		for i, w := range nbrs {
-			b := d.EdgeBlock[base+int64(i)]
+			b := edgeBlock[base+int64(i)]
 			k := blockPos[b]
 			p := cursor[k]
 			cursor[k] = p + 1
@@ -142,17 +145,17 @@ func NewBlockCSR(d *Decomposition, o *OutReach) *BlockCSR {
 	}
 	v.RunStart[runs] = m2
 
-	// Reciprocal pass: for grouped edge p = (u -> w), locate the reverse
-	// edge (w -> u) via the sorted original adjacency and record its grouped
-	// run and position.
-	for u := 0; u < n; u++ {
-		base := g.AdjOffset(graph.Node(u))
-		for i, w := range g.Neighbors(graph.Node(u)) {
-			p := groupedPos[base+int64(i)]
-			rev := groupedPos[g.EdgeIndex(w, graph.Node(u))]
-			v.NbrRun[p] = runOf[rev]
-			v.Mate[p] = rev
-		}
+	// Reciprocal pass: for grouped edge p = (u -> w), record the grouped run
+	// and position of the reverse edge (w -> u). Owners ascend, so revAt[w]
+	// is the CSR position of u in w's sorted list (as in decompose).
+	off, adj := g.CSR()
+	revAt := slices.Clone(off[:n])
+	for e, w := range adj {
+		p := groupedPos[e]
+		rev := groupedPos[revAt[w]]
+		revAt[w]++
+		v.NbrRun[p] = runOf[rev]
+		v.Mate[p] = rev
 	}
 	return v
 }
@@ -195,44 +198,17 @@ func (v *BlockCSR) FindRun(u graph.Node, b int32) int64 {
 
 // Validate checks the view's invariants. For tests and debugging.
 //
-// The structural half needs no decomposition: runs tile the CSR segments in
-// ascending block order, grouped adjacency is a per-node permutation of the
-// graph's, the NbrRun/Mate reciprocal index round-trips, per-edge
-// r-annotations agree with the reciprocal run's owner annotation, and
-// RunDegSum matches the graph. The view is then cross-checked against its
-// decomposition and out-reach: the run index and RunR are D's node-major
-// membership CSR and O's r column, and each grouped edge's run block and
-// reciprocal run agree with EdgeBlock and the run search.
+// The run index and RunR must be D's node-major membership CSR and O's r
+// column. Structurally, runs tile the CSR segments in ascending block
+// order, grouped adjacency is a per-node permutation of the graph's, the
+// NbrRun/Mate reciprocal index round-trips, per-edge r-annotations agree
+// with the reciprocal run's owner annotation, and RunDegSum matches the
+// graph. Together these place every edge in the block of its run: both
+// ends have a run of that block, and two blocks share at most one node.
 func (v *BlockCSR) Validate() error {
-	if err := v.validateStructure(); err != nil {
-		return err
-	}
-	g, d, o := v.G, v.D, v.O
-	if !slices.Equal(v.RunOff, d.NodeOff) || !slices.Equal(v.RunBlock, d.NodeBlock) || !slices.Equal(v.RunR, o.NodeR) {
+	if !slices.Equal(v.RunOff, v.D.NodeOff) || !slices.Equal(v.RunBlock, v.D.NodeBlock) || !slices.Equal(v.RunR, v.O.NodeR) {
 		return fmt.Errorf("bicomp: run arrays differ from the decomposition's node-major membership and r column")
 	}
-	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		lo, hi := v.Runs(u)
-		for j := lo; j < hi; j++ {
-			b := v.RunBlock[j]
-			elo, ehi := v.RunEdges(j)
-			for i := elo; i < ehi; i++ {
-				w := v.Nbr[i]
-				if got := d.BlockOfEdge(u, w); got != b {
-					return fmt.Errorf("bicomp: edge (%d,%d) grouped under block %d, EdgeBlock says %d", u, w, b, got)
-				}
-				if want := v.FindRun(w, b); v.NbrRun[i] != want {
-					return fmt.Errorf("bicomp: edge (%d,%d) NbrRun %d != %d", u, w, v.NbrRun[i], want)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// validateStructure checks every invariant expressible without the
-// decomposition — the full contract of a deserialized view.
-func (v *BlockCSR) validateStructure() error {
 	g := v.G
 	n := g.NumNodes()
 	m2 := int64(2 * g.NumEdges())

@@ -9,12 +9,10 @@ import (
 
 func buildView(t *testing.T, g *graph.Graph) *BlockCSR {
 	t.Helper()
-	d := Decompose(g)
-	if err := d.Validate(); err != nil {
+	v := NewBlockCSR(g)
+	if err := v.D.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	o := NewOutReach(d)
-	v := NewBlockCSR(d, o)
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +75,16 @@ func TestBlockCSRFindRun(t *testing.T) {
 }
 
 // The grouped view must enumerate exactly the same in-block neighbor sets as
-// an EdgeBlock scan of the plain adjacency.
+// a BlockOfEdge scan of the plain adjacency.
 func TestBlockCSRMatchesEdgeBlockScan(t *testing.T) {
 	g := testutil.RandomConnectedGraph(100, 180, 11)
 	v := buildView(t, g)
 	d := v.D
 	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		base := g.AdjOffset(u)
 		for _, b := range d.NodeBlocks(u) {
 			var want []graph.Node
-			for i, w := range g.Neighbors(u) {
-				if d.EdgeBlock[base+int64(i)] == b {
+			for _, w := range g.Neighbors(u) {
+				if d.BlockOfEdge(u, w) == b {
 					want = append(want, w)
 				}
 			}

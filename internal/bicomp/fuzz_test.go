@@ -2,6 +2,10 @@ package bicomp
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -24,8 +28,7 @@ func fuzzSeedGraphs() []*graph.Graph {
 // withIDs is set.
 func fuzzSeedImage(tb testing.TB, g *graph.Graph, withIDs bool) []byte {
 	tb.Helper()
-	d := Decompose(g)
-	v := NewBlockCSR(d, NewOutReach(d))
+	v := NewBlockCSR(g)
 	var ids []int64
 	if withIDs {
 		ids = make([]int64, g.NumNodes())
@@ -40,6 +43,21 @@ func fuzzSeedImage(tb testing.TB, g *graph.Graph, withIDs bool) []byte {
 	return buf.Bytes()
 }
 
+// resealedCopy copies in into an 8-byte-aligned buffer, as a mapping is,
+// and reseals the checksum trailer when there is room for a header.
+func resealedCopy(in []byte) []byte {
+	if len(in) == 0 {
+		return nil
+	}
+	backing := make([]uint64, (len(in)+7)/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), len(in))
+	copy(data, in)
+	if len(data) >= headerSize {
+		reseal(data)
+	}
+	return data
+}
+
 // FuzzDecodeView feeds decodeView arbitrary bytes. The harness copies each
 // input into an 8-byte-aligned buffer, as a mapping is, and reseals the
 // checksum trailer, so a mutation gets past the checksum to the structural
@@ -47,7 +65,10 @@ func fuzzSeedImage(tb testing.TB, g *graph.Graph, withIDs bool) []byte {
 // safe to walk the way the estimators do: every node's runs sliced out of
 // Nbr, its block list and out-reach terms read, every block's members and
 // their r values read. Each block member must also find its run, the
-// transpose of the node-major membership.
+// transpose of the node-major membership. Every edge is followed as the
+// exact phase's runChunk follows it: its graph and grouped neighbours index
+// an n-sized slice, its NbrRun reads RunStart and RunDegSum, and the Nbr
+// range from Mate+1 to the end of that run is read.
 //
 // Run it with: go test -run '^$' -fuzz '^FuzzDecodeView$' -fuzztime 20s ./internal/bicomp/
 func FuzzDecodeView(f *testing.F) {
@@ -56,20 +77,25 @@ func FuzzDecodeView(f *testing.F) {
 		f.Add(fuzzSeedImage(f, g, true))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var data []byte
-		if len(in) > 0 {
-			backing := make([]uint64, (len(in)+7)/8)
-			data = unsafe.Slice((*byte)(unsafe.Pointer(&backing[0])), len(in))
-			copy(data, in)
-		}
-		if len(data) >= headerSize {
-			reseal(data)
-		}
-		v, _, err := decodeView(data)
+		v, _, err := decodeView(resealedCopy(in))
 		if err != nil {
 			return
 		}
 		d, o := v.D, v.O
+		// perNode is n-sized, like the engines' per-node scratch.
+		perNode := make([]int32, v.G.NumNodes())
+		_, adj := v.G.CSR()
+		for _, w := range adj {
+			perNode[w]++
+		}
+		for i, w := range v.Nbr {
+			perNode[w]++
+			jr := v.NbrRun[i]
+			_ = v.RunDegSum[jr]
+			for k := v.Mate[i] + 1; k < v.RunStart[jr+1]; k++ {
+				_ = v.Nbr[k]
+			}
+		}
 		for u := graph.Node(0); int(u) < v.G.NumNodes(); u++ {
 			lo, hi := v.Runs(u)
 			for j := lo; j < hi; j++ {
@@ -95,4 +121,60 @@ func FuzzDecodeView(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFuzzCorpusNamesItsCheck: each mutant in FuzzDecodeView's checked-in
+// corpus is refused by the check its file name gives, and the accepted-*
+// inputs are accepted, so a reordered or dropped check shows here rather
+// than as a silently weaker corpus.
+func TestFuzzCorpusNamesItsCheck(t *testing.T) {
+	want := map[string]string{
+		"adj-range":              "graph edge 0 targets node",
+		"claim9":                 "Claim 9",
+		"comp-label-range":       "component label",
+		"comp-recount":           "recounts",
+		"decomp-prelude":         "implausible decomposition",
+		"empty-block":            "no members",
+		"file-size":              "truncated or corrupt",
+		"graph-offsets-end":      "offsets end",
+		"graph-offsets-monotone": "offsets not monotone",
+		"graph-offsets-zero":     "offsets[0]",
+		"mate-range":             "Mate",
+		"nbr-range":              "grouped edge 0 targets node",
+		"nbrrun-range":           "NbrRun",
+		"rnbr":                   "RNbr",
+		"run-ascending":          "not strictly ascending",
+		"run-block-range":        "run block id",
+		"run-cover":              "runs cover",
+		"run-index-monotone":     "run index not monotone",
+		"run-index-span":         "run index does not span",
+		"run-r":                  "want >= 1",
+		"run-tiling":             "not a nonempty run",
+	}
+	files, err := filepath.Glob("testdata/fuzz/FuzzDecodeView/*")
+	if err != nil || len(files) != len(want)+3 {
+		t.Fatalf("%d corpus files (%v), want %d mutants and 3 accepted inputs", len(files), err, len(want))
+	}
+	for _, path := range files {
+		name := filepath.Base(path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if header != "go test fuzz v1" || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry (%v)", name, err)
+		}
+		_, _, err = decodeView(resealedCopy([]byte(s)))
+		sub, isMutant := want[name]
+		switch {
+		case !isMutant && !strings.HasPrefix(name, "accepted-"):
+			t.Errorf("%s: unknown corpus entry", name)
+		case !isMutant && err != nil:
+			t.Errorf("%s: refused: %v", name, err)
+		case isMutant && (err == nil || !strings.Contains(err.Error(), sub)):
+			t.Errorf("%s: error %v, want one mentioning %q", name, err, sub)
+		}
+	}
 }

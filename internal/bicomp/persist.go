@@ -5,7 +5,7 @@
 // writing machine's native byte order:
 //
 //	[0:8)   magic "SaPHyBCV"
-//	[8:12)  format version (uint32, currently 3)
+//	[8:12)  format version (uint32, currently 4)
 //	[12:16) byte-order probe 0x01020304 (uint32, native order)
 //	[16:24) n     — number of nodes (int64)
 //	[24:32) m     — number of undirected edges (int64)
@@ -26,7 +26,6 @@
 //	RunStart  int64[runs+1]  edge range per run
 //	RunDegSum int64[runs]    neighbor degree mass per run
 //	decomp    numBlocks int64; numComps int64;
-//	          EdgeBlock  int32[2m]       block id per directed CSR edge
 //	          CompLabel  int32[n]        component label per node (padded)
 //	          CompSize   int64[numComps] nodes per component
 //	ids       int64[n]       original node ids (flags bit 0 only)
@@ -43,11 +42,12 @@
 // Castagnoli polynomial has the factor x+1.
 //
 // Version 3 dropped the out-reach section of versions 1 and 2, a second,
-// block-major copy of RunR that nothing checked against it. Files of an
-// older version are refused with the version error; rebuild them with
-// saphyra -save-view. Every section but ids is required: OpenMapped rejects
-// a file whose flags lack the checksum or decomposition bit, and asks for
-// the same rebuild.
+// block-major copy of RunR. Version 4 dropped the decomposition section's
+// per-directed-edge block map, a second copy of the run index: an edge's
+// block is its run's block. Files of an older version are refused with the
+// version error; rebuild them with saphyra -save-view. Every section but
+// ids is required: OpenMapped rejects a file whose flags lack the checksum
+// or decomposition bit, and asks for the same rebuild.
 //
 // The optional ids section preserves the dense-id -> original-id map of
 // graph.LoadEdgeList, so a view built from a compacted edge list still
@@ -56,14 +56,16 @@
 //
 // The decomposition section carries the parts of the biconnected
 // decomposition that the view's own arrays cannot reproduce: the block
-// count, the per-directed-edge block map and the connected-component
-// labeling. The run index is the rest: RunOff and RunBlock are the
-// decomposition's node-major membership CSR and RunR its out-reach r
+// count, the component count, and the connected-component labeling
+// (CompLabel, CompSize). The run index is the rest: RunOff and RunBlock are
+// the decomposition's node-major membership CSR and RunR its out-reach r
 // column, so every r an estimator reads comes from RunR. OpenMapped
 // rebuilds View.D and View.O from the section and the run arrays
-// (openTables), checking the runs' tiling, EdgeBlock against the runs and
-// RunR against Claim 9, in O(n + m + runs) and without the Decompose DFS or
-// the NewOutReach block-cut-tree DP. A file that fails a check fails the
+// (openTables), in O(n + m + runs) and without the Decompose DFS or the
+// NewOutReach block-cut-tree DP. On the way it checks the runs' tiling of
+// every node's CSR segment, the range of every index the engines follow
+// from an edge (adj, Nbr, NbrRun, Mate), RNbr against RunR, the component
+// labeling, and RunR against Claim 9. A file that fails a check fails the
 // open; nothing is recomputed from the graph.
 //
 // Native byte order makes the read path a straight reinterpretation of the
@@ -92,7 +94,7 @@ import (
 
 const (
 	persistMagic   = "SaPHyBCV"
-	persistVersion = 3
+	persistVersion = 4
 	orderProbe     = uint32(0x01020304)
 	headerSize     = 56
 	// flagIDs marks the presence of the optional original-id section.
@@ -102,8 +104,8 @@ const (
 	// before decoding any section, so a torn or bit-rotted file is a clean
 	// open error instead of silently wrong estimates. Required.
 	flagChecksum = int64(4)
-	// flagDecomp marks the decomposition section (block count, EdgeBlock,
-	// component labeling). Required.
+	// flagDecomp marks the decomposition section (block and component
+	// counts, component labeling). Required.
 	flagDecomp = int64(8)
 	// requiredFlags is the set every readable file carries; each bit has
 	// been written by every WriteFile since format version 1 gained it.
@@ -143,7 +145,7 @@ func viewChecksum(body []byte) uint64 {
 // persistSize returns the total file size for the given dimensions; comps
 // is the connected-component count of the decomposition section.
 func persistSize(n, m, runs, comps int64, hasIDs bool) int64 {
-	size := decompOffset(n, m, runs) + decompSectionSize(n, m, comps)
+	size := decompOffset(n, m, runs) + decompSectionSize(n, comps)
 	if hasIDs {
 		size += n * 8 // ids
 	}
@@ -171,10 +173,10 @@ func decompOffset(n, m, runs int64) int64 {
 }
 
 // decompSectionSize is the decomposition section's byte length: the 16-byte
-// prelude (numBlocks, numComps), EdgeBlock (2m int32 = 8m bytes, always
-// 8-aligned), CompLabel (n int32, padded), and CompSize (comps int64).
-func decompSectionSize(n, m, comps int64) int64 {
-	return 16 + 2*m*4 + pad8(n*4) + comps*8
+// prelude (numBlocks, numComps), CompLabel (n int32, padded), and CompSize
+// (comps int64).
+func decompSectionSize(n, comps int64) int64 {
+	return 16 + pad8(n*4) + comps*8
 }
 
 func pad8(b int64) int64 { return (b + 7) &^ 7 }
@@ -282,9 +284,6 @@ func (v *BlockCSR) writeTo(w io.Writer, ids []int64) (int64, error) {
 	binary.NativeEndian.PutUint64(prelude[0:8], uint64(d.NumBlocks))
 	binary.NativeEndian.PutUint64(prelude[8:16], uint64(comps))
 	if err := put(prelude[:]); err != nil {
-		return written, err
-	}
-	if err := put(int32Bytes(d.EdgeBlock)); err != nil {
 		return written, err
 	}
 	if err := putPadded32(d.CompLabel); err != nil {
@@ -455,7 +454,6 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 		RunDegSum: r.i64(runs),
 	}
 	r.off += 16 // decomposition prelude: already decoded above
-	edgeBlock := r.i32(2*m, false)
 	compLabel := r.i32(n, true)
 	compSize := r.i64(numComps)
 	if hasIDs {
@@ -466,7 +464,7 @@ func decodeView(data []byte) (view *BlockCSR, ids []int64, err error) {
 		return nil, nil, fmt.Errorf("bicomp: embedded graph: %w", err)
 	}
 	view.G = g
-	if err := view.openTables(numBlocks, edgeBlock, compLabel, compSize); err != nil {
+	if err := view.openTables(numBlocks, compLabel, compSize); err != nil {
 		return nil, nil, err
 	}
 	return view, ids, nil
@@ -496,8 +494,8 @@ func missingSections(missing int64) string {
 // View.D and View.O are complete: OpenMapped rebuilds them from the file's
 // decomposition section and run arrays before returning. Their node-major
 // arrays (NodeOff, NodeBlock, NodeR) are the mapped RunOff, RunBlock and
-// RunR, and EdgeBlock, CompLabel and CompSize alias the section; only the
-// block-major CSR, its r column and the per-block sums are heap.
+// RunR, and CompLabel and CompSize alias the section; only the block-major
+// CSR, its r column and the per-block sums are heap.
 type Mapped struct {
 	View *BlockCSR
 	// IDs is the embedded dense-id -> original-id map, or nil when the file

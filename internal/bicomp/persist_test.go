@@ -138,6 +138,13 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 		reseal(b)
 		return b
 	}, "version 2", "rebuild it with saphyra -save-view")
+	// Format version 3 carried a per-directed-edge block map, a second copy
+	// of the run index, in its decomposition section.
+	check("v3", func(b []byte) []byte {
+		binary.NativeEndian.PutUint32(b[8:12], 3)
+		reseal(b)
+		return b
+	}, "version 3", "rebuild it with saphyra -save-view")
 	check("endian", func(b []byte) []byte { b[12], b[15] = b[15], b[12]; return b }, "endianness")
 	check("truncated", func(b []byte) []byte { return b[:len(b)-8] }, "truncated")
 	check("short", func(b []byte) []byte { return b[:20] }, "too short")
@@ -288,11 +295,13 @@ func sameOutReach(a, b *OutReach) bool {
 }
 
 // TestPersistOutReachCorruptSectionFallsBack: a wrong r value must never
-// reach an estimate. RunR is the only serialized copy of r, and OpenMapped
-// checks it as it rebuilds the out-reach tables: r >= 1, r = 1 at a
-// non-cutpoint, and each block's r values summing to its component's size
-// (Claim 9). Each corruption is resealed, so it models a buggy writer
-// rather than bit rot: the open-time checksum must not be the only defense.
+// reach an estimate. RunR is the only serialized copy of r (each RNbr entry
+// must equal the RunR of its NbrRun), and OpenMapped checks it as it
+// rebuilds the out-reach tables: r >= 1, r = 1 at a non-cutpoint, and each
+// block's r values summing to its component's size (Claim 9). Each
+// corruption writes the wrong r to RunR and to every RNbr entry that
+// mirrors it, then reseals, so it models a buggy writer rather than bit
+// rot: neither the checksum nor the RNbr check may be the only defense.
 func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 	g := graph.RandomTree(100, 4)
 	v := buildView(t, g)
@@ -308,6 +317,8 @@ func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 	// RunR follows offsets, adj, Nbr, RNbr, NbrRun, Mate, RunOff and RunBlock.
 	n, m := int64(g.NumNodes()), g.NumEdges()
 	runROff := headerSize + (n+1)*8 + 3*(2*m*4) + 2*(2*m*8) + (n+1)*8 + pad8(int64(len(v.RunBlock))*4)
+	// RNbr follows offsets, adj and Nbr.
+	rnbrOff := headerSize + (n+1)*8 + 2*(2*m*4)
 	cut, leaf := int64(-1), int64(-1) // a cutpoint run with r > 1, a non-cutpoint run
 	for u := graph.Node(0); int64(u) < n; u++ {
 		lo, hi := v.Runs(u)
@@ -332,6 +343,11 @@ func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 	} {
 		b := append([]byte(nil), good...)
 		binary.NativeEndian.PutUint32(b[runROff+4*tc.run:], uint32(tc.r))
+		for i, jr := range v.NbrRun {
+			if jr == tc.run {
+				binary.NativeEndian.PutUint32(b[rnbrOff+4*int64(i):], uint32(tc.r))
+			}
+		}
 		reseal(b)
 		p := filepath.Join(dir, tc.name+".sbcv")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
@@ -343,7 +359,6 @@ func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 
 func sameDecomposition(a, b *Decomposition) bool {
 	return a.NumBlocks == b.NumBlocks &&
-		slices.Equal(a.EdgeBlock, b.EdgeBlock) &&
 		slices.Equal(a.BlockOff, b.BlockOff) && slices.Equal(a.BlockNodes, b.BlockNodes) &&
 		slices.Equal(a.NodeOff, b.NodeOff) && slices.Equal(a.NodeBlock, b.NodeBlock) &&
 		slices.Equal(a.CompLabel, b.CompLabel) && slices.Equal(a.CompSize, b.CompSize)
@@ -367,7 +382,7 @@ func TestPersistDecompRoundTrip(t *testing.T) {
 			v := buildView(t, tc.g)
 			dir := t.TempDir()
 
-			path := filepath.Join(dir, "v3.sbcv")
+			path := filepath.Join(dir, "view.sbcv")
 			if err := v.WriteFile(path, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -389,8 +404,8 @@ func TestPersistDecompRoundTrip(t *testing.T) {
 			}
 			n, m2 := int64(v.G.NumNodes()), v.G.NumEdges()
 			secOff := decompOffset(n, m2, int64(len(v.RunBlock)))
-			secSize := decompSectionSize(n, m2, int64(len(v.D.CompSize)))
-			legacy := filepath.Join(dir, "v2.sbcv")
+			secSize := decompSectionSize(n, int64(len(v.D.CompSize)))
+			legacy := filepath.Join(dir, "nodecomp.sbcv")
 			if err := os.WriteFile(legacy, stripSection(good, secOff, secSize, flagDecomp), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -401,9 +416,9 @@ func TestPersistDecompRoundTrip(t *testing.T) {
 
 // TestPersistDecompCorruptSectionFallsBack: garbage in the decomposition
 // section or the run layout must never reach an estimate — the open checks
-// one against the other and fails instead of recomputing. A mutated prelude
-// (which changes the implied section size) is caught by the size check
-// before any section is decoded.
+// both and fails instead of recomputing. A mutated prelude (which changes
+// the implied section size) is caught by the size check before any section
+// is decoded.
 func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 	g := graph.RandomTree(100, 4)
 	v := buildView(t, g)
@@ -416,17 +431,14 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The EdgeBlock table starts 16 bytes into the section, after the
-	// numBlocks/numComps prelude; CompLabel follows EdgeBlock.
+	// CompLabel starts 16 bytes into the section, after the
+	// numBlocks/numComps prelude.
 	n, m := int64(g.NumNodes()), g.NumEdges()
 	sectionOff := decompOffset(n, m, int64(len(v.RunBlock)))
-	labelOff := sectionOff + 16 + 2*m*4
+	labelOff := sectionOff + 16
 	// RunBlock follows offsets, adj, Nbr, RNbr, NbrRun, Mate and RunOff.
 	runBlockOff := headerSize + (n+1)*8 + 3*(2*m*4) + 2*(2*m*8) + (n+1)*8
 	runStartOff := runBlockOff + 2*pad8(int64(len(v.RunBlock))*4) // after RunBlock and RunR
-	setEdgeBlock := func(b []byte, i int64, blk int32) {
-		binary.NativeEndian.PutUint32(b[sectionOff+16+4*i:], uint32(blk))
-	}
 	runs := func(u graph.Node) []int32 { return v.RunBlock[v.RunOff[u]:v.RunOff[u+1]] }
 	// twoRun is a cutpoint of the tree with exactly two runs, one edge each.
 	twoRun := graph.Node(-1)
@@ -435,23 +447,13 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 			twoRun = u
 		}
 	}
-	// stale is a node with edges whose predecessor has a run in a block
-	// stale is not in.
-	stale := graph.Node(-1)
-	for u := graph.Node(1); int64(u) < n && stale < 0; u++ {
-		if p := runs(u - 1); len(p) > 0 && g.Degree(u) > 0 && !slices.Contains(runs(u), p[0]) {
-			stale = u
-		}
-	}
-	if twoRun < 0 || stale < 0 {
-		t.Fatal("test tree lacks a two-run cutpoint or a stale-owner candidate")
+	if twoRun < 0 {
+		t.Fatal("test tree lacks a two-run cutpoint")
 	}
 	for _, tc := range []struct {
 		name, wantSub string
 		mutate        func(b []byte)
 	}{
-		// First EdgeBlock entry: now disagrees with the run layout.
-		{"edgeblock", "run layout", func(b []byte) { b[sectionOff+16] ^= 0x5a }},
 		// numComps low byte: the implied file size no longer matches.
 		{"prelude", "truncated or corrupt", func(b []byte) { b[sectionOff+8]++ }},
 		// An out-of-range component label passes the size check but fails
@@ -459,37 +461,15 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 		{"label", "component label", func(b []byte) {
 			binary.NativeEndian.PutUint32(b[labelOff:], uint32(len(v.D.CompSize)+7))
 		}},
-		// Over-count: the edge of twoRun's first run moved to its second
-		// run, so the second run's block gets two edges against a length
-		// of one.
-		{"overcount", "run layout", func(b []byte) {
-			i := g.AdjOffset(twoRun)
-			if v.D.EdgeBlock[i] != runs(twoRun)[0] {
-				i++
-			}
-			setEdgeBlock(b, i, runs(twoRun)[1])
-		}},
-		// Stale owner: an edge of stale given a valid block of the
-		// previous node's runs that is not one of stale's own. The
-		// previous node spent that block's edge budget to zero, so the
-		// budget refuses stale's edge.
-		{"staleowner", "run layout", func(b []byte) {
-			setEdgeBlock(b, g.AdjOffset(stale), runs(stale - 1)[0])
-		}},
-		// twoRun's runs skewed to lengths 3 and -1, both its edges in the
-		// first run's block: the lengths still sum to its degree and the
-		// edges match the budgets, but the second run's edge range is
-		// inverted and slicing Nbr over it would panic.
+		// twoRun's runs skewed to lengths 3 and -1: the lengths still sum
+		// to its degree, but the second run's edge range is inverted and
+		// slicing Nbr over it would panic.
 		{"tiling", "run layout", func(b []byte) {
 			lo := v.RunOff[twoRun]
 			binary.NativeEndian.PutUint64(b[runStartOff+8*(lo+1):], uint64(v.RunStart[lo]+3))
-			for i := g.AdjOffset(twoRun); i < g.AdjOffset(twoRun)+2; i++ {
-				setEdgeBlock(b, i, runs(twoRun)[0])
-			}
 		}},
-		// twoRun's two run blocks swapped: each run still matches its
-		// edge count, but its run blocks no longer ascend, which the run
-		// search relies on.
+		// twoRun's two run blocks swapped: each run keeps its length, but
+		// its run blocks no longer ascend, which the run search relies on.
 		{"cursor", "run layout", func(b []byte) {
 			at := runBlockOff + 4*v.RunOff[twoRun]
 			bs := runs(twoRun)
@@ -505,5 +485,60 @@ func TestPersistDecompCorruptSectionFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		openRejects(t, p, tc.wantSub)
+	}
+}
+
+// TestOpenMappedRejectsBadEdgeIndices: every index the exact phase follows
+// from an edge is range-checked at open, and RNbr is checked against RunR.
+// Each corruption is resealed. The nbr and rnbr cases are the two
+// checksum-valid views that opened before these checks: the first panicked
+// a full-network exact phase with an index out of range, the second gave
+// it a wrong r.
+func TestOpenMappedRejectsBadEdgeIndices(t *testing.T) {
+	g := graph.BarabasiAlbert(200, 3, 4)
+	v := buildView(t, g)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "good.sbcv")
+	if err := v.WriteFile(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// adj follows the header and offsets; Nbr, RNbr, NbrRun and Mate
+	// follow adj.
+	n, m2 := int64(g.NumNodes()), 2*g.NumEdges()
+	adjOff := headerSize + (n+1)*8
+	nbrOff := adjOff + m2*4
+	rnbrOff := nbrOff + m2*4
+	nbrRunOff := rnbrOff + m2*4
+	mateOff := nbrRunOff + m2*8
+	put32 := func(at int64, x int32) func([]byte) {
+		return func(b []byte) { binary.NativeEndian.PutUint32(b[at:], uint32(x)) }
+	}
+	put64 := func(at, x int64) func([]byte) {
+		return func(b []byte) { binary.NativeEndian.PutUint64(b[at:], uint64(x)) }
+	}
+	for _, tc := range []struct {
+		name, wantSub string
+		mutate        func(b []byte)
+	}{
+		{"nbr", "grouped edge 0 targets node 205", put32(nbrOff, 205)},
+		{"rnbr", "RNbr 7", put32(rnbrOff, 7)},
+		{"adj", "graph edge 0 targets node 205", put32(adjOff, 205)},
+		{"nbrrun", "NbrRun", put64(nbrRunOff, int64(len(v.RunBlock))+1)},
+		{"mate", "Mate", put64(mateOff, m2+3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), good...)
+			tc.mutate(b)
+			reseal(b)
+			p := filepath.Join(dir, tc.name+".sbcv")
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			openRejects(t, p, tc.wantSub)
+		})
 	}
 }

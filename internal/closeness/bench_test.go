@@ -55,8 +55,7 @@ func BenchmarkCloseness(b *testing.B) {
 // view build is outside the timed loop, as it is in a serving process.
 func BenchmarkClosenessView(b *testing.B) {
 	g := benchGraph()
-	d := bicomp.Decompose(g)
-	view := bicomp.NewBlockCSR(d, bicomp.NewOutReach(d))
+	view := bicomp.NewBlockCSR(g)
 	targets := benchTargets(g, 50)
 	eng := NewEngineView(view)
 	var res Result
@@ -78,8 +77,7 @@ func BenchmarkClosenessView(b *testing.B) {
 // build is outside the timed loop.
 func BenchmarkClosenessAllNodes(b *testing.B) {
 	g := datasets.Flickr.Build(4)
-	d := bicomp.Decompose(g)
-	eng := NewEngineView(bicomp.NewBlockCSR(d, bicomp.NewOutReach(d)))
+	eng := NewEngineView(bicomp.NewBlockCSR(g))
 	targets := allNodes(g)
 	opt := Options{Epsilon: 0.05, Delta: 0.01, Seed: 1, Workers: 1}
 	var res Result

@@ -64,8 +64,7 @@ func TestViewMatchesGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := bicomp.Decompose(g)
-	view := bicomp.NewBlockCSR(d, bicomp.NewOutReach(d))
+	view := bicomp.NewBlockCSR(g)
 	path := filepath.Join(t.TempDir(), "view.sbcv")
 	if err := view.WriteFile(path, nil); err != nil {
 		t.Fatal(err)

@@ -271,10 +271,7 @@ func (p *BCPreprocessed) getSampler() *bcSamplerScratch {
 // PreprocessBC decomposes the graph, computes out-reach tables, and builds
 // the block-annotated CSR view shared by the exact phase and the sampler.
 func PreprocessBC(g *graph.Graph) *BCPreprocessed {
-	d := bicomp.Decompose(g)
-	o := bicomp.NewOutReach(d)
-	view := bicomp.NewBlockCSR(d, o)
-	return &BCPreprocessed{G: g, D: d, O: o, View: view, Exact: exactphase.New(view)}
+	return PreprocessBCFromView(bicomp.NewBlockCSR(g))
 }
 
 // PreprocessBCFromView builds the cached preprocessing around an existing

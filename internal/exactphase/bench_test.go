@@ -20,9 +20,8 @@ func benchGraph() *graph.Graph {
 func benchFixture(tb testing.TB) (*Engine, *bicomp.OutReach, []graph.Node, []int32, float64) {
 	tb.Helper()
 	g := benchGraph()
-	d := bicomp.Decompose(g)
-	o := bicomp.NewOutReach(d)
-	view := bicomp.NewBlockCSR(d, o)
+	view := bicomp.NewBlockCSR(g)
+	o := view.O
 	n := g.NumNodes()
 	aIndex := make([]int32, n)
 	for i := range aIndex {
@@ -40,15 +39,27 @@ func benchFixture(tb testing.TB) (*Engine, *bicomp.OutReach, []graph.Node, []int
 	return New(view), o, targets, aIndex, wA
 }
 
-// legacyExact replicates the pre-BlockCSR exact phase verbatim (PR 1's
-// exactBCRange): per-pair EdgeBlock resolution via AdjOffset side-table
-// indexing and per-endpoint OutReach.Of lookups, full push-phase sigma
-// counting, scratch allocated per call. It is the reference the ISSUE's
-// >= 3x acceptance criterion compares against — keep it honest when the
-// engine changes again.
-func legacyExact(o *bicomp.OutReach, targets []graph.Node, aIndex []int32, wA float64) (float64, []float64) {
-	d := o.D
+// legacyEdgeBlock is the per-directed-edge block table the legacy exact
+// phase indexes by CSR position, built from BlockOfEdge.
+func legacyEdgeBlock(d *bicomp.Decomposition) []int32 {
 	g := d.G
+	edgeBlock := make([]int32, 0, 2*g.NumEdges())
+	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
+		for _, v := range g.Neighbors(u) {
+			edgeBlock = append(edgeBlock, d.BlockOfEdge(u, v))
+		}
+	}
+	return edgeBlock
+}
+
+// legacyExact replicates the pre-BlockCSR exact phase verbatim (the first
+// engine's exactBCRange): per-pair block resolution via AdjOffset indexing
+// of a per-edge side table (legacyEdgeBlock) and per-endpoint OutReach.Of
+// lookups, full push-phase sigma counting, scratch allocated per call. It
+// is the reference for the run-length engine's >= 3x speed-up target —
+// keep it honest when the engine changes again.
+func legacyExact(o *bicomp.OutReach, edgeBlock []int32, targets []graph.Node, aIndex []int32, wA float64) (float64, []float64) {
+	g := o.D.G
 	n := g.NumNodes()
 	exact := make([]float64, len(targets))
 	var lambdaHat float64
@@ -94,14 +105,14 @@ func legacyExact(o *bicomp.OutReach, targets []graph.Node, aIndex []int32, wA fl
 			if ai < 0 {
 				continue
 			}
-			bSV := d.EdgeBlock[sBase+int64(i)]
+			bSV := edgeBlock[sBase+int64(i)]
 			rS := float64(o.Of(bSV, s))
 			vBase := g.AdjOffset(v)
 			for j, t := range g.Neighbors(v) {
 				if t == s || isNbr[t] == e {
 					continue
 				}
-				if d.EdgeBlock[vBase+int64(j)] != bSV {
+				if edgeBlock[vBase+int64(j)] != bSV {
 					continue
 				}
 				mass := rS * float64(o.Of(bSV, t)) / (float64(sigma[t]) * wA)
@@ -118,7 +129,7 @@ func legacyExact(o *bicomp.OutReach, targets []graph.Node, aIndex []int32, wA fl
 func TestLegacyReferenceMatchesEngine(t *testing.T) {
 	e, o, targets, aIndex, wA := benchFixture(t)
 	gotL, gotE, _ := e.Run(context.Background(), targets, aIndex, wA, 1)
-	wantL, wantE := legacyExact(o, targets, aIndex, wA)
+	wantL, wantE := legacyExact(o, legacyEdgeBlock(o.D), targets, aIndex, wA)
 	if math.Abs(gotL-wantL) > 1e-9*(1+wantL) {
 		t.Fatalf("lambdaHat %g, legacy %g", gotL, wantL)
 	}
@@ -126,19 +137,6 @@ func TestLegacyReferenceMatchesEngine(t *testing.T) {
 		if math.Abs(gotE[i]-wantE[i]) > 1e-9*(1+wantE[i]) {
 			t.Fatalf("exact[%d] = %g, legacy %g", i, gotE[i], wantE[i])
 		}
-	}
-}
-
-// BenchmarkExactPhaseBuild measures the one-time BlockCSR construction that
-// core.PreprocessBC adds on top of Decompose + NewOutReach.
-func BenchmarkExactPhaseBuild(b *testing.B) {
-	g := benchGraph()
-	d := bicomp.Decompose(g)
-	o := bicomp.NewOutReach(d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = bicomp.NewBlockCSR(d, o)
 	}
 }
 
@@ -161,10 +159,11 @@ func BenchmarkExactPhaseRange(b *testing.B) {
 // workload.
 func BenchmarkExactPhaseRangeLegacy(b *testing.B) {
 	_, o, targets, aIndex, wA := benchFixture(b)
+	edgeBlock := legacyEdgeBlock(o.D)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		legacyExact(o, targets, aIndex, wA)
+		legacyExact(o, edgeBlock, targets, aIndex, wA)
 	}
 }
 

@@ -5,8 +5,8 @@
 //
 // The engine runs on the block-annotated adjacency view bicomp.BlockCSR: the
 // inner s-v-t loop streams over pre-grouped per-block neighbor runs with the
-// out-reach r-values inlined per edge, so the hot loop performs zero
-// EdgeBlock resolutions, zero OutReach.Of lookups, and no map accesses.
+// out-reach r-values inlined per edge, so the hot loop performs no per-edge
+// block resolution, no OutReach.Of lookup, and no map access.
 //
 // Parallelism is deterministic and runs on the shared internal/sched
 // substrate: endpoints are split into chunks balanced by a per-endpoint cost

@@ -14,9 +14,7 @@ import (
 
 func newEngine(t testing.TB, g *graph.Graph) *Engine {
 	t.Helper()
-	d := bicomp.Decompose(g)
-	o := bicomp.NewOutReach(d)
-	v := bicomp.NewBlockCSR(d, o)
+	v := bicomp.NewBlockCSR(g)
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,7 @@ func TestEngineOnMappedView(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g
-			d := bicomp.Decompose(g)
-			o := bicomp.NewOutReach(d)
-			view := bicomp.NewBlockCSR(d, o)
+			view := bicomp.NewBlockCSR(g)
 
 			path := filepath.Join(t.TempDir(), "view.sbcv")
 			if err := view.WriteFile(path, nil); err != nil {
@@ -46,8 +44,7 @@ func TestEngineOnMappedView(t *testing.T) {
 			for i, v := range targets {
 				aIndex[v] = int32(i)
 			}
-			blocks := o.BlocksOf(targets)
-			wA := o.WeightOfBlocks(blocks)
+			wA := view.O.WeightOfBlocks(view.O.BlocksOf(targets))
 
 			wantLambda, wantExact, _ := New(view).Run(context.Background(), targets, aIndex, wA, 4)
 			gotLambda, gotExact, _ := New(m.View).Run(context.Background(), targets, aIndex, wA, 4)

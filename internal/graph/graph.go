@@ -60,21 +60,8 @@ func (g *Graph) HasEdge(u, v Node) bool {
 	return i < len(nbrs) && nbrs[i] == v
 }
 
-// EdgeIndex returns the position of neighbor v within u's adjacency slice in
-// the underlying CSR arrays (a stable per-directed-edge index usable for
-// per-edge side tables), or -1 if the edge is absent.
-func (g *Graph) EdgeIndex(u, v Node) int64 {
-	nbrs := g.Neighbors(u)
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	if i < len(nbrs) && nbrs[i] == v {
-		return g.offsets[u] + int64(i)
-	}
-	return -1
-}
-
-// AdjOffset returns the start offset of u's adjacency list in the CSR arrays.
-// Together with EdgeIndex it allows callers to maintain per-directed-edge
-// side tables of length 2m.
+// AdjOffset returns the start offset of u's adjacency list in the CSR arrays,
+// so per-directed-edge side tables of length 2m can be indexed by position.
 func (g *Graph) AdjOffset(u Node) int64 { return g.offsets[u] }
 
 // CSR exposes the graph's raw arrays — the offsets array (len n+1) and the

@@ -111,21 +111,6 @@ func TestHasEdge(t *testing.T) {
 	}
 }
 
-func TestEdgeIndex(t *testing.T) {
-	g := Path(4)
-	for u := Node(0); int(u) < g.NumNodes(); u++ {
-		for i, v := range g.Neighbors(u) {
-			idx := g.EdgeIndex(u, v)
-			if idx != g.AdjOffset(u)+int64(i) {
-				t.Errorf("EdgeIndex(%d,%d) = %d, want %d", u, v, idx, g.AdjOffset(u)+int64(i))
-			}
-		}
-	}
-	if g.EdgeIndex(0, 3) != -1 {
-		t.Error("EdgeIndex of absent edge should be -1")
-	}
-}
-
 func TestEdgesRoundTrip(t *testing.T) {
 	g := BarabasiAlbert(100, 3, 42)
 	edges := g.Edges()

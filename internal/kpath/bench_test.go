@@ -46,8 +46,7 @@ func BenchmarkKPathPartitioned(b *testing.B) {
 // is outside the timed loop, as it is in a serving process.
 func BenchmarkKPathPartitionedView(b *testing.B) {
 	g := benchGraph()
-	d := bicomp.Decompose(g)
-	view := bicomp.NewBlockCSR(d, bicomp.NewOutReach(d))
+	view := bicomp.NewBlockCSR(g)
 	targets := benchTargets(g, 100)
 	b.ReportAllocs()
 	b.ResetTimer()

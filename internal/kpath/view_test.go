@@ -12,8 +12,7 @@ import (
 
 func testView(t *testing.T, g *graph.Graph) *bicomp.BlockCSR {
 	t.Helper()
-	d := bicomp.Decompose(g)
-	return bicomp.NewBlockCSR(d, bicomp.NewOutReach(d))
+	return bicomp.NewBlockCSR(g)
 }
 
 // TestWorkerCountBitwise: both estimators must produce bitwise-identical

@@ -135,8 +135,7 @@ type View struct {
 // reporting the original id space. Pass nil when node ids are already
 // dense.
 func BuildView(g *Graph, ids []int64) *View {
-	d := bicomp.Decompose(g)
-	return &View{v: bicomp.NewBlockCSR(d, bicomp.NewOutReach(d)), ids: ids}
+	return &View{v: bicomp.NewBlockCSR(g), ids: ids}
 }
 
 // WriteFile serializes the view (versioned binary format, native byte
