@@ -2,6 +2,7 @@ package closeness
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -69,26 +70,47 @@ func BenchmarkClosenessView(b *testing.B) {
 }
 
 // BenchmarkClosenessAllNodes prices the whole-network ranking a daemon
-// precomputes at boot: every node a target, on the Flickr stand-in at scale
-// 4 (24k nodes, the graph bench/run.sh serves), over its view at the
+// precomputes at boot: every node a target, over the graph's view at the
 // daemon's defaults (eps 0.05, delta 0.01) and one worker. k = n keeps
 // every round in the source shape, so this is sampleBatch's pricing loop
 // end to end: the MS-BFS passes plus the target-major accumulate. The view
-// build is outside the timed loop.
+// build is outside the timed loop. flickr is the Flickr stand-in at scale 4
+// (24k nodes, the graph bench/run.sh serves), whose passes need three depth
+// planes; road is the usaroad-sim stand-in at scale 1.5 (21k nodes), whose
+// deepest passes run past 255 levels and so decode nine planes to 16-bit
+// lanes. planes/op is the most planes one pass needed.
 func BenchmarkClosenessAllNodes(b *testing.B) {
-	g := datasets.Flickr.Build(4)
-	eng := NewEngineView(bicomp.NewBlockCSR(g))
-	targets := allNodes(g)
-	opt := Options{Epsilon: 0.05, Delta: 0.01, Seed: 1, Workers: 1}
-	var res Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.EstimateInto(context.Background(), targets, opt, &res); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name   string
+		net    datasets.Network
+		scale  float64
+		planes int // the fewest planes the deepest pass must need
+	}{
+		{"flickr", datasets.Flickr, 4, 3},
+		{"road", datasets.USARoad, 1.5, 9},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := tc.net.Build(tc.scale)
+			eng := NewEngineView(bicomp.NewBlockCSR(g))
+			targets := allNodes(g)
+			opt := Options{Epsilon: 0.05, Delta: 0.01, Seed: 1, Workers: 1}
+			var res Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eng.EstimateInto(context.Background(), targets, opt, &res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			np := planeCount(eng.free[0].src[0])
+			if np < tc.planes {
+				b.Fatalf("the deepest pass needed %d depth planes, want at least %d", np, tc.planes)
+			}
+			b.ReportMetric(float64(res.Samples), "samples/op")
+			b.ReportMetric(float64(np), "planes/op")
+		})
 	}
-	b.ReportMetric(float64(res.Samples), "samples/op")
 }
 
 // BenchmarkClosenessLegacy pins the pre-MS-BFS engine — one scalar BFS per
@@ -215,14 +237,16 @@ func TestTargetShapeMemoryBound(t *testing.T) {
 }
 
 // TestSourceShapeMemoryBound: the source shape's traversals and depth
-// tables belong to the goroutines running streams, not to the streams, so
+// planes belong to the goroutines running streams, not to the streams, so
 // a whole-network call holds min(Workers, VirtualWorkers) of them however
-// many of the streams draw.
+// many of the streams draw. Each workspace holds no more planes than the
+// graph's deepest BFS level needs, and leaves every plane word zero.
 func TestSourceShapeMemoryBound(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	g := graph.BarabasiAlbert(1200, 3, 6)
 	a := allNodes(g)
+	maxPlanes := bits.Len32(uint32(diameter(g)))
 	for _, workers := range []int{1, 3} {
 		eng := NewEngine(g)
 		res, err := eng.Estimate(context.Background(), a, Options{Epsilon: 0.2, Delta: 0.05, Seed: 9, Workers: workers})
@@ -236,11 +260,31 @@ func TestSourceShapeMemoryBound(t *testing.T) {
 		if len(sc.src) != workers {
 			t.Errorf("workers=%d: %d source-shape workspaces, want %d", workers, len(sc.src), workers)
 		}
-		// A goroutine that stole no stream never sized its table.
+		// A goroutine that stole no stream never added a plane.
 		for i, p := range sc.src {
-			if n := len(p.tdist); n != 0 && n != len(a)*msbfs.MaxLanes || slices.ContainsFunc(p.tdist, func(d int32) bool { return d != 0 }) {
-				t.Errorf("workers=%d: workspace %d: table of %d entries, not all zero; want %d zeros", workers, i, len(p.tdist), len(a)*msbfs.MaxLanes)
+			if np := planeCount(p); np > maxPlanes || len(p.planes) != np*len(a) {
+				t.Errorf("workers=%d: workspace %d: %d words in planes of %d; want at most %d planes", workers, i, len(p.planes), len(a), maxPlanes)
+			}
+			if slices.ContainsFunc(p.planes[:cap(p.planes)], func(w uint64) bool { return w != 0 }) {
+				t.Errorf("workers=%d: workspace %d: plane words left nonzero", workers, i)
 			}
 		}
 	}
+}
+
+// planeCount is how many depth planes workspace p holds.
+func planeCount(p *sourcePass) int {
+	if p.k == 0 {
+		return 0
+	}
+	return len(p.planes) / p.k
+}
+
+// diameter is the deepest BFS level from any node of g.
+func diameter(g *graph.Graph) int32 {
+	var deepest int32
+	for u := range g.NumNodes() {
+		deepest = max(deepest, graph.Eccentricity(g, graph.Node(u)))
+	}
+	return deepest
 }

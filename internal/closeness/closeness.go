@@ -132,8 +132,8 @@ func EstimateView(ctx context.Context, view *bicomp.BlockCSR, a []graph.Node, op
 }
 
 // Engine is a reusable closeness estimator bound to one adjacency. It owns
-// a pool of per-call workspaces (RNG streams, MS-BFS traversals, distance
-// rows and tables, accumulators), so the steady state of EstimateInto
+// a pool of per-call workspaces (RNG streams, MS-BFS traversals, depth
+// planes and tables, accumulators), so the steady state of EstimateInto
 // allocates nothing beyond the goroutines sched spins up: build one Engine
 // per served graph or view and share it across requests (safe for
 // concurrent use).
@@ -335,15 +335,52 @@ type stream struct {
 }
 
 // sourcePass is one goroutine's source-shape workspace: an MS-BFS
-// traversal and the depth table, tdist[i*64+j] = dist(srcs[j], nodes[i]).
-// The table is all zeros between passes, so any stream can use any pass
-// and a call holds min(Workers, VirtualWorkers) tables, not one per stream.
-// Built on a call's first source-shape round, so target-shape-only calls
-// never pay for them.
+// traversal and its pass's depths, bit-sliced into planes of k words each.
+// planes[b*k+i] holds, in bit j, bit b of lane j's depth to target i, so a
+// settle ORs its lane mask into one word per set bit of the depth. Planes
+// are added as the pass first settles a target deeper than they can spell,
+// up to bits.Len of the deepest settle, so no depth is capped. They are all
+// zeros between passes, so any stream can use any pass and a call holds
+// min(Workers, VirtualWorkers) of them, not one per stream. Built on a
+// call's first source-shape round, so target-shape-only calls never pay
+// for them.
 type sourcePass struct {
-	trav  *msbfs.Traversal
-	tdist []int32
-	srcs  [msbfs.MaxLanes]graph.Node
+	trav   *msbfs.Traversal
+	aIndex []int32
+	planes []uint64
+	k      int   // words per plane
+	deep   int32 // the current pass's deepest settle of a target
+	srcs   [msbfs.MaxLanes]graph.Node
+}
+
+// settle records the lanes reaching target u at depth. Passed to the
+// traversal as a method value, which does not escape, so a pass allocates
+// nothing (TestSampleBatchAllocatesNothing).
+func (p *sourcePass) settle(u graph.Node, lanes uint64, depth int32) {
+	ai := p.aIndex[u]
+	if ai < 0 {
+		return
+	}
+	if depth > p.deep {
+		p.deepen(depth)
+	}
+	for d := uint32(depth); d != 0; d &= d - 1 {
+		p.planes[bits.TrailingZeros32(d)*p.k+int(ai)] |= lanes
+	}
+}
+
+// deepen raises the pass's deepest settle and adds the planes it needs.
+// The backing array is zero past len (the planes are cleared as they are
+// read), so growing within its capacity needs no fill. It runs once per
+// level at most and is kept out of line so that settle, which runs once
+// per settled node, stays small.
+//
+//go:noinline
+func (p *sourcePass) deepen(depth int32) {
+	p.deep = depth
+	if n := bits.Len32(uint32(depth)) * p.k; n > len(p.planes) {
+		p.planes = slices.Grow(p.planes, n-len(p.planes))[:n]
+	}
 }
 
 // sourcePasses returns the first workers pooled source-shape workspaces,
@@ -388,27 +425,19 @@ func (sc *callScratch) activate(e *Engine, v int, seed0 int64, k int) *stream {
 
 // sampleBatch draws count sources in RNG order and prices them against the
 // targets in MS-BFS batches of up to 64 lanes on workspace p. Each pass
-// fills the target-major depth table, whose zero entries mean "the source
-// itself or unreached", and accumulate replays it one target row at a time.
-// On a whole-network call the passes and that replay are the whole cost;
+// fills the depth planes, where a zero depth means "the source itself or
+// unreached", and accumulate replays them one target at a time. On a
+// whole-network call the passes and that replay are the whole cost;
 // DESIGN.md section 11 gives the measured split.
 func (s *stream) sampleBatch(ctx context.Context, e *Engine, p *sourcePass, aIndex []int32, k int, stop *sched.Stop, count int64) {
 	n := e.n
-	// The table is all zeros between passes: fresh from make, or cleared
-	// row by row as accumulate consumes it (and whole on a failed pass).
-	// Shrinking k keeps that true of the backing array's tail.
-	p.tdist = resize(p.tdist, k*msbfs.MaxLanes)
-	tdist := p.tdist
-	onSettle := func(u graph.Node, lanes uint64, depth int32) {
-		ai := aIndex[u]
-		if ai < 0 {
-			return
-		}
-		row := tdist[int(ai)*msbfs.MaxLanes:]
-		for m := lanes; m != 0; m &= m - 1 {
-			row[bits.TrailingZeros64(m)] = depth
-		}
+	// The planes are all zeros between passes: fresh from the allocator, or
+	// cleared word by word as accumulate consumes them (and whole on a
+	// failed pass). A new k only re-slices that zeroed array.
+	if p.k != k {
+		p.k, p.planes = k, p.planes[:0]
 	}
+	p.aIndex = aIndex
 	for count > 0 {
 		L := int(count)
 		if L > msbfs.MaxLanes {
@@ -418,50 +447,118 @@ func (s *stream) sampleBatch(ctx context.Context, e *Engine, p *sourcePass, aInd
 		for j := range srcs {
 			srcs[j] = graph.Node(s.rng.IntN(n))
 		}
-		if err := p.trav.RunCtx(ctx, e.off, e.nbr, srcs, stop, onSettle); err != nil {
-			clear(tdist)
+		p.deep = 0
+		if err := p.trav.RunCtx(ctx, e.off, e.nbr, srcs, stop, p.settle); err != nil {
+			clear(p.planes)
 			s.err = err
 			return
 		}
-		accumulate(s.local, tdist, L)
+		np := bits.Len32(uint32(p.deep))
+		switch {
+		case np <= 8:
+			accumulate[uint8](s.local, p.planes, np, L)
+		case np <= 16:
+			accumulate[uint16](s.local, p.planes, np, L)
+		default:
+			accumulate[uint32](s.local, p.planes, np, L)
+		}
 		count -= int64(L)
 	}
 }
 
+// laneDepth is a decoded lane depth: a pass whose deepest settle fits in 8
+// bits decodes to bytes, one fitting 16 bits to uint16s, any other to
+// uint32s (BFS depths are below 2^31).
+type laneDepth interface{ uint8 | uint16 | uint32 }
+
 // accumulate adds one pass's losses to the targets' accumulators and
-// clears the table behind it. tdist[i*64+j] is dist(srcs[j], nodes[i]),
-// or 0 for the source itself or an unreached target; lanes [L, 64) are
-// all 0. The loop is target-major: it reads each target's 64-entry row
-// once, in order, with four targets' accumulators live in registers so
-// their independent sum chains overlap. Only the order of the adds within
-// one accumulator decides its bits, and every target still takes its adds
-// in lane (draw) order -- element for element the float sequence of the
-// scalar one-BFS-per-sample loop.
-func accumulate(local []stats.MeanVar, tdist []int32, L int) {
-	const w = msbfs.MaxLanes
+// clears the np depth planes behind it. Lane j of target i decodes to
+// dist(srcs[j], nodes[i]), or 0 for the source itself or an unreached
+// target; lanes [L, 64) are all 0. The loop is target-major: it decodes
+// four targets' depths at a time and adds them in lane order, with the four
+// accumulators live in registers so their independent sum chains overlap.
+// Only the order of the adds within one accumulator decides its bits, and
+// every target still takes its adds in lane (draw) order -- element for
+// element the float sequence of the scalar one-BFS-per-sample loop.
+func accumulate[T laneDepth](local []stats.MeanVar, planes []uint64, np, L int) {
 	k := len(local)
+	var d0, d1, d2, d3 [msbfs.MaxLanes]T
 	i := 0
 	for ; i+4 <= k; i += 4 {
-		blk := tdist[i*w : (i+4)*w]
-		r0, r1, r2, r3 := blk[:L], blk[w:w+L], blk[2*w:2*w+L], blk[3*w:3*w+L]
+		decode(planes, k, np, i, L, &d0)
+		decode(planes, k, np, i+1, L, &d1)
+		decode(planes, k, np, i+2, L, &d2)
+		decode(planes, k, np, i+3, L, &d3)
 		m0, m1, m2, m3 := local[i], local[i+1], local[i+2], local[i+3]
-		for j, d := range r0 {
-			m0.Add(loss(d))
-			m1.Add(loss(r1[j]))
-			m2.Add(loss(r2[j]))
-			m3.Add(loss(r3[j]))
+		for j, d := range d0[:L] {
+			m0.Add(loss(int32(d)))
+			m1.Add(loss(int32(d1[j])))
+			m2.Add(loss(int32(d2[j])))
+			m3.Add(loss(int32(d3[j])))
 		}
 		local[i], local[i+1], local[i+2], local[i+3] = m0, m1, m2, m3
-		clear(blk)
 	}
 	for ; i < k; i++ {
-		row := tdist[i*w : i*w+L]
+		decode(planes, k, np, i, L, &d0)
 		m := local[i]
-		for _, d := range row {
-			m.Add(loss(d))
+		for _, d := range d0[:L] {
+			m.Add(loss(int32(d)))
 		}
 		local[i] = m
-		clear(row)
+	}
+}
+
+// spread[x] holds bit t of x in byte t: one lookup turns a plane word's byte
+// into eight one-bit lane depths, and shifting it by the plane's index
+// places them as that bit of eight byte lanes.
+var spread = func() (s [256]uint64) {
+	for x := range s {
+		for t := range 8 {
+			s[x] |= uint64(x>>t&1) << (8 * t)
+		}
+	}
+	return s
+}()
+
+// decode rebuilds target i's lane depths [0, L) into out from its words in
+// the np planes, and zeroes those words. Lanes [L, 64) have no bits set;
+// out holds zeros there up to the next multiple of 8. Eight planes at a
+// time build one byte of each lane's depth, eight lanes per uint64 through
+// spread, so no step loops over single lanes' bits.
+func decode[T laneDepth](planes []uint64, k, np, i, L int, out *[msbfs.MaxLanes]T) {
+	groups := (L + 7) / 8
+	for q := 0; q == 0 || 8*q < np; q++ {
+		// w holds this octet's plane words; the unused ones stay 0, and
+		// spread[0] is 0, so a half-used octet reads only its first four.
+		var w [8]uint64
+		nb := min(np-8*q, 8)
+		for b := range nb {
+			at := (8*q+b)*k + i
+			w[b], planes[at] = planes[at], 0
+		}
+		// The masks let the compiler drop its checks for oversized shifts.
+		sh := uint(8*q) & 31
+		for g := range groups {
+			s := uint(8*g) & 63
+			v := spread[byte(w[0]>>s)] | spread[byte(w[1]>>s)]<<1 | spread[byte(w[2]>>s)]<<2 | spread[byte(w[3]>>s)]<<3
+			if nb > 4 {
+				v |= spread[byte(w[4]>>s)]<<4 | spread[byte(w[5]>>s)]<<5 | spread[byte(w[6]>>s)]<<6 | spread[byte(w[7]>>s)]<<7
+			}
+			o := out[8*g : 8*g+8]
+			if q == 0 {
+				o[0], o[1], o[2], o[3] = T(byte(v)), T(byte(v>>8)), T(byte(v>>16)), T(byte(v>>24))
+				o[4], o[5], o[6], o[7] = T(byte(v>>32)), T(byte(v>>40)), T(byte(v>>48)), T(byte(v>>56))
+			} else {
+				o[0] |= T(byte(v)) << sh
+				o[1] |= T(byte(v>>8)) << sh
+				o[2] |= T(byte(v>>16)) << sh
+				o[3] |= T(byte(v>>24)) << sh
+				o[4] |= T(byte(v>>32)) << sh
+				o[5] |= T(byte(v>>40)) << sh
+				o[6] |= T(byte(v>>48)) << sh
+				o[7] |= T(byte(v>>56)) << sh
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"saphyra"
+	"saphyra/internal/datasets"
 	"saphyra/internal/obs/hist"
 )
 
@@ -173,6 +174,24 @@ func BenchmarkServeRankOverload(b *testing.B) {
 	b.ReportMetric(rec.Rate(hist.Shed), "shed_rate")
 	b.ReportMetric(float64(rec.All.Quantile(0.50).Microseconds()), "p50_us")
 	b.ReportMetric(float64(rec.All.Quantile(0.99).Microseconds()), "p99_us")
+}
+
+// BenchmarkServeBoot prices a daemon boot: serve.New with the top-k
+// precompute (the whole-network ranking by every method) plus Close, on the
+// Flickr stand-in at scale 4, the view bench/run.sh serves. It is the go-test
+// handle on the benchmark's setup_s; the view is written once, outside the
+// timed loop.
+func BenchmarkServeBoot(b *testing.B) {
+	path, _ := writeTestView(b, datasets.Flickr.Build(4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(path, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
 }
 
 // TestServeHitAtLeast10xMiss enforces the acceptance criterion outside the

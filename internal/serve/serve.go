@@ -63,7 +63,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -675,24 +674,21 @@ func (s *Server) compute(ctx context.Context, lv *loadedView, q query.Query, wor
 }
 
 // sortByRank reorders a full-network payload by rank (1 = most central), so
-// /v1/topk responses are prefix slices. Ranks is a permutation (ties broken
-// by node id in rank.Ranks), so the order is total.
+// /v1/topk responses are prefix slices. rank.Ranks returns a permutation of
+// 1..k (ties broken by node id), so entry i lands at position ranks[i]-1
+// and no sort is needed.
 func sortByRank(p *payload) *payload {
-	order := make([]int, len(p.ranks))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return p.ranks[order[a]] < p.ranks[order[b]] })
+	k := len(p.ranks)
 	out := &payload{
-		nodes:   make([]int64, len(order)),
-		scores:  make([]float64, len(order)),
-		ranks:   make([]int, len(order)),
+		nodes:   make([]int64, k),
+		scores:  make([]float64, k),
+		ranks:   make([]int, k),
 		samples: p.samples,
 	}
-	for i, j := range order {
-		out.nodes[i] = p.nodes[j]
-		out.scores[i] = p.scores[j]
-		out.ranks[i] = p.ranks[j]
+	for i, r := range p.ranks {
+		out.nodes[r-1] = p.nodes[i]
+		out.scores[r-1] = p.scores[i]
+		out.ranks[r-1] = r
 	}
 	return out
 }

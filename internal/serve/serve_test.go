@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -222,6 +225,59 @@ func TestServeTopK(t *testing.T) {
 	if len(resp.Nodes) != g.NumNodes() {
 		t.Fatalf("oversized k returned %d rows, want n = %d", len(resp.Nodes), g.NumNodes())
 	}
+}
+
+// TestSortByRankMatchesSort: the top-k index's rank order, built by placing
+// each entry at its rank, is the payload a sort by rank builds, field for
+// field and bit for bit, on every method's whole-network payload.
+func TestSortByRankMatchesSort(t *testing.T) {
+	g := saphyra.Generate.BarabasiAlbert(250, 3, 4)
+	s, _ := newTestServer(t, g, Config{DisablePrecompute: true})
+	lv := s.cur.Load()
+	for _, m := range methods {
+		q, err := s.buildQuery(lv, m, nil, 0, 0, 0, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := lv.ranker.Rank(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &payload{nodes: make([]int64, len(res.Nodes)), scores: res.Scores, ranks: res.Rank, samples: res.Samples}
+		for i, v := range res.Nodes {
+			p.nodes[i] = lv.original(v)
+		}
+		if len(p.ranks) != g.NumNodes() {
+			t.Fatalf("%s: %d ranks, want a whole-network payload of %d", m, len(p.ranks), g.NumNodes())
+		}
+		got, want := sortByRank(p), sortByRankReference(p)
+		if got.samples != want.samples || !slices.Equal(got.nodes, want.nodes) || !slices.Equal(got.ranks, want.ranks) ||
+			!slices.EqualFunc(got.scores, want.scores, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: sortByRank differs from the sort-based order", m)
+		}
+	}
+}
+
+// sortByRankReference is sortByRank's former body: sort the entry order
+// by rank, then gather.
+func sortByRankReference(p *payload) *payload {
+	order := make([]int, len(p.ranks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return p.ranks[order[a]] < p.ranks[order[b]] })
+	out := &payload{
+		nodes:   make([]int64, len(order)),
+		scores:  make([]float64, len(order)),
+		ranks:   make([]int, len(order)),
+		samples: p.samples,
+	}
+	for i, j := range order {
+		out.nodes[i] = p.nodes[j]
+		out.scores[i] = p.scores[j]
+		out.ranks[i] = p.ranks[j]
+	}
+	return out
 }
 
 // TestServeErrorClassification: caller faults are 400 with the offending
