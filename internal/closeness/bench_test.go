@@ -2,7 +2,7 @@ package closeness
 
 import (
 	"context"
-	"math/bits"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -31,7 +31,7 @@ func benchTargets(g *graph.Graph, n int) []graph.Node {
 var benchOpt = Options{Epsilon: 0.1, Delta: 0.1, Seed: 7, Workers: 4, MaxSamples: 2000}
 
 // BenchmarkCloseness measures the estimator end to end (virtual-worker
-// sampling, MS-BFS pricing, deterministic merge) on the raw CSR in its
+// sampling, MS-BFS pricing, integer sums) on the raw CSR in its
 // serving configuration — Engine built once, workspaces pooled. Its 50
 // targets put every round in the target shape with one batch, which runs
 // inline at any worker count, so the steady state allocates nothing; the
@@ -73,21 +73,20 @@ func BenchmarkClosenessView(b *testing.B) {
 // precomputes at boot: every node a target, over the graph's view at the
 // daemon's defaults (eps 0.05, delta 0.01) and one worker. k = n keeps
 // every round in the source shape, so this is sampleBatch's pricing loop
-// end to end: the MS-BFS passes plus the target-major accumulate. The view
+// end to end: the MS-BFS passes and their settles' integer adds. The view
 // build is outside the timed loop. flickr is the Flickr stand-in at scale 4
-// (24k nodes, the graph bench/run.sh serves), whose passes need three depth
-// planes; road is the usaroad-sim stand-in at scale 1.5 (21k nodes), whose
-// deepest passes run past 255 levels and so decode nine planes to 16-bit
-// lanes. planes/op is the most planes one pass needed.
+// (24k nodes, the graph bench/run.sh serves); road is the usaroad-sim
+// stand-in at scale 1.5 (21k nodes), whose deepest passes run past the
+// loss memo's 255 levels. passes/op is the MS-BFS passes one call makes,
+// replayed from its round schedule.
 func BenchmarkClosenessAllNodes(b *testing.B) {
 	for _, tc := range []struct {
-		name   string
-		net    datasets.Network
-		scale  float64
-		planes int // the fewest planes the deepest pass must need
+		name  string
+		net   datasets.Network
+		scale float64
 	}{
-		{"flickr", datasets.Flickr, 4, 3},
-		{"road", datasets.USARoad, 1.5, 9},
+		{"flickr", datasets.Flickr, 4},
+		{"road", datasets.USARoad, 1.5},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			g := tc.net.Build(tc.scale)
@@ -103,12 +102,11 @@ func BenchmarkClosenessAllNodes(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			np := planeCount(eng.free[0].src[0])
-			if np < tc.planes {
-				b.Fatalf("the deepest pass needed %d depth planes, want at least %d", np, tc.planes)
+			if shapes := roundShapes(len(targets), opt, res.Rounds); slices.Contains(shapes, true) {
+				b.Fatalf("round shapes %v, want the source shape throughout", shapes)
 			}
 			b.ReportMetric(float64(res.Samples), "samples/op")
-			b.ReportMetric(float64(np), "planes/op")
+			b.ReportMetric(float64(passCount(len(targets), opt, res.Rounds)), "passes/op")
 		})
 	}
 }
@@ -134,15 +132,15 @@ func BenchmarkClosenessSampleBatch(b *testing.B) {
 	g := benchGraph()
 	targets := benchTargets(g, 50)
 	eng := NewEngine(g)
-	nodes := graph.DedupSorted(targets)
-	sc := eng.acquire(nodes)
+	sc := eng.acquire(graph.DedupSorted(targets))
 	defer eng.release(sc)
-	s := sc.activate(eng, 0, benchOpt.Seed, len(nodes))
+	p := sc.sourcePasses(eng.n, 1)[0]
+	s := sc.activate(0, benchOpt.Seed)
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.sampleBatch(context.Background(), eng, sc.sourcePasses(eng.n, 1)[0], sc.aIndex, len(nodes), nil, int64(b.N))
-	if s.err != nil {
-		b.Fatal(s.err)
+	p.sampleBatch(context.Background(), eng, s, nil, int64(b.N))
+	if p.err != nil {
+		b.Fatal(p.err)
 	}
 }
 
@@ -153,16 +151,15 @@ func TestSampleBatchAllocatesNothing(t *testing.T) {
 	g := benchGraph()
 	targets := benchTargets(g, 50)
 	eng := NewEngine(g)
-	nodes := graph.DedupSorted(targets)
-	sc := eng.acquire(nodes)
+	sc := eng.acquire(graph.DedupSorted(targets))
 	defer eng.release(sc)
-	s := sc.activate(eng, 0, benchOpt.Seed, len(nodes))
 	p := sc.sourcePasses(eng.n, 1)[0]
+	s := sc.activate(0, benchOpt.Seed)
 	allocs := testing.AllocsPerRun(1, func() {
-		s.sampleBatch(context.Background(), eng, p, sc.aIndex, len(nodes), nil, 4096)
+		p.sampleBatch(context.Background(), eng, s, nil, 4096)
 	})
-	if s.err != nil {
-		t.Fatal(s.err)
+	if p.err != nil {
+		t.Fatal(p.err)
 	}
 	if allocs != 0 {
 		t.Errorf("sampleBatch(4096) allocates %.0f times, want 0", allocs)
@@ -170,8 +167,8 @@ func TestSampleBatchAllocatesNothing(t *testing.T) {
 }
 
 // TestTargetRoundAllocatesNothing pins the target shape's steady state: a
-// warmed single-worker round — 10,000 sources in three chunks, two target
-// batches each — allocates nothing.
+// warmed single-worker round — 10,000 sources, two target batches —
+// allocates nothing.
 func TestTargetRoundAllocatesNothing(t *testing.T) {
 	g := benchGraph()
 	eng := NewEngine(g)
@@ -184,7 +181,7 @@ func TestTargetRoundAllocatesNothing(t *testing.T) {
 		t.Fatal("round does not take the target shape")
 	}
 	round := func() {
-		if err := eng.batchParallel(context.Background(), sc, opt, nil, count, sc.accs); err != nil {
+		if err := eng.batchParallel(context.Background(), sc, opt, nil, count); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,9 +191,12 @@ func TestTargetRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestTargetShapeMemoryBound: the target shape's buffers are sized by
-// srcChunk and the worker count, never by the sample budget. A call drawing
-// many chunks per round leaves the pooled workspace at its fixed size.
+// TestTargetShapeMemoryBound: the target shape's workspace is sized by the
+// graph, the target count and the worker count, never by the sample
+// budget. A call drawing each node dozens of times per round holds one
+// n-entry draw count, min(Workers, ceil(k/64)) traversals and one
+// accumulator of k entries; no stream holds an array and no pass a depth
+// table.
 func TestTargetShapeMemoryBound(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -216,37 +216,37 @@ func TestTargetShapeMemoryBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Samples < 16*srcChunk {
-				t.Fatalf("drew %d samples, want at least %d chunks' worth", res.Samples, 16)
+			if n := int64(g.NumNodes()); res.Samples < 64*n {
+				t.Fatalf("drew %d samples, want at least 64 per node (%d)", res.Samples, 64*n)
 			}
-			ts := &eng.free[0].tgt
-			if cap(ts.srcs) != srcChunk || cap(ts.rows) != srcChunk || len(ts.slot) != g.NumNodes() {
-				t.Errorf("source buffers cap %d/%d, slot %d; want %d/%d, %d",
-					cap(ts.srcs), cap(ts.rows), len(ts.slot), srcChunk, srcChunk, g.NumNodes())
+			sc := eng.free[0]
+			if len(sc.tgt.mult) != g.NumNodes() {
+				t.Errorf("draw counts hold %d entries, want n = %d", len(sc.tgt.mult), g.NumNodes())
 			}
-			if len(ts.passes) != tc.passes {
-				t.Errorf("%d pass workspaces, want %d", len(ts.passes), tc.passes)
+			if len(sc.tgt.passes) != tc.passes {
+				t.Errorf("%d pass workspaces, want %d", len(sc.tgt.passes), tc.passes)
 			}
-			for i, p := range ts.passes {
-				if cap(p.table) != srcChunk*msbfs.MaxLanes {
-					t.Errorf("pass %d: table cap %d, want %d", i, cap(p.table), srcChunk*msbfs.MaxLanes)
-				}
+			if len(sc.src) != 0 {
+				t.Errorf("%d source-shape workspaces, want none", len(sc.src))
 			}
+			checkAccumulators(t, sc, 1, len(res.Nodes))
+			checkSliceFields(t, targetScratch{}, "mult", "passes")
+			checkSliceFields(t, targetPass{}, "mult", "acc")
+			checkSliceFields(t, stream{})
 		})
 	}
 }
 
-// TestSourceShapeMemoryBound: the source shape's traversals and depth
-// planes belong to the goroutines running streams, not to the streams, so
-// a whole-network call holds min(Workers, VirtualWorkers) of them however
-// many of the streams draw. Each workspace holds no more planes than the
-// graph's deepest BFS level needs, and leaves every plane word zero.
+// TestSourceShapeMemoryBound: the source shape's traversals and
+// accumulators belong to the goroutines running streams, not to the
+// streams, so a whole-network call holds min(Workers, VirtualWorkers)
+// workspaces and as many accumulators of k entries, however many of the
+// streams draw. No stream holds an array and no workspace a depth table.
 func TestSourceShapeMemoryBound(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	g := graph.BarabasiAlbert(1200, 3, 6)
 	a := allNodes(g)
-	maxPlanes := bits.Len32(uint32(diameter(g)))
 	for _, workers := range []int{1, 3} {
 		eng := NewEngine(g)
 		res, err := eng.Estimate(context.Background(), a, Options{Epsilon: 0.2, Delta: 0.05, Seed: 9, Workers: workers})
@@ -260,31 +260,60 @@ func TestSourceShapeMemoryBound(t *testing.T) {
 		if len(sc.src) != workers {
 			t.Errorf("workers=%d: %d source-shape workspaces, want %d", workers, len(sc.src), workers)
 		}
-		// A goroutine that stole no stream never added a plane.
-		for i, p := range sc.src {
-			if np := planeCount(p); np > maxPlanes || len(p.planes) != np*len(a) {
-				t.Errorf("workers=%d: workspace %d: %d words in planes of %d; want at most %d planes", workers, i, len(p.planes), len(a), maxPlanes)
-			}
-			if slices.ContainsFunc(p.planes[:cap(p.planes)], func(w uint64) bool { return w != 0 }) {
-				t.Errorf("workers=%d: workspace %d: plane words left nonzero", workers, i)
-			}
+		if sc.tgt.mult != nil || len(sc.tgt.passes) != 0 {
+			t.Errorf("workers=%d: a source-shape call built the target shape's workspace", workers)
+		}
+		checkAccumulators(t, sc, workers, len(a))
+	}
+	checkSliceFields(t, sourcePass{}, "aIndex", "acc")
+	checkSliceFields(t, stream{})
+}
+
+// checkAccumulators checks that the call on sc used exactly m accumulators
+// of k entries, and pooled no more.
+func checkAccumulators(t *testing.T, sc *callScratch, m, k int) {
+	t.Helper()
+	if sc.nacc != m || len(sc.acc) != m {
+		t.Errorf("%d accumulators used, %d pooled; want %d", sc.nacc, len(sc.acc), m)
+	}
+	for i, a := range sc.acc {
+		if len(a) != k {
+			t.Errorf("accumulator %d holds %d entries, want k = %d", i, len(a), k)
 		}
 	}
 }
 
-// planeCount is how many depth planes workspace p holds.
-func planeCount(p *sourcePass) int {
-	if p.k == 0 {
-		return 0
+// checkSliceFields checks that the struct type of v has exactly the named
+// slice fields: any other array-sized state would have to be one of them.
+func checkSliceFields(t *testing.T, v any, want ...string) {
+	t.Helper()
+	typ := reflect.TypeOf(v)
+	var got []string
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Slice {
+			got = append(got, f.Name)
+		}
 	}
-	return len(p.planes) / p.k
+	if !slices.Equal(got, want) {
+		t.Errorf("%s has slice fields %v, want %v", typ.Name(), got, want)
+	}
 }
 
-// diameter is the deepest BFS level from any node of g.
-func diameter(g *graph.Graph) int32 {
-	var deepest int32
-	for u := range g.NumNodes() {
-		deepest = max(deepest, graph.Eccentricity(g, graph.Node(u)))
+// passCount replays the round schedule of a call on k targets that ran the
+// given rounds and returns the MS-BFS passes it made.
+func passCount(k int, opt Options, rounds int) int64 {
+	opt.setDefaults()
+	n0, nmax := budget(opt.Epsilon, opt.Delta, k, opt.MaxSamples)
+	var passes int64
+	for r, drawn, target := 0, int64(0), n0; r < rounds; r, drawn, target = r+1, target, min(target*2, nmax) {
+		quota := sched.Split(target-drawn, sched.VirtualWorkers, nil)
+		if targetShape(quota, k) {
+			passes += int64((k + msbfs.MaxLanes - 1) / msbfs.MaxLanes)
+			continue
+		}
+		for _, q := range quota {
+			passes += (q + msbfs.MaxLanes - 1) / msbfs.MaxLanes
+		}
 	}
-	return deepest
+	return passes
 }

@@ -3,7 +3,6 @@ package closeness
 import (
 	"context"
 	"errors"
-	"math/rand/v2"
 	"runtime"
 	"slices"
 	"testing"
@@ -11,73 +10,73 @@ import (
 
 	"saphyra/internal/faultinject"
 	"saphyra/internal/graph"
-	"saphyra/internal/msbfs"
 	"saphyra/internal/params"
 	"saphyra/internal/sched"
 )
 
 // TestEngineMatchesLegacyBitwise: the MS-BFS engine must reproduce the
-// pre-batching scalar estimator bit for bit — same samples, rounds, and
-// float closeness values — at every worker count, in both round shapes.
-// Sources are drawn in the same per-stream RNG order, MS-BFS distance
-// labels equal scalar BFS labels from either end, and every target's
-// accumulator adds run in the same source order, so the whole float
-// pipeline is replayed exactly. The cases beyond ba and road pin the round
-// shapes: four keep the source shape throughout, two flip between doubling
-// rounds, and one draws rounds whose source chunks straddle stream
-// boundaries. The source-shape cases cover the edges of its accumulate
-// loop: a target count off the interleave width, unreached (target, lane)
-// entries, which the depth planes leave 0, and passes of fewer than 64
-// lanes after a full one. Two more reach past the byte-wide decode of the
-// depth planes: lanes rooted on a 600-node cycle settle targets up to 300
-// levels deep (nine planes, decoded to 16 bits), and lanes on a
-// 70,000-node path reach its far end past 65,535 levels (seventeen planes,
-// decoded to 32 bits).
+// scalar reference estimator bit for bit — same samples, rounds, and float
+// closeness values — at every worker count, in either round shape. Sources
+// are drawn in the same per-stream RNG order, MS-BFS distance labels equal
+// scalar BFS labels from either end, and every sum is an exact integer, so
+// neither the shape nor the grouping of the adds into passes can move a
+// bit. Each case runs with the shape rule as it is and with each shape
+// forced on every round. The cases beyond ba and road pin the rule's
+// choices: four keep the source shape throughout, two flip between
+// doubling rounds, and one prices a round's 20,000 draws, from all 16
+// streams and about 50 per source, in one target pass. The source-shape
+// cases cover a target count off the 64-lane batch, unreached (target,
+// lane) pairs on two components, and passes of fewer than 64 lanes after a
+// full one. Two more reach past lossFixed's 256-entry memo, where it
+// divides: lanes rooted on a 600-node cycle settle targets up to 300
+// levels deep, and lanes on a 10,000-node path reach its far end.
 func TestEngineMatchesLegacyBitwise(t *testing.T) {
 	old := runtime.GOMAXPROCS(8) // let the clamp keep multi-worker runs real
 	defer runtime.GOMAXPROCS(old)
+	defer func() { roundShape = targetShape }()
 	ba, big := graph.BarabasiAlbert(400, 3, 6), graph.BarabasiAlbert(1200, 3, 6)
 	comps := disjointUnion(graph.BarabasiAlbert(1500, 3, 6), graph.BarabasiAlbert(1100, 3, 7))
 	cycle := disjointUnion(graph.Cycle(600), big)
-	path := graph.Path(70_000)
+	path := graph.Path(10_000)
 	for _, tc := range []struct {
 		name   string
 		g      *graph.Graph
 		a      []graph.Node
 		opt    Options
 		shapes []bool // per round, true = target shape; nil = not pinned
-		planes int    // depth planes a one-worker call must reach; 0 = not pinned
 	}{
-		{"ba", ba, []graph.Node{0, 3, 17, 99, 120, 17}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}, nil, 0},
-		{"road", graph.RoadNetwork(12, 12, 0.1, 2), []graph.Node{0, 3, 17, 99, 120, 17}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}, nil, 0},
+		{"ba", ba, []graph.Node{0, 3, 17, 99, 120, 17}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}, nil},
+		{"road", graph.RoadNetwork(12, 12, 0.1, 2), []graph.Node{0, 3, 17, 99, 120, 17}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9}, nil},
 		// k = n = 1200: 19 target batches never undercut the 16 passes of a
 		// round of at most 1,024 samples.
-		{"source-shape", big, allNodes(big), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}, 0},
-		// 1,199 targets: the last three rows take the one-target tail.
-		{"source-shape-tail", big, allNodes(big)[1:], Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}, 0},
+		{"source-shape", big, allNodes(big), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
+		// 1,199 targets: the last target batch has 47 lanes.
+		{"source-shape-tail", big, allNodes(big)[1:], Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
 		// Two components: every source leaves the other component's
 		// targets unreached in its lane.
-		{"source-shape-components", comps, allNodes(comps), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}, 0},
+		{"source-shape-components", comps, allNodes(comps), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
 		// One round of 1,800 samples, 112 or 113 per stream: each stream
 		// runs a 64-lane pass, then one of 48 or 49 lanes, over 2,599
 		// targets on both components (41 batches against 32 passes).
-		{"source-shape-short-pass", comps, allNodes(comps)[1:], Options{Epsilon: 0.02, Delta: 0.05, Seed: 9, MaxSamples: 1800}, []bool{false}, 0},
+		{"source-shape-short-pass", comps, allNodes(comps)[1:], Options{Epsilon: 0.02, Delta: 0.05, Seed: 9, MaxSamples: 1800}, []bool{false}},
 		// The same targets at a tighter eps: rounds of 720 samples make 16
 		// source passes, but the third round's 1,440 need 32, so it flips
 		// to 19 target passes.
-		{"flip-to-targets", big, allNodes(big), Options{Epsilon: 0.04, Delta: 0.1, Seed: 9}, []bool{false, false, true}, 0},
+		{"flip-to-targets", big, allNodes(big), Options{Epsilon: 0.04, Delta: 0.1, Seed: 9}, []bool{false, false, true}},
 		// 100 targets (two batches, so Workers fans them out); the capped
 		// last round draws one sample, one source pass against two.
-		{"flip-to-sources", ba, everyNth(ba, 4), Options{Epsilon: 0.05, Delta: 0.05, Seed: 9, MaxSamples: 601}, []bool{true, false}, 0},
-		// MaxSamples cuts the first round to 20,000 samples, 1,250 per
-		// stream: every 4,096-source chunk boundary falls inside a stream.
-		{"straddle", ba, []graph.Node{0, 3, 17, 99, 120, 399}, Options{Epsilon: 0.005, Delta: 0.05, Seed: 9, MaxSamples: 20_000}, []bool{true}, 0},
+		{"flip-to-sources", ba, everyNth(ba, 4), Options{Epsilon: 0.05, Delta: 0.05, Seed: 9, MaxSamples: 601}, []bool{true, false}},
+		// MaxSamples cuts the first round to 20,000 samples on 400 nodes:
+		// one target pass takes every stream's draws, each source drawn
+		// about 50 times.
+		{"straddle", ba, []graph.Node{0, 3, 17, 99, 120, 399}, Options{Epsilon: 0.005, Delta: 0.05, Seed: 9, MaxSamples: 20_000}, []bool{true}},
 		// Every node of the cycle and of big is a target: 29 batches keep the
 		// source shape, and a third of the lanes root on the cycle.
-		{"source-shape-deep-16", cycle, allNodes(cycle), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}, 9},
-		// Every 64th node of the path and its far end: 1,095 targets, 18
-		// batches against 16 passes of 16 lanes in one capped round.
-		{"source-shape-deep-32", path, append(everyNth(path, 64), 69_999), Options{Epsilon: 0.05, Delta: 0.05, Seed: 9, MaxSamples: 256}, []bool{false}, 17},
+		{"source-shape-deep-16", cycle, allNodes(cycle), Options{Epsilon: 0.2, Delta: 0.05, Seed: 9}, []bool{false, false, false, false}},
+		// Every 8th node of the path and its far end: 1,251 targets, 20
+		// batches against 16 passes of 16 lanes in one capped round, with
+		// targets settled up to 9,999 levels deep.
+		{"source-shape-deep-32", path, append(everyNth(path, 8), 9_999), Options{Epsilon: 0.05, Delta: 0.05, Seed: 9, MaxSamples: 256}, []bool{false}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := estimateLegacy(context.Background(), tc.g, tc.a, tc.opt)
@@ -90,34 +89,38 @@ func TestEngineMatchesLegacyBitwise(t *testing.T) {
 				}
 			}
 			eng := NewEngine(tc.g)
-			for _, workers := range []int{1, 2, 8} {
-				opt := tc.opt
-				opt.Workers = workers
-				got, err := eng.Estimate(context.Background(), tc.a, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The first call runs on a fresh engine, so its one workspace
-				// holds exactly the planes its deepest pass needed.
-				if workers == 1 && tc.planes > 0 {
-					if np := planeCount(eng.free[0].src[0]); np < tc.planes {
-						t.Fatalf("passes needed %d depth planes, want at least %d", np, tc.planes)
+			for _, shape := range []struct {
+				name string
+				pick func([]int64, int) bool
+			}{
+				{"chosen", targetShape},
+				{"source", func([]int64, int) bool { return false }},
+				{"target", func([]int64, int) bool { return true }},
+			} {
+				roundShape = shape.pick
+				for _, workers := range []int{1, 2, 8} {
+					opt := tc.opt
+					opt.Workers = workers
+					got, err := eng.Estimate(context.Background(), tc.a, opt)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if got.Samples != want.Samples || got.Rounds != want.Rounds || got.StoppedEarly != want.StoppedEarly {
-					t.Fatalf("workers=%d: samples/rounds/early %d/%d/%v != %d/%d/%v", workers,
-						got.Samples, got.Rounds, got.StoppedEarly, want.Samples, want.Rounds, want.StoppedEarly)
-				}
-				if len(got.Nodes) != len(want.Nodes) {
-					t.Fatalf("workers=%d: %d nodes != %d", workers, len(got.Nodes), len(want.Nodes))
-				}
-				for i := range want.Closeness {
-					if got.Nodes[i] != want.Nodes[i] || got.Closeness[i] != want.Closeness[i] {
-						t.Fatalf("workers=%d: target %d: (%d, %v) != (%d, %v)", workers, i,
-							got.Nodes[i], got.Closeness[i], want.Nodes[i], want.Closeness[i])
+					if got.Samples != want.Samples || got.Rounds != want.Rounds || got.StoppedEarly != want.StoppedEarly {
+						t.Fatalf("%s shape, workers=%d: samples/rounds/early %d/%d/%v != %d/%d/%v", shape.name, workers,
+							got.Samples, got.Rounds, got.StoppedEarly, want.Samples, want.Rounds, want.StoppedEarly)
+					}
+					if len(got.Nodes) != len(want.Nodes) {
+						t.Fatalf("%s shape, workers=%d: %d nodes != %d", shape.name, workers, len(got.Nodes), len(want.Nodes))
+					}
+					for i := range want.Closeness {
+						if got.Nodes[i] != want.Nodes[i] || got.Closeness[i] != want.Closeness[i] {
+							t.Fatalf("%s shape, workers=%d: target %d: (%d, %v) != (%d, %v)", shape.name, workers, i,
+								got.Nodes[i], got.Closeness[i], want.Nodes[i], want.Closeness[i])
+						}
 					}
 				}
 			}
+			roundShape = targetShape
 		})
 	}
 }
@@ -195,9 +198,9 @@ func TestEnginePoolReuse(t *testing.T) {
 // TestEngineFaultedCallDoesNotPoisonPool: a call killed by an injected
 // mid-traversal fault returns a typed error and leaves the engine's pooled
 // workspaces clean — the next call reproduces a fresh engine's bits. In
-// the source shape the fault lands after a pass's first levels have
-// written depths, on a graph with two components, so depth planes left
-// dirty would read as distances to targets the next call never reaches.
+// the source shape the fault lands after a pass's first levels have added
+// to the accumulators, on a graph with two components, so sums left
+// dirty would add losses at targets the next call never reaches.
 func TestEngineFaultedCallDoesNotPoisonPool(t *testing.T) {
 	defer faultinject.Reset()
 	ba := graph.BarabasiAlbert(300, 3, 8)
@@ -211,8 +214,8 @@ func TestEngineFaultedCallDoesNotPoisonPool(t *testing.T) {
 	}{
 		{"target-shape", ba, []graph.Node{1, 5, 42, 250}, Options{Epsilon: 0.05, Delta: 0.05, Seed: 4, Workers: 2}, faultinject.Fault{Times: 1}},
 		// One worker and a seeded gate, so the fault lands at the same
-		// level every run: past a pass's first level, where depth planes
-		// left dirty change the next call's bits.
+		// level every run: past a pass's first level, where sums left
+		// dirty change the next call's bits.
 		{"source-shape", comps, allNodes(comps), Options{Epsilon: 0.2, Delta: 0.05, Seed: 4, Workers: 1}, faultinject.Fault{Times: 1, Prob: 0.2, Seed: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,7 +227,7 @@ func TestEngineFaultedCallDoesNotPoisonPool(t *testing.T) {
 			faultinject.Enable()
 			faultinject.Set("msbfs.run", fault)
 			// Another seed, so the checked call's passes root elsewhere and
-			// do not simply rewrite the depths the faulted pass left.
+			// the faulted pass's sums differ from the checked call's.
 			faulted := tc.opt
 			faulted.Seed++
 			if _, err := eng.Estimate(context.Background(), tc.a, faulted); !errors.Is(err, boom) {
@@ -252,42 +255,16 @@ func TestEngineFaultedCallDoesNotPoisonPool(t *testing.T) {
 	}
 }
 
-// TestFailedPassClearsPlanes: a source-shape pass killed after it has
-// settled targets below the sources leaves every depth plane zero, so the
-// next pass on the workspace, in this call or a later one, reads only its
-// own depths.
-func TestFailedPassClearsPlanes(t *testing.T) {
-	defer faultinject.Reset()
-	g := disjointUnion(graph.BarabasiAlbert(800, 3, 8), graph.BarabasiAlbert(500, 3, 9))
-	eng := NewEngine(g)
-	nodes := allNodes(g)
-	sc := eng.acquire(nodes)
-	defer eng.release(sc)
-	s := sc.activate(eng, 0, 4, len(nodes))
-	p := sc.sourcePasses(eng.n, 1)[0]
-	boom := errors.New("boom")
-	faultinject.Enable()
-	faultinject.Set("msbfs.run", faultinject.Fault{Err: boom, Times: 1, Prob: 0.2, Seed: 2})
-	s.sampleBatch(context.Background(), eng, p, sc.aIndex, len(nodes), nil, 64)
-	if !errors.Is(s.err, boom) {
-		t.Fatalf("pass error %v, want the injected fault", s.err)
-	}
-	if p.deep < 2 {
-		t.Fatalf("the pass failed after settling targets %d deep, want at least 2", p.deep)
-	}
-	if slices.ContainsFunc(p.planes[:cap(p.planes)], func(w uint64) bool { return w != 0 }) {
-		t.Error("a failed pass left plane words nonzero")
-	}
-}
-
 // TestEngineCancellation: a canceled context yields *params.CanceledError —
 // immediately when pre-canceled, and promptly mid-run in either round
 // shape, where the in-pass stop polls bound time-to-cancel below one
 // MS-BFS pass (the msbfs package proves the sub-pass bound; here the full
 // estimator path is exercised). The cancel fires once the first BFS level
 // has run, and a delay armed on every level makes one pass last far longer
-// than that wait, so the cancel always lands inside a pass: 3 targets pin
-// the target shape, all 10,000 nodes the source shape.
+// than that wait, so the cancel always lands inside a pass. Each case
+// forces its shape: the rule takes the target shape for 3 targets, but
+// also for all 10,000 nodes once a round draws ~92k samples (157 target
+// passes against 1,440 source passes).
 func TestEngineCancellation(t *testing.T) {
 	defer faultinject.Reset()
 	g := graph.RoadNetwork(100, 100, 0, 3)
@@ -303,10 +280,8 @@ func TestEngineCancellation(t *testing.T) {
 		{"source-shape", allNodes(g), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n0, _ := budget(opt.Epsilon, opt.Delta, len(tc.a), opt.MaxSamples)
-			if got := targetShape(sched.Split(n0, sched.VirtualWorkers, nil), len(tc.a)); got != tc.targets {
-				t.Fatalf("first round target shape = %v, want %v", got, tc.targets)
-			}
+			roundShape = func([]int64, int) bool { return tc.targets }
+			defer func() { roundShape = targetShape }()
 
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -342,76 +317,4 @@ func TestEngineCancellation(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDecodeMatchesLaneReference: decode rebuilds every lane's depth from
-// the planes exactly as reading each lane's bit of each plane would, for
-// every plane count a BFS depth can need (0 to 31) at every width that
-// holds it, for one lane, a group and a half, and all 64. It zeroes the
-// target's plane words, leaves the other targets' alone, and writes 0 to
-// the lanes past L in the last group of eight.
-func TestDecodeMatchesLaneReference(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 8))
-	const k, i = 3, 1
-	for np := 0; np <= 31; np++ {
-		for _, L := range []int{1, 7, 64} {
-			planes := make([]uint64, np*k)
-			for at := range planes {
-				planes[at] = rng.Uint64() >> (msbfs.MaxLanes - L)
-			}
-			var want [msbfs.MaxLanes]uint32
-			for j := range L {
-				for b := range np {
-					want[j] |= uint32(planes[b*k+i]>>j&1) << b
-				}
-			}
-			for width := 8; width <= 32; width *= 2 {
-				if np > width {
-					continue
-				}
-				got, left := decodeAs(width, planes, k, np, i, L)
-				for j := range (L + 7) / 8 * 8 {
-					if got[j] != want[j] {
-						t.Fatalf("np=%d L=%d width %d: lane %d decodes to %d, want %d", np, L, width, j, got[j], want[j])
-					}
-				}
-				for at, w := range left {
-					wantW := planes[at]
-					if at%k == i {
-						wantW = 0
-					}
-					if w != wantW {
-						t.Fatalf("np=%d L=%d width %d: word %d is %#x after decode, want %#x", np, L, width, at, w, wantW)
-					}
-				}
-			}
-		}
-	}
-}
-
-// decodeAs runs decode at the given lane width on a copy of planes and
-// returns the widened lanes and the copy.
-func decodeAs(width int, planes []uint64, k, np, i, L int) ([msbfs.MaxLanes]uint32, []uint64) {
-	left := slices.Clone(planes)
-	switch width {
-	case 8:
-		return decodeWidth[uint8](left, k, np, i, L), left
-	case 16:
-		return decodeWidth[uint16](left, k, np, i, L), left
-	}
-	return decodeWidth[uint32](left, k, np, i, L), left
-}
-
-// decodeWidth runs decode[T] into an array filled with ones beforehand.
-func decodeWidth[T laneDepth](planes []uint64, k, np, i, L int) [msbfs.MaxLanes]uint32 {
-	var d [msbfs.MaxLanes]T
-	for j := range d {
-		d[j] = ^T(0)
-	}
-	decode(planes, k, np, i, L, &d)
-	var out [msbfs.MaxLanes]uint32
-	for j, v := range d {
-		out[j] = uint32(v)
-	}
-	return out
 }

@@ -1,11 +1,14 @@
 package closeness
 
-// The pre-MS-BFS closeness engine, preserved verbatim (modulo Legacy
-// renames) from before the bit-parallel rewrite. It pins two contracts:
-// TestEngineMatchesLegacyBitwise proves the MS-BFS engine reproduces its
-// estimates bit for bit, and BenchmarkClosenessLegacy keeps the speedup
-// measurable after the production code moved on — the same discipline as
-// core's legacySampler.
+// The pre-MS-BFS closeness engine: one scalar BFS per sampled source, each
+// sample's losses added to per-stream accumulators merged in stream order.
+// It pins two contracts: TestEngineMatchesLegacyBitwise proves the MS-BFS
+// engine reproduces its estimates bit for bit, and BenchmarkClosenessLegacy
+// keeps the speedup measurable after the production code moved on — the
+// same discipline as core's legacySampler. Its accumulators come in two
+// arithmetics: fixed, the engine's sums fed one sample at a time, and
+// float, a stats.MeanVar fed 1/d, which is the estimator before its sums
+// became fixed point (TestMatchesFloatReference).
 
 import (
 	"context"
@@ -27,8 +30,58 @@ type legacyAdjacency interface {
 	BFSDistancesInto(source graph.Node, dist []int32) []int32
 }
 
-// estimateLegacy is the old engine: one scalar BFS per sampled source.
+// legacyAccs is one sampler's per-target accumulators in one arithmetic.
+type legacyAccs interface {
+	add(i int, d int32) // one sample at BFS depth d (0: the source or unreached) for target i
+	merge(o legacyAccs)
+	moments(i int, n int64) (mean, variance float64)
+	// slack is how far below eps the Bernstein bound must fall to stop.
+	slack() float64
+}
+
+// fixedAccs is the engine's arithmetic: exact integer sums of lossFixed.
+type fixedAccs []sums
+
+func (f fixedAccs) add(i int, d int32) { f[i].add(1, lossFixed(d)) }
+func (f fixedAccs) merge(o legacyAccs) {
+	for i, b := range o.(fixedAccs) {
+		f[i].merge(&b)
+	}
+}
+func (f fixedAccs) moments(i int, n int64) (float64, float64) { return f[i].moments(n) }
+func (fixedAccs) slack() float64                              { return 1.0 / fixedOne }
+
+// floatAccs is the float arithmetic: 1/d added in the merge order.
+type floatAccs []stats.MeanVar
+
+func (f floatAccs) add(i int, d int32) {
+	x := 0.0
+	if d > 0 {
+		x = 1 / float64(d)
+	}
+	f[i].Add(x)
+}
+func (f floatAccs) merge(o legacyAccs) {
+	for i := range f {
+		f[i].Merge(&o.(floatAccs)[i])
+	}
+}
+func (f floatAccs) moments(i int, n int64) (float64, float64) { return f[i].Mean(), f[i].Variance() }
+func (floatAccs) slack() float64                              { return 0 }
+
+// estimateLegacy is the old engine in the engine's fixed-point arithmetic.
 func estimateLegacy(ctx context.Context, adj legacyAdjacency, a []graph.Node, opt Options) (*Result, error) {
+	return estimateScalar(ctx, adj, a, opt, func(k int) legacyAccs { return make(fixedAccs, k) })
+}
+
+// estimateFloat is the old engine in float arithmetic.
+func estimateFloat(ctx context.Context, adj legacyAdjacency, a []graph.Node, opt Options) (*Result, error) {
+	return estimateScalar(ctx, adj, a, opt, func(k int) legacyAccs { return make(floatAccs, k) })
+}
+
+// estimateScalar is the old engine: one scalar BFS per sampled source,
+// accumulated by newAccs.
+func estimateScalar(ctx context.Context, adj legacyAdjacency, a []graph.Node, opt Options, newAccs func(k int) legacyAccs) (*Result, error) {
 	opt.setDefaults()
 	n := adj.NumNodes()
 	if n < 2 {
@@ -67,29 +120,36 @@ func estimateLegacy(ctx context.Context, adj legacyAdjacency, a []graph.Node, op
 	deltaI := delta / (2 * float64(rounds) * float64(k))
 
 	res := &Result{Nodes: nodes}
-	accs := make([]stats.MeanVar, k)
+	var accs legacyAccs
 	var drawn int64
 	target := n0
 	samplers := make([]*legacySourceSampler, sched.VirtualWorkers)
 	mk := func(v int) *legacySourceSampler {
-		return newLegacySourceSampler(adj, nodes, opt.Seed+int64(v+1)*612_361)
+		return newLegacySourceSampler(adj, nodes, opt.Seed+int64(v+1)*612_361, newAccs(k))
 	}
 	var quota []int64
 	for {
 		res.Rounds++
 		var err error
-		quota, err = legacyBatchParallel(ctx, samplers, mk, opt.Workers, target-drawn, quota, accs)
+		quota, err = legacyBatchParallel(ctx, samplers, mk, opt.Workers, target-drawn, quota)
 		if err != nil {
 			return nil, fmt.Errorf("closeness: %w", err)
 		}
+		accs = newAccs(k)
+		for _, s := range samplers {
+			if s != nil {
+				accs.merge(s.local)
+			}
+		}
 		drawn = target
 		worst := 0.0
-		for i := range accs {
-			if e := stats.EpsilonBernstein(drawn, deltaI, accs[i].Variance()); e > worst {
+		for i := range k {
+			_, v := accs.moments(i, drawn)
+			if e := stats.EpsilonBernstein(drawn, deltaI, v); e > worst {
 				worst = e
 			}
 		}
-		if worst <= eps {
+		if worst <= eps-accs.slack() {
 			res.StoppedEarly = true
 			break
 		}
@@ -103,8 +163,8 @@ func estimateLegacy(ctx context.Context, adj legacyAdjacency, a []graph.Node, op
 	}
 	res.Samples = drawn
 	res.Closeness = make([]float64, k)
-	for i := range accs {
-		res.Closeness[i] = accs[i].Mean()
+	for i := range k {
+		res.Closeness[i], _ = accs.moments(i, drawn)
 	}
 	return res, nil
 }
@@ -114,16 +174,16 @@ type legacySourceSampler struct {
 	nodes []graph.Node
 	rng   *rand.Rand
 	dist  []int32
-	local []stats.MeanVar
+	local legacyAccs
 }
 
-func newLegacySourceSampler(adj legacyAdjacency, nodes []graph.Node, seed int64) *legacySourceSampler {
+func newLegacySourceSampler(adj legacyAdjacency, nodes []graph.Node, seed int64, local legacyAccs) *legacySourceSampler {
 	return &legacySourceSampler{
 		adj:   adj,
 		nodes: nodes,
 		rng:   rand.New(rand.NewPCG(uint64(seed), 0xbb67ae8584caa73b)),
 		dist:  make([]int32, adj.NumNodes()),
-		local: make([]stats.MeanVar, len(nodes)),
+		local: local,
 	}
 }
 
@@ -133,16 +193,12 @@ func (s *legacySourceSampler) sampleBatch(count int64) {
 		u := graph.Node(s.rng.IntN(n))
 		s.dist = s.adj.BFSDistancesInto(u, s.dist)
 		for i, v := range s.nodes {
-			x := 0.0
-			if v != u && s.dist[v] > 0 {
-				x = 1 / float64(s.dist[v])
-			}
-			s.local[i].Add(x)
+			s.local.add(i, max(s.dist[v], 0)) // -1 (unreached) is a zero loss
 		}
 	}
 }
 
-func legacyBatchParallel(ctx context.Context, samplers []*legacySourceSampler, mk func(v int) *legacySourceSampler, workers int, count int64, quota []int64, accs []stats.MeanVar) ([]int64, error) {
+func legacyBatchParallel(ctx context.Context, samplers []*legacySourceSampler, mk func(v int) *legacySourceSampler, workers int, count int64, quota []int64) ([]int64, error) {
 	if count <= 0 {
 		return quota, nil
 	}
@@ -162,17 +218,6 @@ func legacyBatchParallel(ctx context.Context, samplers []*legacySourceSampler, m
 	})
 	if err != nil {
 		return quota, &params.CanceledError{Cause: err}
-	}
-	for i := range accs {
-		accs[i] = stats.MeanVar{}
-	}
-	for _, s := range samplers {
-		if s == nil {
-			continue
-		}
-		for i := range accs {
-			accs[i].Merge(&s.local[i])
-		}
 	}
 	return quota, nil
 }

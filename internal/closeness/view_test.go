@@ -11,8 +11,8 @@ import (
 )
 
 // TestWorkerCountBitwise: the estimate must be bitwise-identical for any
-// worker count — samples belong to fixed virtual-worker streams merged in
-// stream order.
+// worker count — samples belong to fixed virtual-worker streams, and their
+// losses add up as exact integers.
 func TestWorkerCountBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -448,10 +448,25 @@ func TestClusterPeerFillSingleCompute(t *testing.T) {
 }
 
 // TestClusterLoadgenHitDominatedSLO replays the cluster-hit-dominated mix
-// open-loop through the router and gates on its SLO plus bitwise
-// verification of sampled responses — the same acceptance shape the
-// single-box serving tier has, aimed at the fleet.
+// open-loop through the router and gates on bitwise verification of
+// sampled responses and on the hit rate — the same acceptance shape the
+// single-box serving tier has, aimed at the fleet. The mix's SLO verdict
+// is wall-clock, and a loaded machine can miss it with no code at fault,
+// so it is TestClusterLoadgenHitDominatedSLOWallClock's (build tag
+// timing), which runs alone.
 func TestClusterLoadgenHitDominatedSLO(t *testing.T) {
+	r := replayClusterHitDominated(t)
+	if r.HitRate < 0.9 {
+		t.Fatalf("hit rate %.2f through the router; warmed hit-dominated traffic should be nearly all hits", r.HitRate)
+	}
+}
+
+// replayClusterHitDominated replays the cluster-hit-dominated mix, scaled
+// to 200 requests a second for a second, through a fresh 3-replica fleet's
+// router, verifying every fourth response bit for bit against the view,
+// and returns the run's report. Any verification failure fails t.
+func replayClusterHitDominated(t *testing.T) *loadgen.Report {
+	t.Helper()
 	viewPath, ids := buildClusterView(t, 600)
 	f := startTestFleet(t, viewPath)
 	verifier, err := loadgen.NewVerifier(viewPath)
@@ -477,13 +492,7 @@ func TestClusterLoadgenHitDominatedSLO(t *testing.T) {
 	if r.VerifyFailed > 0 {
 		t.Fatalf("%d of %d sampled responses not bitwise-equal: %v", r.VerifyFailed, r.Verified, r.VerifyErrors)
 	}
-	if !r.Pass {
-		t.Fatalf("cluster mix failed its SLO: %v (p99 %.2fms, shed %.2f%%, err %.2f%%)",
-			r.SLOViolations, r.P99Ms, 100*r.ShedRate, 100*r.ErrorRate)
-	}
-	if r.HitRate < 0.9 {
-		t.Fatalf("hit rate %.2f through the router; warmed hit-dominated traffic should be nearly all hits", r.HitRate)
-	}
+	return r
 }
 
 // TestRouterRelaysBackpressure pins the router's non-retry contract: a 4xx

@@ -31,12 +31,14 @@ import (
 var epochPins = map[uint32]string{
 	2: "e73b48e843214d50cb9b2a251b00ba8cebf67eed5262fb910c27deec1c874e1b",
 	3: "ac0bd5efd4d999a97647845b2a7993c5370b4998922af6e5c8e515e67f8af7d3",
+	4: "46512f3b1d429903c609a6b12f2e8b62d5ddb0c8332ad6ad43fd22f39c66a410",
 }
 
 // TestEngineEpochPin holds engineEpoch to the bits it names: every measure,
 // every betweenness algorithm and every VC bound, at one and three workers,
-// on seeded small graphs including a road grid. Each query must also give
-// the same bits at three workers as at one.
+// on seeded small graphs including a road grid, plus a whole-network
+// closeness query. Each query must also give the same bits at three
+// workers as at one.
 func TestEngineEpochPin(t *testing.T) {
 	want, ok := epochPins[engineEpoch]
 	if !ok {
@@ -134,6 +136,30 @@ func pinQuerySet(t *testing.T) string {
 				}
 			}
 		}
+	}
+	// Whole-network closeness (k = n) on a graph large enough for the
+	// source shape: 3,000 targets would take 47 target passes a round,
+	// against 16 source passes in each of the first two rounds (600
+	// samples) and 32 in the third (1,200), where the query stops. Every
+	// 60-target query above takes the target shape throughout.
+	whole := datasets.Flickr.Build(0.5)
+	r := NewRanker(whole)
+	var ref *Result
+	for _, w := range []int{1, 3} {
+		res, err := r.Rank(context.Background(), Query{Measure: Closeness, Epsilon: 0.05, Delta: 0.05, Seed: 16, Workers: w})
+		if err != nil {
+			t.Fatalf("whole-network closeness workers %d: %v", w, err)
+		}
+		if len(res.Nodes) != whole.NumNodes() || res.Samples == 0 {
+			t.Fatalf("whole-network closeness ranked %d of %d nodes from %d samples", len(res.Nodes), whole.NumNodes(), res.Samples)
+		}
+		if ref == nil {
+			ref = res
+		} else if !sameBits(res, ref) {
+			t.Fatalf("whole-network closeness: workers %d and workers 1 give different bits", w)
+		}
+		sampled++
+		pinWrite(h, fmt.Sprintf("flickr-sim-0.5/closeness-all/w%d", w), res.Nodes, res.Scores, res.Samples, 0)
 	}
 	// A pin over queries that never reach the samplers would say nothing
 	// about them.
