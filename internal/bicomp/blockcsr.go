@@ -132,12 +132,10 @@ func NewBlockCSR(g *graph.Graph) *BlockCSR {
 			acc += cnt[k]
 		}
 		for i, w := range nbrs {
-			b := edgeBlock[base+int64(i)]
-			k := blockPos[b]
+			k := blockPos[edgeBlock[base+int64(i)]]
 			p := cursor[k]
 			cursor[k] = p + 1
 			v.Nbr[p] = w
-			v.RNbr[p] = int32(o.Of(b, w))
 			groupedPos[base+int64(i)] = p
 			runOf[p] = run + int64(k)
 			v.RunDegSum[run+int64(k)] += int64(g.Degree(w))
@@ -146,8 +144,10 @@ func NewBlockCSR(g *graph.Graph) *BlockCSR {
 	v.RunStart[runs] = m2
 
 	// Reciprocal pass: for grouped edge p = (u -> w), record the grouped run
-	// and position of the reverse edge (w -> u). Owners ascend, so revAt[w]
-	// is the CSR position of u in w's sorted list (as in decompose).
+	// and position of the reverse edge (w -> u), and r_b(w), which is the
+	// r-value of w's run for the edge's block: RNbr[p] = RunR[NbrRun[p]],
+	// the invariant the open checks. Owners ascend, so revAt[w] is the CSR
+	// position of u in w's sorted list (as in decompose).
 	off, adj := g.CSR()
 	revAt := slices.Clone(off[:n])
 	for e, w := range adj {
@@ -155,6 +155,7 @@ func NewBlockCSR(g *graph.Graph) *BlockCSR {
 		rev := groupedPos[revAt[w]]
 		revAt[w]++
 		v.NbrRun[p] = runOf[rev]
+		v.RNbr[p] = v.RunR[runOf[rev]]
 		v.Mate[p] = rev
 	}
 	return v

@@ -239,10 +239,7 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 		if drawn >= nmax {
 			break
 		}
-		target = drawn * 2
-		if target > nmax {
-			target = nmax
-		}
+		target = drawn + min(drawn, nmax-drawn) // min(2 drawn, nmax) without overflow
 	}
 	res.Samples = drawn
 	res.Closeness = resize(res.Closeness, k)
@@ -255,8 +252,8 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 // budget returns the first round's sample count n0 and the cap nmax; each
 // later round doubles the drawn total, capped at nmax.
 func budget(eps, delta float64, k int, maxSamples int64) (n0, nmax int64) {
-	n0 = max(int64(math.Ceil(stats.VCConstant/(eps*eps)*math.Log(1/delta))), 1)
-	nmax = max(stats.UnionSampleSize(eps, delta, k)*4, n0)
+	n0 = max(stats.SampleCount(stats.VCConstant/(eps*eps)*math.Log(1/delta)), 1)
+	nmax = max(stats.SampleCount(4*float64(stats.UnionSampleSize(eps, delta, k))), n0)
 	if maxSamples > 0 {
 		nmax = min(nmax, maxSamples)
 		n0 = min(n0, nmax)

@@ -103,6 +103,32 @@ func TestEstimateMaxSamplesCap(t *testing.T) {
 	}
 }
 
+// TestBudgetSaturatesAtTinyEps: below eps 1e-9 the uncapped budget is past
+// 2^63. It must saturate: a first round of more than one sample, a cap at
+// or above it, and no negative count.
+func TestBudgetSaturatesAtTinyEps(t *testing.T) {
+	for _, eps := range []float64{1e-9, 3e-10, 1e-12} {
+		n0, nmax := budget(eps, 0.01, 2, 0)
+		if n0 <= 1 || nmax < n0 {
+			t.Errorf("eps %g: n0 %d, nmax %d; want n0 > 1 and nmax >= n0", eps, n0, nmax)
+		}
+	}
+}
+
+// TestEstimateTinyEpsDrawsMaxSamples: at eps 1e-10 the budget is past 2^63,
+// so the call must run to its MaxSamples cap. A budget that wrapped to one
+// sample returned after a single draw with 0.5 for a true 0.75.
+func TestEstimateTinyEpsDrawsMaxSamples(t *testing.T) {
+	res, err := Estimate(context.Background(), graph.Cycle(5), []graph.Node{0, 1},
+		Options{Epsilon: 1e-10, Delta: 0.01, Seed: 1, MaxSamples: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Samples != 4096 {
+		t.Errorf("samples = %d, want the cap 4096", res.Samples)
+	}
+}
+
 func TestEstimateDeterministic(t *testing.T) {
 	g := graph.BarabasiAlbert(100, 3, 4)
 	opt := Options{Epsilon: 0.05, Delta: 0.05, Seed: 21, Workers: 2}

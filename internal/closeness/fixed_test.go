@@ -86,7 +86,7 @@ func sumsBig(a sums) (s, q *big.Int) {
 
 // TestMatchesFloatReference: on the Flickr stand-in, whole network, at the
 // daemon's eps and delta, the fixed-point estimator draws the samples and
-// rounds of the float one (1/d added to stats.MeanVar, stopping at eps)
+// rounds of the float one (1/d added to a meanVar, stopping at eps)
 // and every estimate agrees with it within 1e-9: each loss moves by less
 // than 2^-32, so a mean moves by less than that.
 func TestMatchesFloatReference(t *testing.T) {

@@ -7,7 +7,7 @@ package closeness
 // keeps the speedup measurable after the production code moved on — the
 // same discipline as core's legacySampler. Its accumulators come in two
 // arithmetics: fixed, the engine's sums fed one sample at a time, and
-// float, a stats.MeanVar fed 1/d, which is the estimator before its sums
+// float, a meanVar fed 1/d, which is the estimator before its sums
 // became fixed point (TestMatchesFloatReference).
 
 import (
@@ -52,7 +52,7 @@ func (f fixedAccs) moments(i int, n int64) (float64, float64) { return f[i].mome
 func (fixedAccs) slack() float64                              { return 1.0 / fixedOne }
 
 // floatAccs is the float arithmetic: 1/d added in the merge order.
-type floatAccs []stats.MeanVar
+type floatAccs []meanVar
 
 func (f floatAccs) add(i int, d int32) {
 	x := 0.0

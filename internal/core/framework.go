@@ -193,7 +193,7 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 		if n >= nmax {
 			break
 		}
-		target = min(2*n, nmax)
+		target = n + min(n, nmax-n) // min(2n, nmax) without overflow
 	}
 	est.Samples = n
 	for i := range hits {
@@ -209,7 +209,7 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 // number of doubling rounds from n0 to nmax, over which the union bound
 // splits delta.
 func Schedule(eps, delta float64, dim int, maxSamples int64) (n0, nmax, rounds int64) {
-	n0 = max(1, int64(math.Ceil(stats.VCConstant/(eps*eps)*math.Log(1/delta))))
+	n0 = max(1, stats.SampleCount(stats.VCConstant/(eps*eps)*math.Log(1/delta)))
 	nmax = max(n0, stats.VCSampleSize(eps, delta, dim))
 	if maxSamples > 0 {
 		n0, nmax = min(n0, maxSamples), min(nmax, maxSamples)

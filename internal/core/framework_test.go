@@ -225,6 +225,18 @@ func TestRunMaxSamplesCap(t *testing.T) {
 	}
 }
 
+// TestScheduleSaturatesAtTinyEps: below eps 1e-9 the Lemma 4 budget is
+// past 2^63 and must saturate rather than wrap: a first round of more than
+// one sample, a ceiling at or above it, a positive round count.
+func TestScheduleSaturatesAtTinyEps(t *testing.T) {
+	for _, eps := range []float64{1e-9, 3e-10, 1e-12} {
+		n0, nmax, rounds := Schedule(eps, 0.01, 8, 0)
+		if n0 <= 1 || nmax < n0 || rounds < 1 {
+			t.Errorf("eps %g: n0 %d, nmax %d, rounds %d; want n0 > 1, nmax >= n0, rounds >= 1", eps, n0, nmax, rounds)
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	sp := &coinSpace{
 		lambdaHat:  0.2,

@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -126,7 +127,7 @@ func (g *Graph) MaxDegree() int {
 func DedupSorted(a []Node) []Node {
 	out := make([]Node, len(a))
 	copy(out, a)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i, v := range out {
 		if i == 0 || v != out[w-1] {
@@ -185,43 +186,51 @@ func (b *Builder) SetNumNodes(n int) {
 // Build constructs the CSR graph. The builder may be reused afterwards.
 func (b *Builder) Build() *Graph {
 	n := b.n
-	deg := make([]int64, n+1)
-	for _, e := range b.edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
-	}
 	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
+	for _, e := range b.edges {
+		offsets[e.U+1]++
+		offsets[e.V+1]++
 	}
-	adj := make([]Node, offsets[n])
+	for i := 0; i < n; i++ {
+		offsets[i+1] += offsets[i]
+	}
+	// Scatter each edge into both endpoints' lists, then transpose: walking
+	// owners u in ascending order and appending u to each neighbor's list
+	// leaves every list sorted, because the adjacency multiset is symmetric.
+	scattered := make([]Node, offsets[n])
 	cursor := make([]int64, n)
 	copy(cursor, offsets[:n])
 	for _, e := range b.edges {
-		adj[cursor[e.U]] = e.V
+		scattered[cursor[e.U]] = e.V
 		cursor[e.U]++
-		adj[cursor[e.V]] = e.U
+		scattered[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	// Sort each adjacency list and remove duplicates in place.
-	outOff := make([]int64, n+1)
-	w := int64(0)
+	adj := make([]Node, offsets[n])
+	copy(cursor, offsets[:n])
 	for u := 0; u < n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
-		list := adj[lo:hi]
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		outOff[u] = w
+		for _, v := range scattered[offsets[u]:offsets[u+1]] {
+			adj[cursor[v]] = Node(u)
+			cursor[v]++
+		}
+	}
+	// Remove duplicates in place, rewriting offsets as the lists shrink.
+	w, lo := int64(0), int64(0)
+	for u := 0; u < n; u++ {
+		hi := offsets[u+1]
+		offsets[u] = w
 		var prev Node = -1
-		for _, v := range list {
+		for _, v := range adj[lo:hi] {
 			if v != prev {
 				adj[w] = v
 				w++
 				prev = v
 			}
 		}
+		lo = hi
 	}
-	outOff[n] = w
-	return &Graph{offsets: outOff, adj: adj[:w:w], m: w / 2}
+	offsets[n] = w
+	return &Graph{offsets: offsets, adj: adj[:w:w], m: w / 2}
 }
 
 // FromEdges builds a graph with n nodes from the given edge list.

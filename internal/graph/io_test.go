@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,5 +100,33 @@ func TestSaveLoadFile(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := LoadEdgeList("/does/not/exist"); err == nil {
 		t.Error("want error for missing file")
+	}
+}
+
+// TestReadEdgeListAllocations guards the in-place parser: a 20k-line edge
+// list allocates for the scanner buffer, the edge and id slices' doublings,
+// the id map's growth and the CSR build, never once per line. Doubling the
+// lines over the same ids may add only the slices' extra doublings.
+func TestReadEdgeListAllocations(t *testing.T) {
+	var once bytes.Buffer
+	if err := WriteEdgeList(&once, BarabasiAlbert(5000, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	twice := append(slices.Clone(once.Bytes()), once.Bytes()...)
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := ReadEdgeList(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lines := bytes.Count(once.Bytes(), []byte("\n"))
+	a1, a2 := allocs(once.Bytes()), allocs(twice)
+	t.Logf("%d lines: %.0f allocations; %d lines over the same ids: %.0f", lines, a1, 2*lines, a2)
+	if a1 > float64(lines)/100 {
+		t.Errorf("%d lines allocate %.0f times, want at most lines/100 = %d", lines, a1, lines/100)
+	}
+	if a2-a1 > 4 {
+		t.Errorf("doubling the lines over the same ids adds %.0f allocations, want at most 4", a2-a1)
 	}
 }

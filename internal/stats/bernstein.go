@@ -1,7 +1,7 @@
 // Package stats implements the statistical machinery of the SaPHyRa
 // framework: the empirical Bernstein inequality (Lemma 3, from Maurer &
-// Pontil [13]), the VC sample-size bound (Lemma 4), and small accumulators
-// used by the adaptive sampler.
+// Pontil [13]), the VC sample-size bound (Lemma 4) and the union-bound
+// budget, with the saturating conversion every sample count goes through.
 package stats
 
 import (
@@ -41,7 +41,7 @@ func VCSampleSize(eps, delta float64, dim int) int64 {
 	if n < 1 {
 		return 1
 	}
-	return int64(math.Ceil(n))
+	return SampleCount(n)
 }
 
 // UnionSampleSize returns the direct-estimation budget of Section II-A for k
@@ -58,7 +58,20 @@ func UnionSampleSize(eps, delta float64, k int) int64 {
 	if n < 1 {
 		return 1
 	}
-	return int64(math.Ceil(n))
+	return SampleCount(n)
+}
+
+// SampleCount returns ceil(x) as a sample count, saturating at
+// math.MaxInt64 when x is at or above 2^63 (or NaN). Go leaves the
+// conversion of an out-of-range float to int64 undefined, and on amd64 a
+// budget for a tiny eps came out negative and was clamped to one sample; a
+// saturated budget keeps the (eps, delta) argument, and the run stops on
+// its Bernstein check or its MaxSamples cap.
+func SampleCount(x float64) int64 {
+	if !(x < 1<<63) {
+		return math.MaxInt64
+	}
+	return int64(math.Ceil(x))
 }
 
 // BernoulliSampleVariance returns the unbiased sample variance of a 0/1
@@ -69,56 +82,4 @@ func BernoulliSampleVariance(ones, n int64) float64 {
 		return 0
 	}
 	return float64(ones) * float64(n-ones) / (float64(n) * float64(n-1))
-}
-
-// MeanVar is an accumulator of bounded samples supporting mean and unbiased
-// sample variance. The zero value is ready to use.
-type MeanVar struct {
-	n          int64
-	sum, sumSq float64
-}
-
-// Add records one sample.
-func (m *MeanVar) Add(x float64) {
-	m.n++
-	m.sum += x
-	m.sumSq += x * x
-}
-
-// AddWeighted records `count` identical samples of value x (used to fold in
-// Bernoulli batches cheaply).
-func (m *MeanVar) AddWeighted(x float64, count int64) {
-	m.n += count
-	m.sum += x * float64(count)
-	m.sumSq += x * x * float64(count)
-}
-
-// N returns the number of recorded samples.
-func (m *MeanVar) N() int64 { return m.n }
-
-// Mean returns the sample mean (0 when empty).
-func (m *MeanVar) Mean() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (m *MeanVar) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	v := (m.sumSq - m.sum*m.sum/float64(m.n)) / float64(m.n-1)
-	if v < 0 { // float round-off
-		return 0
-	}
-	return v
-}
-
-// Merge folds another accumulator into m (for parallel workers).
-func (m *MeanVar) Merge(o *MeanVar) {
-	m.n += o.n
-	m.sum += o.sum
-	m.sumSq += o.sumSq
 }

@@ -84,62 +84,61 @@ func TestBernoulliSampleVariance(t *testing.T) {
 	}
 }
 
+// TestBernoulliSampleVarianceMatchesMeanVar checks the closed form against
+// the unbiased sample variance computed from its definition, two passes
+// over the 0/1 vector: the mean, then the squared deviations over n-1.
 func TestBernoulliSampleVarianceMatchesMeanVar(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int64(2 + rng.Intn(500))
 		ones := int64(rng.Intn(int(n) + 1))
-		var mv MeanVar
-		mv.AddWeighted(1, ones)
-		mv.AddWeighted(0, n-ones)
-		return math.Abs(mv.Variance()-BernoulliSampleVariance(ones, n)) < 1e-12
+		mean := float64(ones) / float64(n)
+		var ss float64
+		for j := int64(0); j < n; j++ {
+			z := 0.0
+			if j < ones {
+				z = 1
+			}
+			ss += (z - mean) * (z - mean)
+		}
+		return math.Abs(ss/float64(n-1)-BernoulliSampleVariance(ones, n)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestMeanVarBasics(t *testing.T) {
-	var m MeanVar
-	for _, x := range []float64{1, 2, 3, 4} {
-		m.Add(x)
-	}
-	if m.N() != 4 {
-		t.Errorf("N = %d", m.N())
-	}
-	if math.Abs(m.Mean()-2.5) > 1e-15 {
-		t.Errorf("mean = %g", m.Mean())
-	}
-	// sample variance of 1..4 = 5/3
-	if math.Abs(m.Variance()-5.0/3) > 1e-12 {
-		t.Errorf("var = %g, want %g", m.Variance(), 5.0/3)
-	}
-}
-
-func TestMeanVarMerge(t *testing.T) {
-	var a, b, all MeanVar
-	xs := []float64{0.2, 0.9, 0.4, 0.7, 0.1, 0.5}
-	for i, x := range xs {
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
+// TestSampleCountSaturates: a count at or above 2^63 (or NaN) is
+// math.MaxInt64, never a wrapped or undefined conversion; below that it is
+// the ceiling.
+func TestSampleCountSaturates(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want int64
+	}{
+		{0.5, 1}, {1, 1}, {1.25, 2}, {1e6, 1e6},
+		{1 << 62, 1 << 62},
+		{math.Nextafter(1<<63, 0), 1<<63 - 1024},
+		{1 << 63, math.MaxInt64}, {1e30, math.MaxInt64}, {math.Inf(1), math.MaxInt64}, {math.NaN(), math.MaxInt64},
+	} {
+		if got := SampleCount(c.x); got != c.want {
+			t.Errorf("SampleCount(%g) = %d, want %d", c.x, got, c.want)
 		}
 	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-15 || math.Abs(a.Variance()-all.Variance()) > 1e-12 {
-		t.Error("merge result differs from direct accumulation")
-	}
 }
 
-func TestMeanVarEmpty(t *testing.T) {
-	var m MeanVar
-	if m.Mean() != 0 || m.Variance() != 0 {
-		t.Error("empty accumulator should be zeros")
+// TestSampleSizesSaturateAtTinyEps: at eps 1e-9 and below the Lemma 4 and
+// union budgets are above 10^18, and at or past 2^63 they saturate at
+// math.MaxInt64 rather than wrap to a small or negative count.
+func TestSampleSizesSaturateAtTinyEps(t *testing.T) {
+	for _, eps := range []float64{1e-9, 3e-10, 1e-12} {
+		vc, union := VCSampleSize(eps, 0.01, 20), UnionSampleSize(eps, 0.01, 100)
+		if vc < 1e18 || union < 1e18 {
+			t.Errorf("eps %g: VCSampleSize %d, UnionSampleSize %d, want both above 10^18", eps, vc, union)
+		}
+	}
+	if got := VCSampleSize(1e-12, 0.01, 20); got != math.MaxInt64 {
+		t.Errorf("VCSampleSize(1e-12) = %d, want math.MaxInt64", got)
 	}
 }
 

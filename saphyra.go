@@ -64,9 +64,14 @@ type Builder = graph.Builder
 // NewBuilder returns a Builder for a graph with at least n nodes.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
-// LoadEdgeList reads a whitespace-separated edge-list file ('#'/'%' comments
-// allowed). Sparse node ids are compacted; the returned slice maps the new
-// dense id back to the original.
+// LoadEdgeList reads a whitespace-separated edge-list file. Each line is
+// split on Unicode whitespace (a trailing "\r" is dropped); a line that is
+// blank or whose first non-space character is '#' or '%' is skipped, and
+// any other line must start with two base-10 int64 node ids (an optional
+// sign, leading zeros allowed; "-0" is 0, any other negative is an error),
+// after which further fields are ignored. Lines are at most 1 MiB. Sparse
+// node ids are compacted in first-seen order; the returned slice maps the
+// new dense id back to the original.
 func LoadEdgeList(path string) (*Graph, []int64, error) { return graph.LoadEdgeList(path) }
 
 // ReadEdgeList parses an edge list from a reader. See LoadEdgeList.
