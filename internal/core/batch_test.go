@@ -5,9 +5,11 @@ import (
 
 	"math"
 	mrand "math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
+	"saphyra/internal/datasets"
 	"saphyra/internal/graph"
 	"saphyra/internal/shortestpath"
 )
@@ -80,8 +82,8 @@ func TestEstimateDeterministicGolden(t *testing.T) {
 // DrawBatch must statistically match repeated single Draw, on the skewed
 // reference graph and on a high-diameter road grid where most pairs sit at
 // distance >= 4. Both paths sample the same (block, src, dst, path)
-// distribution — only the BFS serving strategy differs — so per-hypothesis
-// hit frequencies must agree within binomial noise.
+// distribution — only the grouping and the distance <= 3 shortcuts differ —
+// so per-hypothesis hit frequencies must agree within binomial noise.
 func TestDrawBatchMatchesDraw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical parity test")
@@ -106,8 +108,14 @@ func TestDrawBatchMatchesDraw(t *testing.T) {
 			batched := make([]int64, k)
 			s2 := sp.NewSampler(2).(*bcSampler)
 			s2.DrawBatch(n, batched)
-			if s2.dagRuns == 0 {
-				t.Fatal("DrawBatch served no group from a shared DAG: the grouped path is untested")
+			// One full grouping round, measured with a reference BFS, must
+			// send pairs down the distance >= 4 path on both graphs.
+			s3 := sp.NewSampler(3).(*bcSampler)
+			s3.drawGrouped(batchProbe, make([]int64, k))
+			far := farPairShare(g, s3.pairs)
+			t.Logf("one round of %d pairs: %.1f%% at distance >= 4", len(s3.pairs), 100*far)
+			if far == 0 {
+				t.Fatal("a grouping round drew no distance >= 4 pair: the BFS path is untested")
 			}
 
 			for i := 0; i < k; i++ {
@@ -122,6 +130,26 @@ func TestDrawBatchMatchesDraw(t *testing.T) {
 			}
 		})
 	}
+}
+
+// farPairShare returns the share of the source-sorted pairs whose endpoints
+// sit at distance >= 4, measured with a reference full-source BFS per
+// distinct source: the pairs only the sampler's BFS path serves.
+func farPairShare(g *graph.Graph, pairs []srcDst) float64 {
+	if len(pairs) == 0 {
+		return 0
+	}
+	dag := shortestpath.NewDAG(g.NumNodes())
+	far := 0
+	for i, p := range pairs {
+		if i == 0 || pairs[i-1].src() != p.src() {
+			dag.Run(g, p.src())
+		}
+		if dag.Dist[p.dst()] >= 4 {
+			far++
+		}
+	}
+	return float64(far) / float64(len(pairs))
 }
 
 // TestDrawBatchExactCount: DrawBatch(n) must account for exactly n accepted
@@ -389,5 +417,34 @@ func TestDrawBatchAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("4 batches of 4,096 samples allocate %.0f times, want 0", allocs)
+	}
+}
+
+// TestBCSamplerScratchBytesPerNode bounds the n-sized state of one sampler
+// stream: a query materializes up to one stream per virtual worker, so each
+// byte per node here is multiplied by the stream count at full scale. The
+// bidirectional BFS holds 32 bytes per node and the source-neighbor stamps
+// 4; 40 leaves room for the fixed-size buffers and nothing for a second
+// n-sized BFS workspace.
+func TestBCSamplerScratchBytesPerNode(t *testing.T) {
+	const bound = 40.0
+	g := datasets.Flickr.Build(1)
+	p := PreprocessBC(g)
+	n := float64(g.NumNodes())
+	// TotalAlloc counts every goroutine's allocations; the least of a few
+	// fresh streams is one stream's. The free list is empty, so each call
+	// builds a new one.
+	got := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sc := p.getSampler()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(sc)
+		got = min(got, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	t.Logf("one sampler stream allocates %.1f B per node (n = %.0f)", got, n)
+	if got > bound {
+		t.Fatalf("one sampler stream allocates %.1f B per node, bound %.0f", got, bound)
 	}
 }

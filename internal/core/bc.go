@@ -210,14 +210,12 @@ type bcQuery struct {
 }
 
 // bcSamplerScratch is the pooled state of one sampler stream: the n-sized
-// BFS workspaces and neighbor stamps plus the reusable batch buffers. All
+// BFS workspace and neighbor stamps plus the reusable batch buffers. All
 // of it is valid to reuse as a finished or canceled query leaves it — the
-// BFS engines reset what they touched on their next run and nbrStamp is
-// epoch-stamped — and none of it feeds a draw, so a recycled stream is
-// bitwise a fresh one.
+// BFS workspace and nbrStamp are both epoch-stamped — and none of it feeds
+// a draw, so a recycled stream is bitwise a fresh one.
 type bcSamplerScratch struct {
 	bfs *shortestpath.BiBFS
-	dag *shortestpath.DAG
 
 	// nbrStamp marks the current group source's neighbors (epoch-stamped):
 	// the distance <= 2 fast path resolves a pair's disposition from one
@@ -230,7 +228,6 @@ type bcSamplerScratch struct {
 
 	// reusable scratch: the steady-state DrawBatch loop is allocation-free
 	pairs   []srcDst
-	dsts    []graph.Node
 	pathBuf []graph.Node
 	hits    []int32
 }
@@ -263,7 +260,6 @@ func (p *BCPreprocessed) getSampler() *bcSamplerScratch {
 	n := p.G.NumNodes()
 	return &bcSamplerScratch{
 		bfs:      shortestpath.NewBiBFS(n),
-		dag:      shortestpath.NewDAG(n),
 		nbrStamp: make([]int32, n),
 	}
 }
@@ -537,12 +533,14 @@ func (sp *bcSpace) ExactPhase(context.Context) (float64, []float64, error) {
 // NewSampler implements Space: Algorithm Gen_bc (Algorithm 2), multistage
 // alias-table sampling with rejection of exact-subspace paths. The returned
 // sampler's DrawBatch pre-draws a batch of (src, dst) pairs, groups them by
-// source, and serves every pair sharing a source from one truncated BFS DAG
-// — on skewed graphs the stage-2 r(s)(S-r(s)) mass concentrates on few hub
-// sources, so grouping amortizes most BFS work.
+// source, and marks each source's neighborhood once for its whole group —
+// on skewed graphs the stage-2 r(s)(S-r(s)) mass concentrates on few hub
+// sources, so one stamp serves hundreds of pairs, and every pair within
+// distance 3 resolves from adjacency scans against it, with no BFS. Only
+// farther pairs pay for a bidirectional BFS each.
 //
-// The sampler's workspaces come from p's free list; its RNG, cost model and
-// round sizing start fresh, so a sampler is a pure function of its seed.
+// The sampler's workspaces come from p's free list; its RNG and round
+// sizing start fresh, so a sampler is a pure function of its seed.
 func (sp *bcSpace) NewSampler(seed int64) Sampler {
 	sc := sp.p.getSampler()
 	sp.mu.Lock()
@@ -572,13 +570,6 @@ type bcSampler struct {
 	sp  *bcSpace
 	rng *rand.Rand
 
-	// Online cost model for the group-serving decision: cumulative mean
-	// directed edges scanned per bidirectional query vs per truncated
-	// source BFS. Both evolve deterministically with the (seeded) sample
-	// stream, so fixed seed + workers still implies identical output.
-	biScan, dagScan    int64
-	biQueries, dagRuns int64
-
 	// lastSources is the distinct-source count of the last grouping round:
 	// the measured quantity behind the adaptive per-round quota.
 	lastSources int64
@@ -603,7 +594,8 @@ const cancelPollPairs = 1 << 12
 // each — 8 MiB of reusable scratch at the cap, allocated only up to the
 // quota actually requested). The larger the round, the more pairs share a
 // source: at production budgets (full-network ranking, tight eps) groups
-// grow into the hundreds and one truncated BFS serves them all.
+// grow into the hundreds and one neighborhood stamp, and one scan per
+// distinct destination, serves them all.
 const batchCap = 1 << 20
 
 // batchProbe is the first-round quota (and the floor of the adaptive round
@@ -612,36 +604,9 @@ const batchCap = 1 << 20
 const batchProbe = 1 << 14
 
 // groupScale is the average group size the adaptive round sizing aims for:
-// past ~1k pairs per source the shared-BFS amortization has flattened, so
-// larger rounds only grow the pair buffer.
+// past ~1k pairs per source the stamp and scan amortization has flattened,
+// so larger rounds only grow the pair buffer.
 const groupScale = 1 << 10
-
-// dagGroupMin is the floor on the group size at which a shared truncated
-// source BFS may replace per-pair bidirectional BFS. The effective
-// threshold adapts upward from measured costs (see dagThreshold): on graphs
-// where BiBFS touches O(sqrt n) nodes while a source ball is near-linear,
-// small groups stay on the bidirectional path.
-const dagGroupMin = 2
-
-// dagThreshold returns the current group size at which serving a source
-// run from one truncated BFS is estimated to be cheaper than one
-// bidirectional query per pair. Until both costs have been observed it
-// returns the floor, so each strategy gets probed early.
-func (s *bcSampler) dagThreshold() int {
-	if s.biQueries == 0 || s.dagRuns == 0 {
-		return dagGroupMin
-	}
-	biAvg := float64(s.biScan) / float64(s.biQueries)
-	dagAvg := float64(s.dagScan) / float64(s.dagRuns)
-	if biAvg < 1 {
-		biAvg = 1
-	}
-	t := int(dagAvg / biAvg)
-	if t < dagGroupMin {
-		t = dagGroupMin
-	}
-	return t
-}
 
 // drawPair runs stages 1-3 of Algorithm 2 on the alias tables: O(1) — three
 // uniform variates — instead of three binary searches. Stage 3 must exclude
@@ -782,7 +747,6 @@ func (s *bcSampler) drawGrouped(m int, hits []int64) int64 {
 	// pairs.
 	slices.Sort(s.pairs)
 	var accepted, sources int64
-	minGroup := s.dagThreshold()
 	for lo := 0; lo < len(s.pairs); {
 		if s.stop.Stopped() {
 			break // between source groups: no group state to unwind
@@ -793,7 +757,7 @@ func (s *bcSampler) drawGrouped(m int, hits []int64) int64 {
 			hi++
 		}
 		sources++
-		accepted += s.serveGroup(src, s.pairs[lo:hi], hits, minGroup)
+		accepted += s.serveGroup(src, s.pairs[lo:hi], hits)
 		lo = hi
 	}
 	s.lastSources = sources
@@ -817,10 +781,10 @@ func (s *bcSampler) drawGrouped(m int, hits []int64) int64 {
 //     by scanning N(b) for marks over b in N(dst), and a uniform path is a
 //     uniform (a, b) index into that scan.
 //
-// Only distance >= 4 pairs reach the BFS engines: one truncated source DAG
-// when enough of them share the source, per-pair bidirectional BFS
-// otherwise.
-func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGroup int) int64 {
+// The source stamp is paid once per group and the scans once per distinct
+// destination. Only distance >= 4 pairs need a BFS: one bidirectional BFS
+// per pair, which reads neither nbrStamp nor mid3, so it runs in place.
+func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64) int64 {
 	sp := s.sp
 	g := sp.p.G
 	if s.nbrEpoch == math.MaxInt32 {
@@ -833,7 +797,6 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGr
 		s.nbrStamp[w] = e
 	}
 	var accepted int64
-	s.dsts = s.dsts[:0]
 	lastDst := graph.Node(-1)
 	var sigma, cA int32
 	var sigma3 int64
@@ -917,54 +880,20 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64, minGr
 			}
 			accepted++
 		default:
-			// distance >= 4: needs a BFS.
-			s.dsts = append(s.dsts, dst)
-		}
-	}
-	if len(s.dsts) == 0 {
-		return accepted
-	}
-	if len(s.dsts) >= minGroup {
-		return accepted + s.serveFromDAG(src, hits)
-	}
-	for _, dst := range s.dsts {
-		if s.stop.Stopped() {
-			break // each iteration is a full bidirectional BFS
-		}
-		accepted += s.serveFromBiBFS(src, dst, hits)
-	}
-	return accepted
-}
-
-// serveFromDAG answers the collected distance >= 4 destinations of one
-// source from a single truncated BFS: the traversal stops at the level of
-// the farthest dst (each shares src's block, so each is reached) and resets
-// only touched state, so its cost is shared across the whole run.
-func (s *bcSampler) serveFromDAG(src graph.Node, hits []int64) int64 {
-	g := s.sp.p.G
-	s.dag.RunTruncated(g, src, s.dsts)
-	s.dagScan += s.dag.Scanned()
-	s.dagRuns++
-	var accepted int64
-	for _, dst := range s.dsts {
-		path := s.dag.SamplePathAppend(g, dst, s.rng, s.pathBuf)
-		if path == nil {
-			continue // defensive: members of one block are always connected
-		}
-		s.pathBuf = path
-		if s.countPath(path, hits) {
-			accepted++
+			// distance >= 4: one bidirectional BFS per pair.
+			if s.stop.Stopped() {
+				return accepted
+			}
+			accepted += s.serveFromBiBFS(src, dst, hits)
 		}
 	}
 	return accepted
 }
 
-// serveFromBiBFS answers a singleton pair with balanced bidirectional BFS.
+// serveFromBiBFS answers one pair with balanced bidirectional BFS.
 func (s *bcSampler) serveFromBiBFS(src, dst graph.Node, hits []int64) int64 {
 	g := s.sp.p.G
 	_, _, ok := s.bfs.Query(g, src, dst)
-	s.biScan += s.bfs.Scanned()
-	s.biQueries++
 	if !ok {
 		return 0 // defensive: redrawn by the caller's accounting
 	}

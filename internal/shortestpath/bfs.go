@@ -32,13 +32,7 @@ type DAG struct {
 	tmark   []int32
 	pending []graph.Node
 	tepoch  int32
-	scanned int64
 }
-
-// Scanned returns the number of directed edges examined by the last
-// RunTruncated — the cost proxy batched samplers feed their serving-strategy
-// model.
-func (d *DAG) Scanned() int64 { return d.scanned }
 
 // NewDAG returns a workspace for graphs of n nodes. Dist starts at -1
 // everywhere (the "clean" state RunTruncated relies on).
@@ -136,7 +130,6 @@ func (d *DAG) RunTruncated(g *graph.Graph, source graph.Node, targets []graph.No
 		d.tmark[source] = d.tepoch - 1
 		remaining--
 	}
-	d.scanned = 0
 	lo, hi := 0, 1 // current level's slice of Order
 	for lvl := int32(0); lo < hi; lvl++ {
 		if remaining == 0 {
@@ -153,7 +146,6 @@ func (d *DAG) RunTruncated(g *graph.Graph, source graph.Node, targets []graph.No
 		// Expand level lvl.
 		for _, u := range d.Order[lo:hi] {
 			su := d.Sigma[u]
-			d.scanned += int64(g.Degree(u))
 			for _, v := range g.Neighbors(u) {
 				switch {
 				case d.Dist[v] == -1:
@@ -204,7 +196,6 @@ func (d *DAG) tryPull(g *graph.Graph, lvl int32) bool {
 				sig += d.Sigma[w]
 			}
 		}
-		d.scanned += int64(g.Degree(t))
 		d.Dist[t] = lvl + 1
 		d.Sigma[t] = sig
 		d.Order = append(d.Order, t)

@@ -28,15 +28,7 @@ type BiBFS struct {
 	cutSide   int8  // 0: cut on forward side, 1: cut on backward side
 	cutLevel  int32 // completed level on the cut side where waves met
 	meetTotal float64
-	scanned   int64 // directed edges examined by the last Query (cost proxy)
 }
-
-// Scanned returns the number of directed edges examined by the last Query —
-// the cost proxy batched samplers use to decide between per-pair
-// bidirectional BFS and shared truncated source BFS. It is derived from the
-// frontier degree sums the balancing rule maintains anyway, so tracking it
-// costs nothing in the expansion loop.
-func (b *BiBFS) Scanned() int64 { return b.scanned }
 
 // NewBiBFS returns a workspace for graphs of n nodes.
 func NewBiBFS(n int) *BiBFS {
@@ -70,6 +62,7 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 		b.epoch = 1
 	}
 	b.s, b.t = s, t
+	b.evenFrontiers()
 	b.stampF[s] = b.epoch
 	b.distF[s] = 0
 	b.sigF[s] = 1
@@ -79,7 +72,6 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 	b.frontF = append(b.frontF[:0], s)
 	b.frontB = append(b.frontB[:0], t)
 	levelF, levelB := int32(0), int32(0)
-	b.scanned = 0
 	// Frontier expansion costs (total degree) are maintained incrementally
 	// while the next frontier is built, instead of being recomputed with an
 	// extra pass over both frontiers at every level.
@@ -87,7 +79,6 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 
 	for len(b.frontF) > 0 && len(b.frontB) > 0 {
 		if costF <= costB {
-			b.scanned += costF
 			b.nextF = b.nextF[:0]
 			newLevel := levelF + 1
 			met := false
@@ -120,7 +111,6 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 				return b.finish(newLevel, best, 0)
 			}
 		} else {
-			b.scanned += costB
 			b.nextB = b.nextB[:0]
 			newLevel := levelB + 1
 			met := false
@@ -155,6 +145,18 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 		}
 	}
 	return 0, 0, false
+}
+
+// evenFrontiers gives the four frontier buffers the capacity of the largest.
+// They trade roles level by level, so without it a frontier that outgrew one
+// buffer would regrow each of the others in turn on later queries.
+func (b *BiBFS) evenFrontiers() {
+	c := max(cap(b.frontF), cap(b.nextF), cap(b.frontB), cap(b.nextB))
+	for _, f := range [...]*[]graph.Node{&b.frontF, &b.nextF, &b.frontB, &b.nextB} {
+		if cap(*f) < c {
+			*f = make([]graph.Node, 0, c)
+		}
+	}
 }
 
 // finish collects the meeting cut: all nodes at the just-completed level of
