@@ -161,7 +161,7 @@ func ABRA(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
 			if variance < 0 || fn < 2 {
 				variance = 0
 			}
-			if e := stats.EpsilonBernstein(drawn, deltaI, variance); e > worst {
+			if e := stats.EpsilonBernstein(drawn, deltaI, variance, 1); e > worst {
 				worst = e
 				if worst > eps { // no need to scan further this round
 					break

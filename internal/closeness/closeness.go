@@ -3,19 +3,29 @@
 // SaPHyRa framework (Section VI).
 //
 // Harmonic closeness of v is c(v) = (1/(n-1)) * sum_{u != v} 1/d(u, v)
-// (terms with unreachable u are 0). A sample is a uniform source u; the
-// per-hypothesis loss for target v is 1/d(u, v) in [0, 1] -- a bounded but
-// non-binary loss, so this package runs its own progressive estimator with
-// empirical Bernstein stopping (per-target variance) instead of the 0/1
-// framework plumbing.
+// (terms with unreachable u are 0). As SaPHyRa_bc counts its 2-hop pairs
+// exactly and samples the rest, the estimator counts the distance-1 sources
+// exactly: there are deg(v) of them, each contributing 1. A sample is a
+// uniform source u over all n nodes, and its loss for target v is
+// loss'(u, v) = 1/d(u, v) for d >= 2 and 0 otherwise (the source itself, a
+// neighbor, or unreached), so loss' has range 1/2. With m the mean of
+// loss' over the samples,
 //
-// Losses are exact fixed point: a sample's loss is floor(2^32/d) / 2^32,
-// and 0 for the source itself or an unreached target, so it sits below 1/d
-// by less than 2^-32. Per target the estimator keeps the sum of
-// floor(2^32/d) and the sum of its squares as 128-bit unsigned integers,
-// and converts to float only for each round's stopping check and the final
-// mean. The check stops at eps - 2^-32, so the (eps, delta) guarantee holds
-// for c(v) itself.
+//	c^(v) = (deg(v) + n*m) / (n-1),
+//
+// whose expectation is c(v) up to the fixed-point rounding below. The loss
+// is bounded but not binary, so this package runs its own progressive
+// estimator with empirical Bernstein stopping (per-target variance, range
+// 1/2) instead of the 0/1 framework plumbing.
+//
+// Losses are exact fixed point: a sample's loss is floor(2^32/d) / 2^32
+// for d >= 2, so it sits below 1/d by less than 2^-32. Per target the
+// estimator keeps the sum of floor(2^32/d) and the sum of its squares as
+// 128-bit unsigned integers, and converts to float only for each round's
+// stopping check and the final estimate. An error of x in m is an error of
+// n/(n-1)*x in c^(v), so the check stops once every bound is at most
+// (n-1)/n*eps - 2^-32, and the (eps, delta) guarantee holds for c(v)
+// itself (DESIGN.md section 11).
 //
 // Distance labels are all a sample needs, so samples are priced by
 // bit-parallel MS-BFS passes (internal/msbfs), each of which streams the
@@ -215,6 +225,11 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 	stop, unwatch := sched.WatchStop(ctx)
 	defer unwatch()
 
+	// An error of x in the sampled mean is an error of n/(n-1)*x in the
+	// estimate, and the fixed-point loss sits below 1/d by less than 2^-32,
+	// so a mean within (n-1)/n*eps - 2^-32 of its expectation puts the
+	// estimate within eps of c(v).
+	stopAt := float64(float64(n-1)/float64(n)*eps) - 1.0/fixedOne
 	var drawn int64
 	target := n0
 	for {
@@ -226,13 +241,11 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 		worst := 0.0
 		for i := range k {
 			_, v := sc.total(i).moments(drawn)
-			if e := stats.EpsilonBernstein(drawn, deltaI, v); e > worst {
+			if e := stats.EpsilonBernstein(drawn, deltaI, v, lossRange); e > worst {
 				worst = e
 			}
 		}
-		// The fixed-point loss sits below 1/d by less than 2^-32, so an
-		// estimate of its mean within eps - 2^-32 is within eps of c(v).
-		if worst <= eps-1.0/fixedOne {
+		if worst <= stopAt {
 			res.StoppedEarly = true
 			break
 		}
@@ -243,10 +256,20 @@ func (e *Engine) EstimateInto(ctx context.Context, a []graph.Node, opt Options, 
 	}
 	res.Samples = drawn
 	res.Closeness = resize(res.Closeness, k)
-	for i := range k {
-		res.Closeness[i], _ = sc.total(i).moments(drawn)
+	for i, v := range nodes {
+		mean, _ := sc.total(i).moments(drawn)
+		res.Closeness[i] = e.estimate(v, mean)
 	}
 	return nil
+}
+
+// estimate is c^(v) = (deg(v) + n*mean) / (n-1): the exact distance-1 term
+// plus the sampled rest. The graph is simple, so v's degree is its number
+// of distance-1 sources. The product sits in an explicit float64
+// conversion, as in moments, so no compiler fuses it into a multiply-add.
+func (e *Engine) estimate(v graph.Node, mean float64) float64 {
+	deg := float64(e.off[v+1] - e.off[v])
+	return float64(deg+float64(float64(e.n)*mean)) / float64(e.n-1)
 }
 
 // budget returns the first round's sample count n0 and the cap nmax; each
@@ -265,19 +288,25 @@ func budget(eps, delta float64, k int, maxSamples int64) (n0, nmax int64) {
 // 2^-32.
 const fixedOne = 1 << 32
 
-// fixedRecip[d] = floor(2^32/d), with fixedRecip[0] = 0.
+// lossRange is the range of the sampled loss: 0 to 1/2, since the
+// distance-1 sources are counted exactly.
+const lossRange = 0.5
+
+// fixedRecip[d] = floor(2^32/d) for d >= 2, with fixedRecip[0] =
+// fixedRecip[1] = 0.
 var fixedRecip = func() (r [256]uint64) {
-	for d := 1; d < len(r); d++ {
+	for d := 2; d < len(r); d++ {
 		r[d] = fixedOne / uint64(d)
 	}
 	return r
 }()
 
 // lossFixed is a sample's loss for a target at BFS depth d >= 0 from the
-// source, in units of 2^-32: floor(2^32/d), or 0 when d is 0 (the source
-// itself, or unreached). So 0 <= 1/d - lossFixed(d)/2^32 < 2^-32. Small
-// depths read the memo, larger ones divide; this is the one definition of
-// the loss for both round shapes.
+// source, in units of 2^-32: floor(2^32/d) for d >= 2, and 0 when d is 0
+// (the source itself, or unreached) or 1 (counted exactly by estimate). So
+// 0 <= 1/d - lossFixed(d)/2^32 < 2^-32 for d >= 2. Small depths read the
+// memo, larger ones divide; this is the one definition of the loss for
+// both round shapes.
 func lossFixed(d int32) uint64 {
 	if uint32(d) < uint32(len(fixedRecip)) {
 		return fixedRecip[d]
@@ -627,12 +656,12 @@ type targetPass struct {
 // does not escape, so a pass allocates nothing
 // (TestTargetRoundAllocatesNothing).
 func (p *targetPass) settle(u graph.Node, lanes uint64, depth int32) {
-	c := p.mult[u]
-	if c == 0 {
+	c, r := p.mult[u], lossFixed(depth)
+	if c == 0 || r == 0 {
 		return
 	}
 	var inc sums
-	inc.add(c, lossFixed(depth))
+	inc.add(c, r)
 	for m := lanes; m != 0; m &= m - 1 {
 		p.acc[bits.TrailingZeros64(m)].merge(&inc)
 	}

@@ -147,3 +147,58 @@ func TestEstimateDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateUnbiased: the estimate's mean over seeds converges to c(v)
+// as Exact and the package doc define it, with 1/(n-1). Sources are drawn
+// from all n nodes, the target itself included, so an estimator that
+// averaged 1/d over the samples alone would converge to (n-1)/n * c(v):
+// on Cycle(10) at eps 0.005 that read a mean of 0.43694 against an exact
+// 0.48519, many standard errors away. Each target's mean over the seeds
+// must lie within 5 standard errors of Exact (plus 1e-9 for the
+// fixed-point rounding). A star's center has only distance-1 sources, all
+// counted exactly, so its estimate is exactly 1 at every seed.
+func TestEstimateUnbiased(t *testing.T) {
+	const runs = 40
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		eps  float64
+	}{
+		{"cycle-10", graph.Cycle(10), 0.005},
+		{"ba-60", graph.BarabasiAlbert(60, 2, 3), 0.02},
+		{"star-12", graph.Star(12), 0.02},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			truth := Exact(tc.g)
+			a := allNodes(tc.g)
+			eng := NewEngine(tc.g)
+			sum, sumSq := make([]float64, len(a)), make([]float64, len(a))
+			var res Result
+			for r := range runs {
+				opt := Options{Epsilon: tc.eps, Delta: 0.1, Seed: int64(r + 1), Workers: 1}
+				if err := eng.EstimateInto(context.Background(), a, opt, &res); err != nil {
+					t.Fatal(err)
+				}
+				for i, x := range res.Closeness {
+					sum[i] += x
+					sumSq[i] += x * x
+					if tc.g.Degree(a[i]) == len(a)-1 && x != 1 {
+						t.Fatalf("seed %d: node %d neighbors every node but reads %v, want exactly 1", r+1, a[i], x)
+					}
+				}
+			}
+			worst := 0.0
+			for i, v := range a {
+				mean := sum[i] / runs
+				sd := math.Sqrt(max(sumSq[i]/runs-mean*mean, 0) * runs / (runs - 1))
+				ratio := math.Abs(mean-truth[v]) / (sd/math.Sqrt(runs) + 1e-9)
+				worst = max(worst, ratio)
+				if ratio > 5 {
+					t.Errorf("node %d: mean of %d estimates %.6f, exact %.6f, sd %.3g: %.1f standard errors off",
+						v, runs, mean, truth[v], sd, ratio)
+				}
+			}
+			t.Logf("worst |mean - exact| over %d targets: %.2f standard errors", len(a), worst)
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"saphyra/internal/datasets"
+	"saphyra/internal/graph"
 	"saphyra/internal/testutil"
 )
 
@@ -64,5 +65,67 @@ func TestConformanceClosenessFailureRate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestConformanceClosenessUnbiased tests that the estimator converges to
+// c(v) itself, the exact distance-1 term included: the mean estimate over
+// R seeds, on one fixed 100-target subset of a social and a road stand-in
+// at scale 0.25, must lie within 5 standard errors of Exact for every
+// target. The fixed-point loss sits below 1/d by less than 2^-32, so the
+// tolerance has a 1e-9 floor, which also covers targets whose sampled loss
+// never varies. A miss names a bias the (eps, delta) check would hide
+// behind eps. Run with
+//
+//	go test -tags conformance -run Conformance ./internal/closeness/
+func TestConformanceClosenessUnbiased(t *testing.T) {
+	const (
+		scale = 0.25
+		size  = 100
+		runs  = 200
+		eps   = 0.05
+		delta = 0.01
+		floor = 1e-9
+	)
+	for _, nw := range []datasets.Network{datasets.Flickr, datasets.USARoad} {
+		t.Run(nw.Name, func(t *testing.T) {
+			g := nw.Build(scale)
+			truth := Exact(g)
+			eng := NewEngine(g)
+			a := datasets.RandomSubsets(g.NumNodes(), size, 1, 31)[0]
+			var sum, sumSq []float64
+			var nodes []graph.Node
+			var res Result
+			var samples int64
+			for r := range runs {
+				if err := eng.EstimateInto(context.Background(), a, Options{Epsilon: eps, Delta: delta, Seed: int64(r + 1), Workers: 2}, &res); err != nil {
+					t.Fatal(err)
+				}
+				if nodes == nil {
+					nodes = append(nodes, res.Nodes...)
+					sum = make([]float64, len(nodes))
+					sumSq = make([]float64, len(nodes))
+				}
+				samples += res.Samples
+				for i, x := range res.Closeness {
+					sum[i] += x
+					sumSq[i] += x * x
+				}
+			}
+			worst := 0.0
+			for i, v := range nodes {
+				mean := sum[i] / runs
+				sd := math.Sqrt(max(0, (sumSq[i]-runs*mean*mean)/(runs-1)))
+				tol := 5*sd/math.Sqrt(runs) + floor
+				d := math.Abs(mean - truth[v])
+				worst = math.Max(worst, d/tol)
+				if d > tol {
+					t.Errorf("node %d: mean estimate %.6g over %d seeds, exact %.6g, |diff| %.3g > 5 sd/sqrt(R) + %g = %.3g",
+						v, mean, runs, truth[v], d, floor, tol)
+				}
+			}
+			t.Logf("%d nodes, %d targets, R = %d, mean samples %d: max |mean - exact| / tolerance = %.3f",
+				g.NumNodes(), len(nodes), runs, samples/runs, worst)
+		})
 	}
 }

@@ -10,18 +10,18 @@ import (
 	"saphyra/internal/datasets"
 )
 
-// TestLossFixed: the fixed-point loss of a target at depth d is floor(2^32/d)
-// units of 2^-32, so loss' = 1 exactly at d = 1 and 0 <= 1/d - loss'(d) <
-// 2^-32 at every depth. Scaled by d*2^32 that is r*d <= 2^32 < (r+1)*d,
-// which integers check exactly, through the memo and past it.
+// TestLossFixed: the fixed-point loss of a target at depth d >= 2 is
+// floor(2^32/d) units of 2^-32, so 0 <= 1/d - loss'(d) < 2^-32; at depth 0
+// (the source, or unreached) and depth 1 (counted exactly, not sampled) it
+// is 0. Scaled by d*2^32 that is r*d <= 2^32 < (r+1)*d, which integers
+// check exactly, through the memo and past it.
 func TestLossFixed(t *testing.T) {
-	if r := lossFixed(1); r != 1<<32 {
-		t.Fatalf("lossFixed(1) = %d, want 2^32", r)
+	for d := int32(0); d <= 1; d++ {
+		if r := lossFixed(d); r != 0 {
+			t.Fatalf("lossFixed(%d) = %d, want 0", d, r)
+		}
 	}
-	if r := lossFixed(0); r != 0 {
-		t.Fatalf("lossFixed(0) = %d, want 0", r)
-	}
-	for d := int32(1); d <= 1<<20; d++ {
+	for d := int32(2); d <= 1<<20; d++ {
 		r, du := lossFixed(d), uint64(d)
 		if r*du > fixedOne || (r+1)*du <= fixedOne {
 			t.Fatalf("lossFixed(%d) = %d: not floor(2^32/d)", d, r)

@@ -7,8 +7,9 @@ package closeness
 // keeps the speedup measurable after the production code moved on — the
 // same discipline as core's legacySampler. Its accumulators come in two
 // arithmetics: fixed, the engine's sums fed one sample at a time, and
-// float, a meanVar fed 1/d, which is the estimator before its sums
-// became fixed point (TestMatchesFloatReference).
+// float, a meanVar fed 1/d for d >= 2, which is the estimator before its
+// sums became fixed point (TestMatchesFloatReference). Both count the
+// distance-1 sources exactly and sample the rest, as the engine does.
 
 import (
 	"context"
@@ -23,16 +24,17 @@ import (
 	"saphyra/internal/stats"
 )
 
-// legacyAdjacency is the old engine's adjacency seam: a node count and a
-// concrete scalar BFS.
+// legacyAdjacency is the old engine's adjacency seam: a node count, the
+// degrees and a concrete scalar BFS.
 type legacyAdjacency interface {
 	NumNodes() int
+	Degree(v graph.Node) int
 	BFSDistancesInto(source graph.Node, dist []int32) []int32
 }
 
 // legacyAccs is one sampler's per-target accumulators in one arithmetic.
 type legacyAccs interface {
-	add(i int, d int32) // one sample at BFS depth d (0: the source or unreached) for target i
+	add(i int, d int32) // one sample at BFS depth d for target i (0: the source or unreached; 1: a neighbor, counted exactly)
 	merge(o legacyAccs)
 	moments(i int, n int64) (mean, variance float64)
 	// slack is how far below eps the Bernstein bound must fall to stop.
@@ -51,12 +53,12 @@ func (f fixedAccs) merge(o legacyAccs) {
 func (f fixedAccs) moments(i int, n int64) (float64, float64) { return f[i].moments(n) }
 func (fixedAccs) slack() float64                              { return 1.0 / fixedOne }
 
-// floatAccs is the float arithmetic: 1/d added in the merge order.
+// floatAccs is the float arithmetic: 1/d (d >= 2) added in the merge order.
 type floatAccs []meanVar
 
 func (f floatAccs) add(i int, d int32) {
 	x := 0.0
-	if d > 0 {
+	if d > 1 {
 		x = 1 / float64(d)
 	}
 	f[i].Add(x)
@@ -145,11 +147,11 @@ func estimateScalar(ctx context.Context, adj legacyAdjacency, a []graph.Node, op
 		worst := 0.0
 		for i := range k {
 			_, v := accs.moments(i, drawn)
-			if e := stats.EpsilonBernstein(drawn, deltaI, v); e > worst {
+			if e := stats.EpsilonBernstein(drawn, deltaI, v, 0.5); e > worst {
 				worst = e
 			}
 		}
-		if worst <= eps-accs.slack() {
+		if worst <= float64(float64(n-1)/float64(n)*eps)-accs.slack() {
 			res.StoppedEarly = true
 			break
 		}
@@ -163,8 +165,10 @@ func estimateScalar(ctx context.Context, adj legacyAdjacency, a []graph.Node, op
 	}
 	res.Samples = drawn
 	res.Closeness = make([]float64, k)
-	for i := range k {
-		res.Closeness[i], _ = accs.moments(i, drawn)
+	for i, v := range nodes {
+		mean, _ := accs.moments(i, drawn)
+		deg := float64(adj.Degree(v))
+		res.Closeness[i] = float64(deg+float64(float64(n)*mean)) / float64(n-1)
 	}
 	return res, nil
 }

@@ -181,7 +181,7 @@ func Run(ctx context.Context, space Space, opt Options) (*Estimate, error) {
 			worst := 0.0
 			for i := range hits {
 				v := stats.BernoulliSampleVariance(hits[i], n)
-				if e := stats.EpsilonBernstein(n, deltaI, v); e > worst {
+				if e := stats.EpsilonBernstein(n, deltaI, v, 1); e > worst {
 					worst = e
 				}
 			}

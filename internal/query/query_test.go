@@ -70,7 +70,7 @@ func TestQueryKeyCanonicalInvariance(t *testing.T) {
 func TestQueryKeyGolden(t *testing.T) {
 	q := Query{Measure: Betweenness, Targets: []graph.Node{0, 1, 2}, Seed: 1}
 	k := q.Key()
-	const want = "3819655b7733385b"
+	const want = "ef6898b1c936dfa6"
 	if got := hex.EncodeToString(k[:8]); got != want {
 		t.Fatalf("Query.Key layout changed: prefix %s, pinned %s — bump keyMagic (layout) or engineEpoch (bits) if intentional", got, want)
 	}
@@ -87,7 +87,7 @@ func TestQueryKeyLayout(t *testing.T) {
 	h := TargetSetHash([]graph.Node{1, 5, 9})
 	var b []byte
 	b = append(b, "saphyra.Query/v2"...)
-	b = binary.LittleEndian.AppendUint32(b, 5) // engine epoch
+	b = binary.LittleEndian.AppendUint32(b, 6) // engine epoch
 	b = append(b, 0, 2)                        // Betweenness, AlgKADABRA
 	b = binary.LittleEndian.AppendUint32(b, 0) // K: zeroed outside KPath
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.1))

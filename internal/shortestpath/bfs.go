@@ -1,7 +1,7 @@
 // Package shortestpath provides shortest-path machinery for unweighted
 // graphs: single-source BFS DAGs with path counts (sigma), balanced
 // bidirectional BFS (the sample generator of KADABRA [12] and of the
-// paper's Gen_bc), and uniform random shortest-path sampling.
+// paper's Gen_bc) with uniform random shortest-path sampling.
 //
 // Path counts use float64 throughout: sigma grows exponentially on grid-like
 // graphs (binomial in the grid dimensions) and overflows int64 long before
@@ -92,7 +92,7 @@ func (d *DAG) Run(g *graph.Graph, source graph.Node) {
 //
 // After RunTruncated, Dist/Sigma/Order are valid for every node settled by
 // the traversal; nodes beyond the truncation radius read as unreachable
-// (Dist -1). SamplePathTo works for any of the targets.
+// (Dist -1).
 func (d *DAG) RunTruncated(g *graph.Graph, source graph.Node, targets []graph.Node) {
 	if d.tmark == nil {
 		d.tmark = make([]int32, len(d.Dist))
@@ -202,53 +202,4 @@ func (d *DAG) tryPull(g *graph.Graph, lvl int32) bool {
 		d.tmark[t] = d.tepoch - 1
 	}
 	return true
-}
-
-// SamplePathTo draws a uniform random shortest path from the DAG's source to
-// t, as a node sequence source..t. Returns nil if t is unreachable. The DAG
-// must have been Run for the same graph.
-func (d *DAG) SamplePathTo(g *graph.Graph, t graph.Node, rng Rand) []graph.Node {
-	return d.SamplePathAppend(g, t, rng, nil)
-}
-
-// SamplePathAppend is SamplePathTo writing into buf (which is overwritten,
-// not appended to, and grown as needed). Passing a reused buffer makes the
-// steady-state sampling loop allocation-free. Returns nil if t is
-// unreachable.
-func (d *DAG) SamplePathAppend(g *graph.Graph, t graph.Node, rng Rand, buf []graph.Node) []graph.Node {
-	if t < 0 || int(t) >= len(d.Dist) || d.Dist[t] < 0 {
-		return nil
-	}
-	need := int(d.Dist[t]) + 1
-	if cap(buf) < need {
-		buf = make([]graph.Node, need)
-	}
-	path := buf[:need]
-	path[d.Dist[t]] = t
-	u := t
-	for d.Dist[u] > 0 {
-		// choose a predecessor w with probability sigma(w)/sum(sigma)
-		target := rng.Float64() * d.Sigma[u]
-		var acc float64
-		var chosen graph.Node = -1
-		for _, w := range g.Neighbors(u) {
-			if d.Dist[w] == d.Dist[u]-1 {
-				acc += d.Sigma[w]
-				if acc >= target {
-					chosen = w
-					break
-				}
-			}
-		}
-		if chosen < 0 { // float round-off: fall back to last valid predecessor
-			for _, w := range g.Neighbors(u) {
-				if d.Dist[w] == d.Dist[u]-1 {
-					chosen = w
-				}
-			}
-		}
-		u = chosen
-		path[d.Dist[u]] = u
-	}
-	return path
 }

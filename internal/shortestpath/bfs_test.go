@@ -24,6 +24,18 @@ func TestDAGPathCounts(t *testing.T) {
 	if d.Dist[2] != 2 {
 		t.Errorf("dist(0->2) = %d, want 2", d.Dist[2])
 	}
+
+	// Diamond with one extra route: 0-1-3, 0-2-3 and 0-4-3 are the three
+	// shortest paths from 0 to 3.
+	b := graph.NewBuilder(5)
+	for _, e := range [][2]graph.Node{{0, 1}, {0, 2}, {0, 4}, {1, 3}, {2, 3}, {4, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	d = NewDAG(5)
+	d.Run(b.Build(), 0)
+	if d.Sigma[3] != 3 || d.Dist[3] != 2 {
+		t.Errorf("diamond: sigma(0->3) = %g at dist %d, want 3 at 2", d.Sigma[3], d.Dist[3])
+	}
 }
 
 func TestDAGUnreachable(t *testing.T) {
@@ -34,9 +46,6 @@ func TestDAGUnreachable(t *testing.T) {
 	d.Run(g, 0)
 	if d.Dist[2] != -1 || d.Sigma[2] != 0 {
 		t.Errorf("unreachable node: dist=%d sigma=%g", d.Dist[2], d.Sigma[2])
-	}
-	if d.SamplePathTo(g, 2, rand.New(rand.NewSource(1))) != nil {
-		t.Error("SamplePathTo unreachable should return nil")
 	}
 }
 
@@ -79,76 +88,33 @@ func TestDAGOrderNonDecreasing(t *testing.T) {
 	}
 }
 
-func TestSamplePathToIsValidShortestPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestDAGDistMatchesBFS: Dist equals a plain BFS's distances from every
+// source, and each node's Sigma is the sum of its predecessors' (the
+// neighbors one level closer), which is the DAG every path count and
+// dependency is read from.
+func TestDAGDistMatchesBFS(t *testing.T) {
 	g := testutil.RandomConnectedGraph(25, 30, 99)
 	d := NewDAG(25)
-	d.Run(g, 3)
-	for trial := 0; trial < 200; trial++ {
-		tgt := graph.Node(rng.Intn(25))
-		if tgt == 3 {
-			continue
-		}
-		p := d.SamplePathTo(g, tgt, rng)
-		if int32(len(p)-1) != d.Dist[tgt] {
-			t.Fatalf("path length %d != dist %d", len(p)-1, d.Dist[tgt])
-		}
-		if p[0] != 3 || p[len(p)-1] != tgt {
-			t.Fatalf("endpoints %d..%d, want 3..%d", p[0], p[len(p)-1], tgt)
-		}
-		for i := 1; i < len(p); i++ {
-			if !g.HasEdge(p[i-1], p[i]) {
-				t.Fatalf("non-edge in path: %d-%d", p[i-1], p[i])
+	var want []int32
+	for s := graph.Node(0); s < 25; s++ {
+		d.Run(g, s)
+		want = graph.BFSDistances(g, s, want)
+		for v := graph.Node(0); v < 25; v++ {
+			if d.Dist[v] != want[v] {
+				t.Fatalf("source %d: Dist[%d] = %d, BFS %d", s, v, d.Dist[v], want[v])
 			}
-		}
-	}
-}
-
-func TestSamplePathToUniform(t *testing.T) {
-	// 4-cycle, sample paths 0 -> 2: both 0-1-2 and 0-3-2 should appear with
-	// frequency ~1/2.
-	g := graph.Cycle(4)
-	d := NewDAG(4)
-	d.Run(g, 0)
-	rng := rand.New(rand.NewSource(11))
-	const N = 20000
-	via1 := 0
-	for i := 0; i < N; i++ {
-		p := d.SamplePathTo(g, 2, rng)
-		if p[1] == 1 {
-			via1++
-		}
-	}
-	frac := float64(via1) / N
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Errorf("path via node 1 frequency = %g, want ~0.5", frac)
-	}
-}
-
-func TestSamplePathToUniformUnbalanced(t *testing.T) {
-	// Diamond with one extra route: s=0; 0-1-3, 0-2-3 and 0-4-3 are the three
-	// shortest paths; each should appear w.p. 1/3.
-	b := graph.NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(0, 4)
-	b.AddEdge(1, 3)
-	b.AddEdge(2, 3)
-	b.AddEdge(4, 3)
-	g := b.Build()
-	d := NewDAG(5)
-	d.Run(g, 0)
-	rng := rand.New(rand.NewSource(5))
-	counts := map[graph.Node]int{}
-	const N = 30000
-	for i := 0; i < N; i++ {
-		p := d.SamplePathTo(g, 3, rng)
-		counts[p[1]]++
-	}
-	for mid, c := range counts {
-		frac := float64(c) / N
-		if math.Abs(frac-1.0/3) > 0.02 {
-			t.Errorf("middle %d frequency = %g, want ~1/3", mid, frac)
+			if v == s {
+				continue
+			}
+			var sig float64
+			for _, w := range g.Neighbors(v) {
+				if d.Dist[w] == d.Dist[v]-1 {
+					sig += d.Sigma[w]
+				}
+			}
+			if sig == 0 || sig != d.Sigma[v] {
+				t.Fatalf("source %d: Sigma[%d] = %g, its predecessors sum to %g", s, v, d.Sigma[v], sig)
+			}
 		}
 	}
 }

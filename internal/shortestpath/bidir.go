@@ -11,11 +11,11 @@ import (
 // explores O(sqrt(n)) nodes per query (Lemma 21 / Theorem 4 of [12]),
 // which is what makes path-sampling estimators fast.
 //
-// State is epoch-stamped so consecutive queries cost O(touched), not O(n).
+// State is epoch-stamped so consecutive queries cost O(touched), not O(n),
+// and packed into one 32-byte record per node, so discovering a node touches
+// one cache line rather than one per array.
 type BiBFS struct {
-	distF, distB   []int32
-	sigF, sigB     []float64
-	stampF, stampB []uint32
+	node           []biNode
 	epoch          uint32
 	frontF, frontB []graph.Node
 	nextF, nextB   []graph.Node
@@ -30,20 +30,18 @@ type BiBFS struct {
 	meetTotal float64
 }
 
-// NewBiBFS returns a workspace for graphs of n nodes.
-func NewBiBFS(n int) *BiBFS {
-	return &BiBFS{
-		distF:  make([]int32, n),
-		distB:  make([]int32, n),
-		sigF:   make([]float64, n),
-		sigB:   make([]float64, n),
-		stampF: make([]uint32, n),
-		stampB: make([]uint32, n),
-	}
+// biNode is one node's state in both waves: a wave's distance and path
+// count are valid only while its stamp equals the query's epoch.
+type biNode struct {
+	stampF, stampB uint32
+	distF, distB   int32
+	sigF, sigB     float64
 }
 
-func (b *BiBFS) seenF(u graph.Node) bool { return b.stampF[u] == b.epoch }
-func (b *BiBFS) seenB(u graph.Node) bool { return b.stampB[u] == b.epoch }
+// NewBiBFS returns a workspace for graphs of n nodes.
+func NewBiBFS(n int) *BiBFS {
+	return &BiBFS{node: make([]biNode, n)}
+}
 
 // Query computes the distance and the number of shortest paths between s and
 // t. ok is false when t is unreachable from s (or s == t). After a
@@ -55,20 +53,17 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 	}
 	b.epoch++
 	if b.epoch == 0 { // wrapped: reset stamps
-		for i := range b.stampF {
-			b.stampF[i] = 0
-			b.stampB[i] = 0
+		for i := range b.node {
+			b.node[i].stampF = 0
+			b.node[i].stampB = 0
 		}
 		b.epoch = 1
 	}
 	b.s, b.t = s, t
 	b.evenFrontiers()
-	b.stampF[s] = b.epoch
-	b.distF[s] = 0
-	b.sigF[s] = 1
-	b.stampB[t] = b.epoch
-	b.distB[t] = 0
-	b.sigB[t] = 1
+	ns, nt := &b.node[s], &b.node[t]
+	ns.stampF, ns.distF, ns.sigF = b.epoch, 0, 1
+	nt.stampB, nt.distB, nt.sigB = b.epoch, 0, 1
 	b.frontF = append(b.frontF[:0], s)
 	b.frontB = append(b.frontB[:0], t)
 	levelF, levelB := int32(0), int32(0)
@@ -85,22 +80,21 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 			best := int32(1 << 30)
 			var nextCost int64
 			for _, u := range b.frontF {
-				su := b.sigF[u]
+				su := b.node[u].sigF
 				for _, v := range g.Neighbors(u) {
-					if !b.seenF(v) {
-						b.stampF[v] = b.epoch
-						b.distF[v] = newLevel
-						b.sigF[v] = su
+					nv := &b.node[v]
+					if nv.stampF != b.epoch {
+						nv.stampF, nv.distF, nv.sigF = b.epoch, newLevel, su
 						b.nextF = append(b.nextF, v)
 						nextCost += int64(g.Degree(v))
-						if b.seenB(v) {
+						if nv.stampB == b.epoch {
 							met = true
-							if d := newLevel + b.distB[v]; d < best {
+							if d := newLevel + nv.distB; d < best {
 								best = d
 							}
 						}
-					} else if b.distF[v] == newLevel {
-						b.sigF[v] += su
+					} else if nv.distF == newLevel {
+						nv.sigF += su
 					}
 				}
 			}
@@ -117,22 +111,21 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 			best := int32(1 << 30)
 			var nextCost int64
 			for _, u := range b.frontB {
-				su := b.sigB[u]
+				su := b.node[u].sigB
 				for _, v := range g.Neighbors(u) {
-					if !b.seenB(v) {
-						b.stampB[v] = b.epoch
-						b.distB[v] = newLevel
-						b.sigB[v] = su
+					nv := &b.node[v]
+					if nv.stampB != b.epoch {
+						nv.stampB, nv.distB, nv.sigB = b.epoch, newLevel, su
 						b.nextB = append(b.nextB, v)
 						nextCost += int64(g.Degree(v))
-						if b.seenF(v) {
+						if nv.stampF == b.epoch {
 							met = true
-							if d := newLevel + b.distF[v]; d < best {
+							if d := newLevel + nv.distF; d < best {
 								best = d
 							}
 						}
-					} else if b.distB[v] == newLevel {
-						b.sigB[v] += su
+					} else if nv.distB == newLevel {
+						nv.sigB += su
 					}
 				}
 			}
@@ -175,15 +168,16 @@ func (b *BiBFS) finish(cutLevel, d int32, side int8) (int32, float64, bool) {
 	}
 	other := d - cutLevel
 	for _, u := range front {
+		nu := &b.node[u]
 		if side == 0 {
-			if b.seenB(u) && b.distB[u] == other {
+			if nu.stampB == b.epoch && nu.distB == other {
 				b.meet = append(b.meet, u)
-				b.meetTotal += b.sigF[u] * b.sigB[u]
+				b.meetTotal += nu.sigF * nu.sigB
 			}
 		} else {
-			if b.seenF(u) && b.distF[u] == other {
+			if nu.stampF == b.epoch && nu.distF == other {
 				b.meet = append(b.meet, u)
-				b.meetTotal += b.sigF[u] * b.sigB[u]
+				b.meetTotal += nu.sigF * nu.sigB
 			}
 		}
 	}
@@ -208,7 +202,7 @@ func (b *BiBFS) SamplePathAppend(g *graph.Graph, rng Rand, buf []graph.Node) []g
 	var acc float64
 	u := b.meet[len(b.meet)-1]
 	for _, v := range b.meet {
-		acc += b.sigF[v] * b.sigB[v]
+		acc += b.node[v].sigF * b.node[v].sigB
 		if acc >= target {
 			u = v
 			break
@@ -219,18 +213,18 @@ func (b *BiBFS) SamplePathAppend(g *graph.Graph, rng Rand, buf []graph.Node) []g
 		buf = make([]graph.Node, need)
 	}
 	path := buf[:need]
-	path[b.distF[u]] = u
+	path[b.node[u].distF] = u
 	// walk to s through the forward DAG
 	x := u
-	for b.distF[x] > 0 {
+	for b.node[x].distF > 0 {
 		x = b.stepDown(g, x, rng, true)
-		path[b.distF[x]] = x
+		path[b.node[x].distF] = x
 	}
 	// walk to t through the backward DAG
 	x = u
-	for b.distB[x] > 0 {
+	for b.node[x].distB > 0 {
 		x = b.stepDown(g, x, rng, false)
-		path[b.dist-b.distB[x]] = x
+		path[b.dist-b.node[x].distB] = x
 	}
 	return path
 }
@@ -240,18 +234,18 @@ func (b *BiBFS) SamplePathAppend(g *graph.Graph, rng Rand, buf []graph.Node) []g
 func (b *BiBFS) stepDown(g *graph.Graph, x graph.Node, rng Rand, forward bool) graph.Node {
 	var total float64
 	if forward {
-		want := b.distF[x] - 1
+		want := b.node[x].distF - 1
 		for _, w := range g.Neighbors(x) {
-			if b.seenF(w) && b.distF[w] == want {
-				total += b.sigF[w]
+			if nw := &b.node[w]; nw.stampF == b.epoch && nw.distF == want {
+				total += nw.sigF
 			}
 		}
 		target := rng.Float64() * total
 		var acc float64
 		var last graph.Node = -1
 		for _, w := range g.Neighbors(x) {
-			if b.seenF(w) && b.distF[w] == want {
-				acc += b.sigF[w]
+			if nw := &b.node[w]; nw.stampF == b.epoch && nw.distF == want {
+				acc += nw.sigF
 				last = w
 				if acc >= target {
 					return w
@@ -260,18 +254,18 @@ func (b *BiBFS) stepDown(g *graph.Graph, x graph.Node, rng Rand, forward bool) g
 		}
 		return last
 	}
-	want := b.distB[x] - 1
+	want := b.node[x].distB - 1
 	for _, w := range g.Neighbors(x) {
-		if b.seenB(w) && b.distB[w] == want {
-			total += b.sigB[w]
+		if nw := &b.node[w]; nw.stampB == b.epoch && nw.distB == want {
+			total += nw.sigB
 		}
 	}
 	target := rng.Float64() * total
 	var acc float64
 	var last graph.Node = -1
 	for _, w := range g.Neighbors(x) {
-		if b.seenB(w) && b.distB[w] == want {
-			acc += b.sigB[w]
+		if nw := &b.node[w]; nw.stampB == b.epoch && nw.distB == want {
+			acc += nw.sigB
 			last = w
 			if acc >= target {
 				return w

@@ -64,14 +64,15 @@ func TestRunTruncatedUnreachable(t *testing.T) {
 	}
 }
 
-// TestRunTruncatedThenSamplePath: paths sampled off a truncated DAG are
-// valid shortest paths.
-func TestRunTruncatedThenSamplePath(t *testing.T) {
+// TestRunTruncatedSingleTargetMatchesFull: a run truncated at one target
+// on a 200-node graph, as ABRA runs it per sampled pair, reads the full
+// Run's Dist and Sigma at the target and at every node it settled, and an
+// unreachable target reads Dist -1.
+func TestRunTruncatedSingleTargetMatchesFull(t *testing.T) {
 	g := graph.BarabasiAlbert(200, 3, 7)
 	d := NewDAG(200)
 	full := NewDAG(200)
 	rng := rand.New(rand.NewPCG(9, 9))
-	var buf []graph.Node
 	for rep := 0; rep < 50; rep++ {
 		src := graph.Node(rng.IntN(200))
 		tgt := graph.Node(rng.IntN(200))
@@ -80,23 +81,14 @@ func TestRunTruncatedThenSamplePath(t *testing.T) {
 		}
 		d.RunTruncated(g, src, []graph.Node{tgt})
 		full.Run(g, src)
-		p := d.SamplePathAppend(g, tgt, rng, buf)
-		if full.Dist[tgt] < 0 {
-			if p != nil {
-				t.Fatal("sampled a path to an unreachable target")
-			}
-			continue
+		if d.Dist[tgt] != full.Dist[tgt] || d.Sigma[tgt] != full.Sigma[tgt] {
+			t.Fatalf("rep %d: target %d Dist/Sigma %d/%g, full %d/%g", rep, tgt,
+				d.Dist[tgt], d.Sigma[tgt], full.Dist[tgt], full.Sigma[tgt])
 		}
-		buf = p
-		if len(p) != int(full.Dist[tgt])+1 {
-			t.Fatalf("path length %d, want %d", len(p), full.Dist[tgt]+1)
-		}
-		if p[0] != src || p[len(p)-1] != tgt {
-			t.Fatalf("path endpoints %d..%d, want %d..%d", p[0], p[len(p)-1], src, tgt)
-		}
-		for i := 0; i+1 < len(p); i++ {
-			if !g.HasEdge(p[i], p[i+1]) {
-				t.Fatalf("path step %d-%d is not an edge", p[i], p[i+1])
+		for _, u := range d.Order {
+			if d.Dist[u] != full.Dist[u] || d.Sigma[u] != full.Sigma[u] {
+				t.Fatalf("rep %d: settled node %d Dist/Sigma %d/%g, full %d/%g", rep, u,
+					d.Dist[u], d.Sigma[u], full.Dist[u], full.Sigma[u])
 			}
 		}
 	}

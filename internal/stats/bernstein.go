@@ -12,13 +12,15 @@ import (
 const VCConstant = 0.5
 
 // EpsilonBernstein returns the one-sided empirical Bernstein deviation bound
-// of Lemma 3 for N samples with sample variance v and failure probability
-// delta0:
+// of Lemma 3 for N samples of a loss with range r (values in an interval of
+// length r), sample variance v and failure probability delta0:
 //
-//	eps = sqrt(2 v ln(2/delta0) / N) + 7 ln(2/delta0) / (3N).
+//	eps = sqrt(2 v ln(2/delta0) / N) + 7 r ln(2/delta0) / (3N).
 //
-// It panics on invalid inputs only via math functions (callers validate).
-func EpsilonBernstein(n int64, delta0, variance float64) float64 {
+// The paper's losses have r = 1; a loss scaled into [0, r] has variance
+// r^2 times its [0, 1] form, so only the linear term carries r. It panics
+// on invalid inputs only via math functions (callers validate).
+func EpsilonBernstein(n int64, delta0, variance, r float64) float64 {
 	if n <= 0 || delta0 <= 0 {
 		return math.Inf(1)
 	}
@@ -26,7 +28,7 @@ func EpsilonBernstein(n int64, delta0, variance float64) float64 {
 	// overflows to +Inf for subnormal delta0, which a union-bound split of
 	// a tiny delta over many hypotheses and rounds can produce.
 	l := math.Ln2 - math.Log(delta0)
-	return math.Sqrt(2*variance*l/float64(n)) + 7*l/(3*float64(n))
+	return math.Sqrt(2*variance*l/float64(n)) + 7*r*l/(3*float64(n))
 }
 
 // VCSampleSize returns the Lemma 4 sample budget sufficient for an

@@ -11,7 +11,7 @@ func TestEpsilonBernsteinKnownValue(t *testing.T) {
 	// n=1000, delta0=0.05, v=0.25: eps = sqrt(2*0.25*ln40/1000) + 7 ln40/3000
 	l := math.Log(2 / 0.05)
 	want := math.Sqrt(2*0.25*l/1000) + 7*l/3000
-	got := EpsilonBernstein(1000, 0.05, 0.25)
+	got := EpsilonBernstein(1000, 0.05, 0.25, 1)
 	if math.Abs(got-want) > 1e-15 {
 		t.Errorf("got %g, want %g", got, want)
 	}
@@ -19,13 +19,13 @@ func TestEpsilonBernsteinKnownValue(t *testing.T) {
 
 func TestEpsilonBernsteinMonotonicity(t *testing.T) {
 	// decreasing in n, increasing in variance, decreasing in delta0
-	if EpsilonBernstein(100, 0.1, 0.2) <= EpsilonBernstein(1000, 0.1, 0.2) {
+	if EpsilonBernstein(100, 0.1, 0.2, 1) <= EpsilonBernstein(1000, 0.1, 0.2, 1) {
 		t.Error("eps should shrink with more samples")
 	}
-	if EpsilonBernstein(100, 0.1, 0.1) >= EpsilonBernstein(100, 0.1, 0.3) {
+	if EpsilonBernstein(100, 0.1, 0.1, 1) >= EpsilonBernstein(100, 0.1, 0.3, 1) {
 		t.Error("eps should grow with variance")
 	}
-	if EpsilonBernstein(100, 0.2, 0.2) >= EpsilonBernstein(100, 0.01, 0.2) {
+	if EpsilonBernstein(100, 0.2, 0.2, 1) >= EpsilonBernstein(100, 0.01, 0.2, 1) {
 		t.Error("eps should grow as delta0 shrinks")
 	}
 }
@@ -34,13 +34,33 @@ func TestEpsilonBernsteinZeroVariance(t *testing.T) {
 	// with zero variance only the 7L/(3N) term remains
 	l := math.Log(2 / 0.1)
 	want := 7 * l / (3 * 500)
-	if got := EpsilonBernstein(500, 0.1, 0); math.Abs(got-want) > 1e-15 {
+	if got := EpsilonBernstein(500, 0.1, 0, 1); math.Abs(got-want) > 1e-15 {
 		t.Errorf("got %g, want %g", got, want)
 	}
 }
 
+// TestEpsilonBernsteinRange: a loss of range r is r times a loss of range
+// 1, with r^2 times its variance, so its bound is r times the range-1
+// bound; and r = 1 gives the paper's bound bit for bit.
+func TestEpsilonBernsteinRange(t *testing.T) {
+	for _, r := range []float64{0.5, 0.25, 1.0 / 3} {
+		for _, v := range []float64{0, 0.01, 0.2} {
+			got := EpsilonBernstein(922, 1e-4, r*r*v, r)
+			want := r * EpsilonBernstein(922, 1e-4, v, 1)
+			if math.Abs(got-want) > 1e-15 {
+				t.Errorf("r %g, v %g: got %g, want r times the range-1 bound %g", r, v, got, want)
+			}
+		}
+	}
+	l := math.Ln2 - math.Log(0.05)
+	want := math.Sqrt(2*0.25*l/float64(1000)) + 7*l/(3*float64(1000))
+	if got := EpsilonBernstein(1000, 0.05, 0.25, 1); got != want {
+		t.Errorf("r = 1: got %v, want %v bit for bit", got, want)
+	}
+}
+
 func TestEpsilonBernsteinNoSamples(t *testing.T) {
-	if !math.IsInf(EpsilonBernstein(0, 0.1, 0.2), 1) {
+	if !math.IsInf(EpsilonBernstein(0, 0.1, 0.2, 1), 1) {
 		t.Error("n=0 should give +Inf")
 	}
 }
@@ -159,7 +179,7 @@ func TestEpsilonBernsteinCoverage(t *testing.T) {
 			}
 		}
 		mean := float64(ones) / n
-		eps := EpsilonBernstein(n, delta0, BernoulliSampleVariance(ones, n))
+		eps := EpsilonBernstein(n, delta0, BernoulliSampleVariance(ones, n), 1)
 		if math.Abs(mean-p) > eps {
 			violations++
 		}
