@@ -24,17 +24,44 @@ func TestDAGPathCounts(t *testing.T) {
 	if d.Dist[2] != 2 {
 		t.Errorf("dist(0->2) = %d, want 2", d.Dist[2])
 	}
+}
 
-	// Diamond with one extra route: 0-1-3, 0-2-3 and 0-4-3 are the three
-	// shortest paths from 0 to 3.
+func TestSamplePathToUniformUnbalanced(t *testing.T) {
+	// Diamond with one extra route: s=0; 0-1-3, 0-2-3 and 0-4-3 are the three
+	// shortest paths. The DAG counts all three, and a path sampled from 0 to
+	// 3 takes each w.p. 1/3.
 	b := graph.NewBuilder(5)
 	for _, e := range [][2]graph.Node{{0, 1}, {0, 2}, {0, 4}, {1, 3}, {2, 3}, {4, 3}} {
 		b.AddEdge(e[0], e[1])
 	}
-	d = NewDAG(5)
-	d.Run(b.Build(), 0)
+	g := b.Build()
+	d := NewDAG(5)
+	d.Run(g, 0)
 	if d.Sigma[3] != 3 || d.Dist[3] != 2 {
-		t.Errorf("diamond: sigma(0->3) = %g at dist %d, want 3 at 2", d.Sigma[3], d.Dist[3])
+		t.Errorf("sigma(0->3) = %g at dist %d, want 3 at 2", d.Sigma[3], d.Dist[3])
+	}
+	bi := NewBiBFS(5)
+	rng := rand.New(rand.NewSource(5))
+	counts := map[graph.Node]int{}
+	const N = 30000
+	for i := 0; i < N; i++ {
+		if _, sigma, ok := bi.Query(g, 0, 3); !ok || sigma != 3 {
+			t.Fatalf("query 0->3: sigma %g ok %v, want 3 true", sigma, ok)
+		}
+		p := bi.SamplePath(g, rng)
+		if len(p) != 3 || p[0] != 0 || p[2] != 3 {
+			t.Fatalf("sampled path %v, want 0-x-3", p)
+		}
+		counts[p[1]]++
+	}
+	if len(counts) != 3 {
+		t.Fatalf("observed middles %v, want 1, 2 and 4", counts)
+	}
+	for mid, c := range counts {
+		frac := float64(c) / N
+		if math.Abs(frac-1.0/3) > 0.02 {
+			t.Errorf("middle %d frequency = %g, want ~1/3", mid, frac)
+		}
 	}
 }
 
