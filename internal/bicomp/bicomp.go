@@ -9,11 +9,11 @@
 //
 // The package also owns the repo's shared graph-view layer, BlockCSR
 // (DESIGN.md section 7): the block-annotated re-grouping of the adjacency
-// arrays consumed by the exact 2-hop engine (internal/exactphase), the bc
-// sampler's per-target tables, and the k-path and closeness estimators. The
-// view serializes to a versioned binary format (BlockCSR.WriteTo /
-// WriteFile) and reopens zero-copy via OpenMapped — mmap-backed on unix —
-// for build-once/serve-many deployments.
+// arrays consumed by the exact 2-hop engine (internal/exactphase) and the
+// bc sampler's per-target tables; the k-path and closeness estimators read
+// the view's embedded graph. The view serializes to a versioned binary
+// format (BlockCSR.WriteTo / WriteFile) and reopens zero-copy via
+// OpenMapped — mmap-backed on unix — for build-once/serve-many deployments.
 //
 // Determinism: Decompose assigns block ids by a fixed DFS, so the
 // decomposition — and with it every view annotation and the view file's

@@ -166,26 +166,6 @@ func (v *BlockCSR) Runs(u graph.Node) (lo, hi int64) {
 	return v.RunOff[u], v.RunOff[u+1]
 }
 
-// GroupedAdj is the view's adjacency in block-grouped order (node u's
-// neighbors are v.Nbr over u's CSR segment: per-block runs in ascending
-// block id, sorted within each run). BFS distance labels do not depend on
-// neighbor order, so order-invariant traversals (the closeness engine's
-// MS-BFS) run on the grouped arrays and stay on the view's pages without
-// consulting the original CSR. Order-sensitive consumers (anything that
-// indexes a neighbor list with a random variate) must keep reading v.G,
-// whose sorted order is part of the determinism contract.
-type GroupedAdj struct{ V *BlockCSR }
-
-// CSR exposes the grouped adjacency as raw CSR arrays: the graph's offsets
-// (runs tile the same per-node segments) over the view's block-grouped Nbr
-// array. This is the zero-dispatch form the msbfs engine streams — the
-// returned slices alias the view (possibly mmap-backed) and must not be
-// modified.
-func (a GroupedAdj) CSR() (offsets []int64, nbr []graph.Node) {
-	off, _ := a.V.G.CSR()
-	return off, a.V.Nbr
-}
-
 // RunEdges returns the edge index range of run j into Nbr/RNbr.
 func (v *BlockCSR) RunEdges(j int64) (lo, hi int64) {
 	return v.RunStart[j], v.RunStart[j+1]
@@ -199,69 +179,43 @@ func (v *BlockCSR) FindRun(u graph.Node, b int32) int64 {
 
 // Validate checks the view's invariants. For tests and debugging.
 //
-// The run index and RunR must be D's node-major membership CSR and O's r
-// column. Structurally, runs tile the CSR segments in ascending block
-// order, grouped adjacency is a per-node permutation of the graph's, the
-// NbrRun/Mate reciprocal index round-trips, per-edge r-annotations agree
-// with the reciprocal run's owner annotation, and RunDegSum matches the
-// graph. Together these place every edge in the block of its run: both
-// ends have a run of that block, and two blocks share at most one node.
+// It first runs the open's checker (openTables) over a copy of the view:
+// runs tile the CSR segments in ascending block order, every edge index is
+// in range, each RNbr is the RunR of its NbrRun, r obeys Claim 9, and the
+// decomposition and out-reach tables rebuilt from the runs must be the
+// view's D and O. It then makes the checks the open leaves out: the
+// grouped adjacency is a per-node permutation of the graph's, sorted
+// within each run; the NbrRun/Mate reciprocal index round-trips into a run
+// of the same block; and RunDegSum matches the graph. Together these place
+// every edge in the block of its run: both ends have a run of that block,
+// and two blocks share at most one node.
 func (v *BlockCSR) Validate() error {
-	if !slices.Equal(v.RunOff, v.D.NodeOff) || !slices.Equal(v.RunBlock, v.D.NodeBlock) || !slices.Equal(v.RunR, v.O.NodeR) {
-		return fmt.Errorf("bicomp: run arrays differ from the decomposition's node-major membership and r column")
-	}
 	g := v.G
 	n := g.NumNodes()
 	m2 := int64(2 * g.NumEdges())
 	runs := int64(len(v.RunBlock))
-	if int64(len(v.RunR)) != runs || int64(len(v.RunDegSum)) != runs || int64(len(v.RunStart)) != runs+1 {
-		return fmt.Errorf("bicomp: run array lengths inconsistent (%d blocks, %d r, %d degsum, %d starts)",
-			runs, len(v.RunR), len(v.RunDegSum), len(v.RunStart))
+	if len(v.RunOff) != n+1 || int64(len(v.RunR)) != runs || int64(len(v.RunDegSum)) != runs || int64(len(v.RunStart)) != runs+1 {
+		return fmt.Errorf("bicomp: run array lengths inconsistent (%d offsets for %d nodes, %d blocks, %d r, %d degsum, %d starts)",
+			len(v.RunOff), n, runs, len(v.RunR), len(v.RunDegSum), len(v.RunStart))
 	}
 	if int64(len(v.Nbr)) != m2 || int64(len(v.RNbr)) != m2 || int64(len(v.NbrRun)) != m2 || int64(len(v.Mate)) != m2 {
 		return fmt.Errorf("bicomp: edge array lengths != 2m = %d", m2)
 	}
-	if len(v.RunOff) != n+1 {
-		return fmt.Errorf("bicomp: RunOff length %d, want n+1 = %d", len(v.RunOff), n+1)
+	rebuilt := *v
+	if err := rebuilt.openTables(int64(v.D.NumBlocks), v.D.CompLabel, v.D.CompSize); err != nil {
+		return err
 	}
-	if v.RunOff[0] != 0 || v.RunOff[n] != runs {
-		return fmt.Errorf("bicomp: RunOff spans [%d, %d], want [0, %d]", v.RunOff[0], v.RunOff[n], runs)
-	}
-	if v.RunStart[runs] != m2 {
-		return fmt.Errorf("bicomp: RunStart sentinel = %d, want 2m = %d", v.RunStart[runs], m2)
+	if !sameDecomposition(rebuilt.D, v.D) || !sameOutReach(rebuilt.O, v.O) {
+		return fmt.Errorf("bicomp: decomposition or out-reach tables differ from those the run arrays rebuild")
 	}
 	var sorted []graph.Node
 	for u := graph.Node(0); int(u) < n; u++ {
 		lo, hi := v.Runs(u)
-		if lo > hi {
-			return fmt.Errorf("bicomp: RunOff not monotone at node %d", u)
-		}
-		if lo == hi {
-			if g.Degree(u) != 0 {
-				return fmt.Errorf("bicomp: node %d has no runs but degree %d", u, g.Degree(u))
-			}
-			continue
-		}
-		if v.RunStart[lo] != g.AdjOffset(u) {
-			return fmt.Errorf("bicomp: node %d first run starts at %d, want %d", u, v.RunStart[lo], g.AdjOffset(u))
-		}
-		if v.RunStart[hi] != g.AdjOffset(u)+int64(g.Degree(u)) {
-			return fmt.Errorf("bicomp: node %d runs end at %d, want %d", u, v.RunStart[hi], g.AdjOffset(u)+int64(g.Degree(u)))
-		}
 		for j := lo; j < hi; j++ {
-			if j > lo && v.RunBlock[j-1] >= v.RunBlock[j] {
-				return fmt.Errorf("bicomp: node %d run blocks not strictly ascending", u)
-			}
 			elo, ehi := v.RunEdges(j)
-			if elo > ehi {
-				return fmt.Errorf("bicomp: run %d has negative span", j)
-			}
 			var degSum int64
 			for i := elo; i < ehi; i++ {
 				w := v.Nbr[i]
-				if w < 0 || int(w) >= n {
-					return fmt.Errorf("bicomp: grouped edge %d targets out-of-range node %d", i, w)
-				}
 				if i > elo && v.Nbr[i-1] >= w {
 					return fmt.Errorf("bicomp: node %d run %d not strictly sorted", u, j-lo)
 				}
@@ -279,9 +233,6 @@ func (v *BlockCSR) Validate() error {
 				if v.Mate[mate] != i || v.NbrRun[mate] != j {
 					return fmt.Errorf("bicomp: edge (%d,%d) reciprocal index does not round-trip", u, w)
 				}
-				if v.RNbr[i] != v.RunR[jr] {
-					return fmt.Errorf("bicomp: edge (%d,%d) RNbr %d != reciprocal RunR %d", u, w, v.RNbr[i], v.RunR[jr])
-				}
 				degSum += int64(g.Degree(w))
 			}
 			if degSum != v.RunDegSum[j] {
@@ -293,11 +244,25 @@ func (v *BlockCSR) Validate() error {
 		grouped := v.Nbr[g.AdjOffset(u) : g.AdjOffset(u)+int64(g.Degree(u))]
 		sorted = append(sorted[:0], grouped...)
 		slices.Sort(sorted)
-		for i, w := range g.Neighbors(u) {
-			if sorted[i] != w {
-				return fmt.Errorf("bicomp: node %d grouped adjacency is not a permutation of its CSR adjacency", u)
-			}
+		if !slices.Equal(sorted, g.Neighbors(u)) {
+			return fmt.Errorf("bicomp: node %d grouped adjacency is not a permutation of its CSR adjacency", u)
 		}
 	}
 	return nil
+}
+
+// sameDecomposition reports whether two decompositions hold the same
+// tables.
+func sameDecomposition(a, b *Decomposition) bool {
+	return a.NumBlocks == b.NumBlocks &&
+		slices.Equal(a.BlockOff, b.BlockOff) && slices.Equal(a.BlockNodes, b.BlockNodes) &&
+		slices.Equal(a.NodeOff, b.NodeOff) && slices.Equal(a.NodeBlock, b.NodeBlock) &&
+		slices.Equal(a.CompLabel, b.CompLabel) && slices.Equal(a.CompSize, b.CompSize)
+}
+
+// sameOutReach reports whether two out-reach tables hold the same values.
+func sameOutReach(a, b *OutReach) bool {
+	return slices.Equal(a.R, b.R) && slices.Equal(a.NodeR, b.NodeR) &&
+		slices.Equal(a.S, b.S) && slices.Equal(a.Q, b.Q) && slices.Equal(a.W, b.W) &&
+		a.WTotal == b.WTotal
 }

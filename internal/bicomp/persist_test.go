@@ -181,17 +181,19 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestGroupedAdjMatchesNeighborSets: the view's grouped Nbr array, which
+// the exact phase and the bc sampler read, holds each node's neighbors over
+// the graph's own CSR segment, permuted.
 func TestGroupedAdjMatchesNeighborSets(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 9)
 	v := buildView(t, g)
-	off, nbr := GroupedAdj{V: v}.CSR()
-	gOff, _ := g.CSR()
-	if !slices.Equal(off, gOff) {
-		t.Fatal("grouped CSR offsets differ from the graph's")
+	off, _ := g.CSR()
+	if int64(len(v.Nbr)) != off[g.NumNodes()] {
+		t.Fatalf("len(Nbr) = %d, want %d", len(v.Nbr), off[g.NumNodes()])
 	}
 	var buf []graph.Node
 	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		buf = append(buf[:0], nbr[off[u]:off[u+1]]...)
+		buf = append(buf[:0], v.Nbr[off[u]:off[u+1]]...)
 		slices.Sort(buf)
 		if !slices.Equal(buf, g.Neighbors(u)) {
 			t.Fatalf("node %d: grouped neighbors are not a permutation", u)
@@ -288,12 +290,6 @@ func openRejects(t *testing.T, path, wantSub string) {
 	}
 }
 
-func sameOutReach(a, b *OutReach) bool {
-	return slices.Equal(a.R, b.R) && slices.Equal(a.NodeR, b.NodeR) &&
-		slices.Equal(a.S, b.S) && slices.Equal(a.Q, b.Q) && slices.Equal(a.W, b.W) &&
-		a.WTotal == b.WTotal
-}
-
 // TestPersistOutReachCorruptSectionFallsBack: a wrong r value must never
 // reach an estimate. RunR is the only serialized copy of r (each RNbr entry
 // must equal the RunR of its NbrRun), and OpenMapped checks it as it
@@ -355,13 +351,6 @@ func TestPersistOutReachCorruptSectionFallsBack(t *testing.T) {
 		}
 		openRejects(t, p, tc.wantSub)
 	}
-}
-
-func sameDecomposition(a, b *Decomposition) bool {
-	return a.NumBlocks == b.NumBlocks &&
-		slices.Equal(a.BlockOff, b.BlockOff) && slices.Equal(a.BlockNodes, b.BlockNodes) &&
-		slices.Equal(a.NodeOff, b.NodeOff) && slices.Equal(a.NodeBlock, b.NodeBlock) &&
-		slices.Equal(a.CompLabel, b.CompLabel) && slices.Equal(a.CompSize, b.CompSize)
 }
 
 // TestPersistDecompRoundTrip: OpenMapped rebuilds the full Decomposition

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"saphyra/internal/bicomp"
 	"saphyra/internal/datasets"
 	"saphyra/internal/graph"
 	"saphyra/internal/msbfs"
@@ -51,29 +50,11 @@ func BenchmarkCloseness(b *testing.B) {
 	}
 }
 
-// BenchmarkClosenessView is BenchmarkCloseness priced over the shared
-// BlockCSR view's grouped adjacency (the build-once/serve-many path); the
-// view build is outside the timed loop, as it is in a serving process.
-func BenchmarkClosenessView(b *testing.B) {
-	g := benchGraph()
-	view := bicomp.NewBlockCSR(g)
-	targets := benchTargets(g, 50)
-	eng := NewEngineView(view)
-	var res Result
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.EstimateInto(context.Background(), targets, benchOpt, &res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkClosenessAllNodes prices the whole-network ranking a daemon
-// precomputes at boot: every node a target, over the graph's view at the
+// precomputes at boot: every node a target, over the graph's CSR at the
 // daemon's defaults (eps 0.05, delta 0.01) and one worker. k = n keeps
 // every round in the source shape, so this is sampleBatch's pricing loop
-// end to end: the MS-BFS passes and their settles' integer adds. The view
+// end to end: the MS-BFS passes and their settles' integer adds. The graph
 // build is outside the timed loop. flickr is the Flickr stand-in at scale 4
 // (24k nodes, the graph bench/run.sh serves); road is the usaroad-sim
 // stand-in at scale 1.5 (21k nodes), whose deepest passes run past the
@@ -90,7 +71,7 @@ func BenchmarkClosenessAllNodes(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			g := tc.net.Build(tc.scale)
-			eng := NewEngineView(bicomp.NewBlockCSR(g))
+			eng := NewEngine(g)
 			targets := allNodes(g)
 			opt := Options{Epsilon: 0.05, Delta: 0.01, Seed: 1, Workers: 1}
 			var res Result

@@ -52,11 +52,11 @@
 // end), and integer addition is associative. So for a fixed seed every sum
 // is the same integer, and the estimate the same bits, for any
 // Options.Workers value, either shape and any grouping of draws into
-// passes. The estimator runs over any CSR-shaped adjacency: Estimate
-// prices targets on the raw CSR, EstimateView on the block-grouped
-// bicomp.BlockCSR arrays (typically mmap-backed; see bicomp.OpenMapped),
-// with bitwise-identical results. See DESIGN.md sections 3 (determinism),
-// 7 (the shared view layer), and 11 (MS-BFS and the fixed-point sums).
+// passes. The estimator prices over the graph's sorted CSR — on a
+// view-backed server that is the view's embedded graph (bicomp.OpenMapped),
+// so a view serves closeness with the same bits as the graph it was built
+// from. See DESIGN.md sections 3 (determinism), 7 (the shared view layer),
+// and 11 (MS-BFS and the fixed-point sums).
 package closeness
 
 import (
@@ -71,7 +71,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"saphyra/internal/bicomp"
 	"saphyra/internal/graph"
 	"saphyra/internal/msbfs"
 	"saphyra/internal/params"
@@ -140,21 +139,11 @@ func Estimate(ctx context.Context, g *graph.Graph, a []graph.Node, opt Options) 
 	return NewEngine(g).Estimate(ctx, a, opt)
 }
 
-// EstimateView is Estimate over a block-annotated adjacency view: the
-// traversals stream the view's grouped neighbor arrays, so a view opened
-// from a serialized file (bicomp.OpenMapped) serves closeness queries
-// without touching — or even having — the original CSR pages. Results are
-// bitwise-identical to Estimate on the graph the view was built from.
-func EstimateView(ctx context.Context, view *bicomp.BlockCSR, a []graph.Node, opt Options) (*Result, error) {
-	return NewEngineView(view).Estimate(ctx, a, opt)
-}
-
 // Engine is a reusable closeness estimator bound to one adjacency. It owns
 // a pool of per-call workspaces (RNG streams, MS-BFS traversals, draw
 // counts, accumulators), so the steady state of EstimateInto
 // allocates nothing beyond the goroutines sched spins up: build one Engine
-// per served graph or view and share it across requests (safe for
-// concurrent use).
+// per served graph and share it across requests (safe for concurrent use).
 type Engine struct {
 	n   int
 	off []int64
@@ -168,14 +157,6 @@ type Engine struct {
 func NewEngine(g *graph.Graph) *Engine {
 	off, nbr := g.CSR()
 	return &Engine{n: g.NumNodes(), off: off, nbr: nbr}
-}
-
-// NewEngineView returns an Engine streaming the view's block-grouped
-// arrays. BFS distance labels are neighbor-order invariant, so its results
-// are bitwise-identical to NewEngine on the graph the view was built from.
-func NewEngineView(view *bicomp.BlockCSR) *Engine {
-	off, nbr := bicomp.GroupedAdj{V: view}.CSR()
-	return &Engine{n: view.G.NumNodes(), off: off, nbr: nbr}
 }
 
 // Estimate allocates a fresh Result and delegates to EstimateInto.

@@ -24,14 +24,6 @@ import (
 	"saphyra/internal/stats"
 )
 
-// legacyAdjacency is the old engine's adjacency seam: a node count, the
-// degrees and a concrete scalar BFS.
-type legacyAdjacency interface {
-	NumNodes() int
-	Degree(v graph.Node) int
-	BFSDistancesInto(source graph.Node, dist []int32) []int32
-}
-
 // legacyAccs is one sampler's per-target accumulators in one arithmetic.
 type legacyAccs interface {
 	add(i int, d int32) // one sample at BFS depth d for target i (0: the source or unreached; 1: a neighbor, counted exactly)
@@ -72,18 +64,18 @@ func (f floatAccs) moments(i int, n int64) (float64, float64) { return f[i].Mean
 func (floatAccs) slack() float64                              { return 0 }
 
 // estimateLegacy is the old engine in the engine's fixed-point arithmetic.
-func estimateLegacy(ctx context.Context, adj legacyAdjacency, a []graph.Node, opt Options) (*Result, error) {
+func estimateLegacy(ctx context.Context, adj *graph.Graph, a []graph.Node, opt Options) (*Result, error) {
 	return estimateScalar(ctx, adj, a, opt, func(k int) legacyAccs { return make(fixedAccs, k) })
 }
 
 // estimateFloat is the old engine in float arithmetic.
-func estimateFloat(ctx context.Context, adj legacyAdjacency, a []graph.Node, opt Options) (*Result, error) {
+func estimateFloat(ctx context.Context, adj *graph.Graph, a []graph.Node, opt Options) (*Result, error) {
 	return estimateScalar(ctx, adj, a, opt, func(k int) legacyAccs { return make(floatAccs, k) })
 }
 
 // estimateScalar is the old engine: one scalar BFS per sampled source,
 // accumulated by newAccs.
-func estimateScalar(ctx context.Context, adj legacyAdjacency, a []graph.Node, opt Options, newAccs func(k int) legacyAccs) (*Result, error) {
+func estimateScalar(ctx context.Context, adj *graph.Graph, a []graph.Node, opt Options, newAccs func(k int) legacyAccs) (*Result, error) {
 	opt.setDefaults()
 	n := adj.NumNodes()
 	if n < 2 {
@@ -174,14 +166,14 @@ func estimateScalar(ctx context.Context, adj legacyAdjacency, a []graph.Node, op
 }
 
 type legacySourceSampler struct {
-	adj   legacyAdjacency
+	adj   *graph.Graph
 	nodes []graph.Node
 	rng   *rand.Rand
 	dist  []int32
 	local legacyAccs
 }
 
-func newLegacySourceSampler(adj legacyAdjacency, nodes []graph.Node, seed int64, local legacyAccs) *legacySourceSampler {
+func newLegacySourceSampler(adj *graph.Graph, nodes []graph.Node, seed int64, local legacyAccs) *legacySourceSampler {
 	return &legacySourceSampler{
 		adj:   adj,
 		nodes: nodes,
@@ -195,7 +187,7 @@ func (s *legacySourceSampler) sampleBatch(count int64) {
 	n := s.adj.NumNodes()
 	for j := int64(0); j < count; j++ {
 		u := graph.Node(s.rng.IntN(n))
-		s.dist = s.adj.BFSDistancesInto(u, s.dist)
+		s.dist = graph.BFSDistances(s.adj, u, s.dist)
 		for i, v := range s.nodes {
 			s.local.add(i, max(s.dist[v], 0)) // -1 (unreached) is a zero loss
 		}

@@ -51,9 +51,9 @@ func TestWorkerCountBitwise(t *testing.T) {
 	}
 }
 
-// TestViewMatchesGraph: pricing over the view's grouped adjacency — in
-// memory or mmapped — must be bitwise-identical to the raw-CSR path (BFS
-// distances are neighbor-order invariant).
+// TestViewMatchesGraph: a view-backed Ranker prices closeness over the
+// view's embedded graph, so estimating on a mapped view's G must be
+// bitwise-identical to estimating on the in-memory graph it was built from.
 func TestViewMatchesGraph(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 8)
 	a := []graph.Node{1, 5, 42, 250}
@@ -64,9 +64,8 @@ func TestViewMatchesGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	view := bicomp.NewBlockCSR(g)
 	path := filepath.Join(t.TempDir(), "view.sbcv")
-	if err := view.WriteFile(path, nil); err != nil {
+	if err := bicomp.NewBlockCSR(g).WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	m, err := bicomp.OpenMapped(path)
@@ -75,21 +74,16 @@ func TestViewMatchesGraph(t *testing.T) {
 	}
 	defer m.Close()
 
-	for _, tc := range []struct {
-		name string
-		v    *bicomp.BlockCSR
-	}{{"memory", view}, {"mapped", m.View}} {
-		got, err := EstimateView(context.Background(), tc.v, a, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got.Samples != want.Samples || got.Rounds != want.Rounds {
-			t.Fatalf("%s: samples/rounds %d/%d != %d/%d", tc.name, got.Samples, got.Rounds, want.Samples, want.Rounds)
-		}
-		for i := range want.Closeness {
-			if got.Closeness[i] != want.Closeness[i] {
-				t.Fatalf("%s: Closeness[%d] = %v, want %v", tc.name, i, got.Closeness[i], want.Closeness[i])
-			}
+	got, err := Estimate(context.Background(), m.View.G, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Samples != want.Samples || got.Rounds != want.Rounds {
+		t.Fatalf("samples/rounds %d/%d != %d/%d", got.Samples, got.Rounds, want.Samples, want.Rounds)
+	}
+	for i := range want.Closeness {
+		if got.Closeness[i] != want.Closeness[i] {
+			t.Fatalf("Closeness[%d] = %v, want %v", i, got.Closeness[i], want.Closeness[i])
 		}
 	}
 }

@@ -231,8 +231,8 @@ func StreamSeed(seed int64, v int) int64 { return seed + int64(v+1)*1_000_003 }
 // lazily on first use: tiny budgets (the common subset-ranking case) ride
 // entirely on stream 0 and never pay for the other fifteen samplers'
 // scratch. A stream is only ever touched by one goroutine per round
-// (streams are the work items of the sched.Do below), so lazy construction
-// needs no locking.
+// (streams are the work items of the sched.DoCtx below), so lazy
+// construction needs no locking.
 type samplerSet struct {
 	space Space
 	seed  int64
@@ -318,8 +318,8 @@ func drawParallelWith(ctx context.Context, samplers *samplerSet, workers int, to
 }
 
 // DirectSpace adapts a plain sampling problem (no partition) to the Space
-// interface: lambdaHat = 0 and exact risks are all zero. The k-path
-// estimator and the KADABRA baseline run on it.
+// interface: lambdaHat = 0 and exact risks are all zero. The KADABRA
+// baseline runs on it.
 type DirectSpace struct {
 	K    int
 	Dim  int

@@ -11,7 +11,7 @@
 // Parallelism is deterministic and runs on the shared internal/sched
 // substrate: endpoints are split into chunks balanced by a per-endpoint cost
 // model (1 + deg(s) + sum of deg(v)^2 over s's target neighbors) via
-// sched.Bounds, workers pull chunks from a shared counter (sched.DoWith),
+// sched.Bounds, workers pull chunks from a shared counter (sched.DoWithCtx),
 // and per-chunk partial sums are merged in chunk-index order — so a fixed
 // seed and any worker count produce bitwise-identical (lambdaHat, exact)
 // outputs. All scratch (per-worker epoch-stamped sigma/stamp/isNbr arrays,
@@ -64,7 +64,7 @@ type Engine struct {
 	freeRuns    []*runScratch
 
 	// acquire/release are getWorker/putWorker pre-bound once, so the
-	// steady-state RunInto hands them to sched.DoWith without allocating
+	// steady-state RunInto hands them to sched.DoWithCtx without allocating
 	// method values per call (the 0 allocs/op contract).
 	acquire func() *workerScratch
 	release func(*workerScratch)
@@ -111,7 +111,7 @@ type runScratch struct {
 	partials  [][]float64
 	lambdas   []float64
 
-	// chunkFn is the sched.DoWith body, created once per pooled runScratch
+	// chunkFn is the sched.DoWithCtx body, created once per pooled runScratch
 	// and parameterized through the aIndex/wA fields — so repeated RunInto
 	// calls schedule chunks without a per-call closure allocation.
 	chunkFn func(ws *workerScratch, c int)

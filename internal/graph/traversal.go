@@ -27,13 +27,6 @@ func BFSDistances(g *Graph, source Node, dist []int32) []int32 {
 	return dist
 }
 
-// BFSDistancesInto is the method form of BFSDistances. Its one caller is
-// the closeness package's pre-MS-BFS reference engine (legacy_test.go),
-// which takes its scalar BFS through a one-method interface.
-func (g *Graph) BFSDistancesInto(source Node, dist []int32) []int32 {
-	return BFSDistances(g, source, dist)
-}
-
 // Eccentricity returns the maximum finite BFS distance from source.
 func Eccentricity(g *Graph, source Node) int32 {
 	dist := BFSDistances(g, source, nil)

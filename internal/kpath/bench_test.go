@@ -5,7 +5,6 @@ import (
 
 	"testing"
 
-	"saphyra/internal/bicomp"
 	"saphyra/internal/graph"
 )
 
@@ -25,33 +24,17 @@ func benchTargets(g *graph.Graph, n int) []graph.Node {
 
 var benchOpt = Options{K: 4, Epsilon: 0.1, Delta: 0.1, Seed: 7, Workers: 4}
 
-// BenchmarkKPathPartitioned measures the partitioned estimator end to end
-// (exact closed-form phase + virtual-worker walk sampling) on the raw
-// graph. Compare it across an engine change with
-// `go test -bench KPathPartitioned -count 10` on both sides.
+// BenchmarkKPathPartitioned measures the estimator end to end (exact
+// closed-form phase + virtual-worker walk sampling). Compare it across an
+// engine change with `go test -bench KPathPartitioned -count 10` on both
+// sides.
 func BenchmarkKPathPartitioned(b *testing.B) {
 	g := benchGraph()
 	targets := benchTargets(g, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EstimatePartitioned(context.Background(), g, targets, benchOpt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKPathPartitionedView is BenchmarkKPathPartitioned served from
-// the shared BlockCSR view (the build-once/serve-many path); the view build
-// is outside the timed loop, as it is in a serving process.
-func BenchmarkKPathPartitionedView(b *testing.B) {
-	g := benchGraph()
-	view := bicomp.NewBlockCSR(g)
-	targets := benchTargets(g, 100)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EstimatePartitionedView(context.Background(), view, targets, benchOpt); err != nil {
+		if _, err := Estimate(context.Background(), g, targets, benchOpt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,30 +7,29 @@
 // probability that v is visited by such a walk after the start, i.e. the
 // expected risk of the hypothesis h_v(x) = 1{v in x \ {start}}.
 //
-// Two estimators are provided. Estimate reuses the core framework with an
-// empty exact subspace (DirectSpace), demonstrating that SaPHyRa's
-// machinery is not specific to betweenness. EstimatePartitioned is a full
-// second instantiation of the framework with a non-trivial exact subspace
-// (the 1-step walks — see partitioned.go).
+// Estimate is one instantiation of the SaPHyRa framework with a partitioned
+// sample space (partitioned.go): the walks of intended length 1 are the
+// exact subspace, a 1/k share of the space whose risks have an O(m) closed
+// form, and only walks of length 2..k are sampled. Low-centrality nodes
+// collect most of their k-path mass from 1-step walks, so the exact term
+// takes it out of the sampling variance, and a target with at least one
+// neighbor never gets a zero estimate.
 //
 // Determinism: walks are drawn on the core engine's fixed virtual-worker
-// streams and the partitioned exact phase is chunked by sched.Bounds with
-// per-target writes, so for a fixed seed both estimators are
-// bitwise-identical at any Options.Workers value. The walk sampler indexes
-// neighbor lists with random variates, which makes the *order* of each
-// adjacency list part of that contract — it therefore always reads the
-// sorted CSR (the view's embedded graph on the EstimateView path), never
-// the block-grouped arrays; see the determinism notes in DESIGN.md
-// sections 3 and 7.
+// streams and the exact phase is chunked by sched.Bounds with per-target
+// writes, so for a fixed seed the estimate is bitwise-identical at any
+// Options.Workers value. The walk sampler indexes neighbor lists with
+// random variates, which makes the *order* of each adjacency list part of
+// that contract — it therefore always reads the graph's sorted CSR (a
+// view's embedded graph), never the block-grouped arrays; see the
+// determinism notes in DESIGN.md sections 3 and 7.
 package kpath
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
 
-	"saphyra/internal/bicomp"
 	"saphyra/internal/core"
 	"saphyra/internal/graph"
 	"saphyra/internal/params"
@@ -69,7 +68,7 @@ type Result struct {
 }
 
 // targetIndex validates the inputs and builds the sorted target set with its
-// node -> target-index map (-1 for non-targets), shared by both estimators.
+// node -> target-index map (-1 for non-targets).
 // Validation goes through the shared internal/params checks, so an invalid
 // eps/delta/k or an out-of-range target returns a typed error the serving
 // layer can classify as caller fault (params.IsBadInput).
@@ -108,45 +107,6 @@ func walkVCDim(k, targets int) int {
 		piMax = int64(targets)
 	}
 	return max(1, vc.DimFromMaxInner(piMax))
-}
-
-// Estimate computes (eps, delta)-estimates of the k-path centrality of the
-// target nodes. Cancellation is polled at the core engine's round and
-// stream checkpoints: a done ctx aborts with a *params.CanceledError, never
-// a partial estimate.
-func Estimate(ctx context.Context, g *graph.Graph, a []graph.Node, opt Options) (*Result, error) {
-	nodes, aIndex, err := targetIndex(g, a, &opt)
-	if err != nil {
-		return nil, err
-	}
-	space := &core.DirectSpace{
-		K:   len(nodes),
-		Dim: walkVCDim(opt.K, len(nodes)),
-		Make: func(seed int64) core.Sampler {
-			// lengths uniform in {1..k}: the unpartitioned sample space
-			return newWalkSampler(g, aIndex, 1, opt.K, seed)
-		},
-	}
-	est, err := core.Run(ctx, space, core.Options{
-		Epsilon: opt.Epsilon,
-		Delta:   opt.Delta,
-		Workers: opt.Workers,
-		Seed:    opt.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Nodes: nodes, KPath: est.Risks, Est: est}, nil
-}
-
-// EstimateView is Estimate served from a block-annotated adjacency view
-// (typically opened from a serialized file with bicomp.OpenMapped): walks
-// run on the view's embedded CSR, so one persisted artifact powers the
-// betweenness, k-path, and closeness engines without reloading the edge
-// list. Results are bitwise-identical to Estimate on the graph the view was
-// built from.
-func EstimateView(ctx context.Context, view *bicomp.BlockCSR, a []graph.Node, opt Options) (*Result, error) {
-	return Estimate(ctx, view.G, a, opt)
 }
 
 // Exact computes the exact k-path centrality of every node by dynamic

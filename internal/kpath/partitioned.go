@@ -3,16 +3,14 @@ package kpath
 import (
 	"context"
 
-	"saphyra/internal/bicomp"
 	"saphyra/internal/core"
 	"saphyra/internal/graph"
 	"saphyra/internal/params"
 	"saphyra/internal/sched"
 )
 
-// EstimatePartitioned is a second full instantiation of the SaPHyRa
-// framework (beyond SaPHyRa_bc): k-path centrality with a partitioned
-// sample space.
+// Estimate computes (eps, delta)-estimates of the k-path centrality of the
+// target nodes with SaPHyRa's partitioned sample space.
 //
 // The exact subspace is the set of walks of intended length 1 — exactly a
 // 1/k fraction of the sample space, whose risks have the closed form
@@ -21,11 +19,15 @@ import (
 //
 // computable in O(m). The approximate subspace is sampled by drawing the
 // walk length uniformly from {2..k} (the conditional distribution; no
-// rejection needed). Low-centrality nodes collect most of their k-path mass
-// from 1-step walks, so — exactly as in SaPHyRa_bc — the partition removes
-// the dominant portion of their risk from the sampling variance (Claim 8)
-// and guarantees a non-zero estimate for every node with a neighbor.
-func EstimatePartitioned(ctx context.Context, g *graph.Graph, a []graph.Node, opt Options) (*Result, error) {
+// rejection needed). As in SaPHyRa_bc, the partition removes the dominant
+// portion of a low-centrality node's risk from the sampling variance
+// (Claim 8) and guarantees a non-zero estimate for every node with a
+// neighbor.
+//
+// Cancellation is polled in the exact phase's chunk loop and at the core
+// engine's round and stream checkpoints: a done ctx aborts with a
+// *params.CanceledError, never a partial estimate.
+func Estimate(ctx context.Context, g *graph.Graph, a []graph.Node, opt Options) (*Result, error) {
 	nodes, aIndex, err := targetIndex(g, a, &opt)
 	if err != nil {
 		return nil, err
@@ -48,17 +50,6 @@ func EstimatePartitioned(ctx context.Context, g *graph.Graph, a []graph.Node, op
 		return nil, err
 	}
 	return &Result{Nodes: nodes, KPath: est.Risks, Est: est}, nil
-}
-
-// EstimatePartitionedView is EstimatePartitioned served from a
-// block-annotated adjacency view (typically opened from a serialized file
-// with bicomp.OpenMapped): the exact phase and the walk sampler run on the
-// view's embedded CSR, so one persisted artifact powers the betweenness,
-// k-path, and closeness engines without reloading the edge list. Results
-// are bitwise-identical to EstimatePartitioned on the graph the view was
-// built from.
-func EstimatePartitionedView(ctx context.Context, view *bicomp.BlockCSR, a []graph.Node, opt Options) (*Result, error) {
-	return EstimatePartitioned(ctx, view.G, a, opt)
 }
 
 type kpathSpace struct {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"saphyra/internal/core"
 	"saphyra/internal/graph"
 	"saphyra/internal/testutil"
 )
@@ -18,7 +19,7 @@ func TestPartitionedMatchesExact(t *testing.T) {
 		for v := 0; v < 15; v += 2 {
 			a = append(a, graph.Node(v))
 		}
-		res, err := EstimatePartitioned(context.Background(), g, a, Options{K: 3, Epsilon: 0.05, Delta: 0.01, Seed: seed, Workers: 2})
+		res, err := Estimate(context.Background(), g, a, Options{K: 3, Epsilon: 0.05, Delta: 0.01, Seed: seed, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestPartitionedKOne(t *testing.T) {
 	for v := 0; v < 6; v++ {
 		a = append(a, graph.Node(v))
 	}
-	res, err := EstimatePartitioned(context.Background(), g, a, Options{K: 1, Epsilon: 0.05, Delta: 0.01, Seed: 1})
+	res, err := Estimate(context.Background(), g, a, Options{K: 1, Epsilon: 0.05, Delta: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +69,18 @@ func TestPartitionedKOne(t *testing.T) {
 }
 
 func TestPartitionedAgreesWithDirect(t *testing.T) {
-	// Both estimators target the same quantity; with tight epsilon their
-	// outputs must be close.
+	// The partitioned estimator and the unpartitioned one — core.Run over
+	// the whole walk space, lengths uniform in {1..k}, with an empty exact
+	// subspace — target the same quantity; with tight epsilon their outputs
+	// must be close.
 	g := testutil.RandomConnectedGraph(40, 50, 6)
 	a := []graph.Node{1, 5, 9, 20, 33}
-	direct, err := Estimate(context.Background(), g, a, Options{K: 4, Epsilon: 0.02, Delta: 0.01, Seed: 2})
+	opt := Options{K: 4, Epsilon: 0.02, Delta: 0.01, Seed: 2}
+	direct, err := estimateDirect(g, a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := EstimatePartitioned(context.Background(), g, a, Options{K: 4, Epsilon: 0.02, Delta: 0.01, Seed: 2})
+	part, err := Estimate(context.Background(), g, a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +89,29 @@ func TestPartitionedAgreesWithDirect(t *testing.T) {
 			t.Errorf("node %d: direct %g vs partitioned %g", direct.Nodes[i], direct.KPath[i], part.KPath[i])
 		}
 	}
+}
+
+// estimateDirect is the unpartitioned reference estimator: every walk length
+// in {1..k} is sampled and nothing is counted exactly.
+func estimateDirect(g *graph.Graph, a []graph.Node, opt Options) (*Result, error) {
+	nodes, aIndex, err := targetIndex(g, a, &opt)
+	if err != nil {
+		return nil, err
+	}
+	space := &core.DirectSpace{
+		K:   len(nodes),
+		Dim: walkVCDim(opt.K, len(nodes)),
+		Make: func(seed int64) core.Sampler {
+			return newWalkSampler(g, aIndex, 1, opt.K, seed)
+		},
+	}
+	est, err := core.Run(context.Background(), space, core.Options{
+		Epsilon: opt.Epsilon, Delta: opt.Delta, Workers: opt.Workers, Seed: opt.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Nodes: nodes, KPath: est.Risks, Est: est}, nil
 }
 
 func TestPartitionedNoFalseZeroForConnectedTargets(t *testing.T) {
@@ -96,7 +123,7 @@ func TestPartitionedNoFalseZeroForConnectedTargets(t *testing.T) {
 	for v := 0; v < 30; v += 3 {
 		a = append(a, graph.Node(v))
 	}
-	res, err := EstimatePartitioned(context.Background(), g, a, Options{K: 3, Epsilon: 0.2, Delta: 0.1, Seed: 4})
+	res, err := Estimate(context.Background(), g, a, Options{K: 3, Epsilon: 0.2, Delta: 0.1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +136,14 @@ func TestPartitionedNoFalseZeroForConnectedTargets(t *testing.T) {
 
 func TestPartitionedErrors(t *testing.T) {
 	g := graph.Cycle(5)
-	if _, err := EstimatePartitioned(context.Background(), g, nil, Options{}); err == nil {
+	if _, err := Estimate(context.Background(), g, nil, Options{}); err == nil {
 		t.Error("empty targets: want error")
 	}
-	if _, err := EstimatePartitioned(context.Background(), g, []graph.Node{0}, Options{K: -2}); err == nil {
+	if _, err := Estimate(context.Background(), g, []graph.Node{0}, Options{K: -2}); err == nil {
 		t.Error("bad k: want error")
 	}
 	empty := graph.NewBuilder(0).Build()
-	if _, err := EstimatePartitioned(context.Background(), empty, []graph.Node{0}, Options{}); err == nil {
+	if _, err := Estimate(context.Background(), empty, []graph.Node{0}, Options{}); err == nil {
 		t.Error("empty graph: want error")
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // walkSampler draws random walks of uniform length in [minLen, maxLen] from
-// uniform start nodes and reports first visits to target nodes. It backs
-// both the plain estimator (minLen 1: the whole sample space) and the
-// partitioned one (minLen 2: the approximate-subspace conditional), and
+// uniform start nodes and reports first visits to target nodes. Estimate
+// draws with minLen 2 (the approximate-subspace conditional); the tests'
+// unpartitioned reference draws with minLen 1 (the whole sample space). It
 // implements core.Sampler with an allocation-free hot loop.
 //
 // Steps index the sorted adjacency lists with uniform variates, so the walk

@@ -10,14 +10,9 @@ import (
 	"saphyra/internal/graph"
 )
 
-func testView(t *testing.T, g *graph.Graph) *bicomp.BlockCSR {
-	t.Helper()
-	return bicomp.NewBlockCSR(g)
-}
-
-// TestWorkerCountBitwise: both estimators must produce bitwise-identical
-// results for any worker count — the sample streams belong to fixed virtual
-// workers, not to goroutines.
+// TestWorkerCountBitwise: the estimate must be bitwise-identical for any
+// worker count — the sample streams belong to fixed virtual workers, not to
+// goroutines.
 func TestWorkerCountBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -28,36 +23,25 @@ func TestWorkerCountBitwise(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := []graph.Node{0, 3, 17, 99, 120}
-			run := func(partitioned bool, workers int) *Result {
-				opt := Options{K: 4, Epsilon: 0.05, Delta: 0.05, Seed: 9, Workers: workers}
-				var res *Result
-				var err error
-				if partitioned {
-					res, err = EstimatePartitioned(context.Background(), tc.g, a, opt)
-				} else {
-					res, err = Estimate(context.Background(), tc.g, a, opt)
-				}
+			run := func(workers int) *Result {
+				res, err := Estimate(context.Background(), tc.g, a, Options{K: 4, Epsilon: 0.05, Delta: 0.05, Seed: 9, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			for _, partitioned := range []bool{false, true} {
-				ref := run(partitioned, 1)
-				if ref.Est.Samples == 0 {
-					t.Fatal("reference run drew no samples; the test exercises nothing")
+			ref := run(1)
+			if ref.Est.Samples == 0 {
+				t.Fatal("reference run drew no samples; the test exercises nothing")
+			}
+			for _, workers := range []int{2, 8} {
+				got := run(workers)
+				if got.Est.Samples != ref.Est.Samples {
+					t.Fatalf("workers=%d: samples %d != %d", workers, got.Est.Samples, ref.Est.Samples)
 				}
-				for _, workers := range []int{2, 8} {
-					got := run(partitioned, workers)
-					if got.Est.Samples != ref.Est.Samples {
-						t.Fatalf("partitioned=%v workers=%d: samples %d != %d",
-							partitioned, workers, got.Est.Samples, ref.Est.Samples)
-					}
-					for i := range ref.KPath {
-						if got.KPath[i] != ref.KPath[i] {
-							t.Fatalf("partitioned=%v workers=%d: KPath[%d] = %v, want %v",
-								partitioned, workers, i, got.KPath[i], ref.KPath[i])
-						}
+				for i := range ref.KPath {
+					if got.KPath[i] != ref.KPath[i] {
+						t.Fatalf("workers=%d: KPath[%d] = %v, want %v", workers, i, got.KPath[i], ref.KPath[i])
 					}
 				}
 			}
@@ -65,16 +49,16 @@ func TestWorkerCountBitwise(t *testing.T) {
 	}
 }
 
-// TestViewMatchesGraph: the view-served estimators (in-memory and mmapped)
-// must be bitwise-identical to the graph-served ones.
+// TestViewMatchesGraph: a view-backed Ranker walks the view's embedded
+// graph, so estimating on a mapped view's G must be bitwise-identical to
+// estimating on the in-memory graph it was built from.
 func TestViewMatchesGraph(t *testing.T) {
 	g := graph.BarabasiAlbert(300, 3, 8)
 	a := []graph.Node{1, 5, 42, 250}
 	opt := Options{K: 4, Epsilon: 0.05, Delta: 0.05, Seed: 4, Workers: 3}
 
-	view := testView(t, g)
 	path := filepath.Join(t.TempDir(), "view.sbcv")
-	if err := view.WriteFile(path, nil); err != nil {
+	if err := bicomp.NewBlockCSR(g).WriteFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	m, err := bicomp.OpenMapped(path)
@@ -83,31 +67,20 @@ func TestViewMatchesGraph(t *testing.T) {
 	}
 	defer m.Close()
 
-	for _, tc := range []struct {
-		name string
-		run  func() (*Result, error)
-		want func() (*Result, error)
-	}{
-		{"plain", func() (*Result, error) { return EstimateView(context.Background(), m.View, a, opt) },
-			func() (*Result, error) { return Estimate(context.Background(), g, a, opt) }},
-		{"partitioned", func() (*Result, error) { return EstimatePartitionedView(context.Background(), m.View, a, opt) },
-			func() (*Result, error) { return EstimatePartitioned(context.Background(), g, a, opt) }},
-	} {
-		got, err := tc.run()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		want, err := tc.want()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got.Est.Samples != want.Est.Samples {
-			t.Fatalf("%s: samples %d != %d", tc.name, got.Est.Samples, want.Est.Samples)
-		}
-		for i := range want.KPath {
-			if got.KPath[i] != want.KPath[i] {
-				t.Fatalf("%s: KPath[%d] = %v, want %v", tc.name, i, got.KPath[i], want.KPath[i])
-			}
+	got, err := Estimate(context.Background(), m.View.G, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Estimate(context.Background(), g, a, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Est.Samples != want.Est.Samples {
+		t.Fatalf("samples %d != %d", got.Est.Samples, want.Est.Samples)
+	}
+	for i := range want.KPath {
+		if got.KPath[i] != want.KPath[i] {
+			t.Fatalf("KPath[%d] = %v, want %v", i, got.KPath[i], want.KPath[i])
 		}
 	}
 }

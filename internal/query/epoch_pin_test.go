@@ -34,6 +34,7 @@ var epochPins = map[uint32]string{
 	4: "46512f3b1d429903c609a6b12f2e8b62d5ddb0c8332ad6ad43fd22f39c66a410",
 	5: "5c9ea9c998f8a54235ccbda802889dc9a43bb68d3422209e6682befff6da7d38",
 	6: "6155c5068da9f83978bb095c529e2aa08afb50c4dc04549ba04b683b602cf213",
+	7: "d43f7c450f25fdd354e203c2399bcb0c52bbd0cf83923e13597a7b0316aff78b",
 }
 
 // TestEngineEpochPin holds engineEpoch to the bits it names: every measure,

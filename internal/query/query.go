@@ -47,8 +47,10 @@ func (m Measure) String() string {
 
 // Algorithm selects the estimation algorithm — the paper's comparison axis.
 // The baselines exist only for betweenness (they estimate the whole network
-// regardless of the target subset); k-path and closeness always run their
-// SaPHyRa-framework estimators.
+// regardless of the target subset). k-path and closeness each have one
+// estimator, and both follow SaPHyRa: k-path counts its 1-step walks
+// exactly and samples lengths 2..k, closeness counts its distance-1
+// sources exactly and samples the rest.
 type Algorithm int
 
 // Available algorithms.
@@ -170,7 +172,7 @@ const keyMagic = "saphyra.Query/v2"
 // estimate's bits bumps engineEpoch, so binaries with different engines
 // never share a key (a mixed fleet's peer fill or stale rung would
 // otherwise serve the other engine's bits under an equal key).
-const engineEpoch uint32 = 6
+const engineEpoch uint32 = 7
 
 // Key returns a stable 256-bit digest identifying the query up to bitwise
 // result equality: two queries with equal keys are guaranteed bitwise-equal

@@ -52,13 +52,15 @@ func buildResult(nodes []graph.Node, scores []float64, samples int64, dur time.D
 // Ranker answers Queries over one graph (or one block-annotated view),
 // lazily caching the target-independent per-measure preprocessing: the
 // betweenness decomposition/out-reach/exact-phase engine is built on the
-// first betweenness query and shared by every later one (k-path and
-// closeness need no per-graph preprocessing beyond the view itself). A
-// Ranker is safe for concurrent use; results are a pure function of the
-// canonical query and the graph bytes, never of concurrency or Workers.
+// first betweenness query and shared by every later one, and the closeness
+// engine's pooled workspaces likewise. k-path and closeness run on the
+// graph's sorted CSR — a view's embedded graph — so the view itself is
+// read only to build the betweenness preprocessing. A Ranker is safe for
+// concurrent use; results are a pure function of the canonical query and
+// the graph bytes, never of concurrency or Workers.
 type Ranker struct {
 	g    *graph.Graph
-	view *bicomp.BlockCSR // non-nil when constructed over a view
+	view *bicomp.BlockCSR // non-nil when constructed over a view; feeds bcPrep only
 
 	mu sync.Mutex
 	bc *core.BCPreprocessed // lazy betweenness preprocessing
@@ -71,9 +73,10 @@ func NewRanker(g *graph.Graph) *Ranker {
 }
 
 // NewRankerView returns a Ranker over a block-annotated view (typically
-// mmap-backed, bicomp.OpenMapped): the engines run straight off the view
-// arrays, and results are bitwise-identical to a Ranker over the graph the
-// view was built from.
+// mmap-backed, bicomp.OpenMapped): the betweenness preprocessing is read
+// straight off the view arrays and every engine walks the view's pages, so
+// results are bitwise-identical to a Ranker over the graph the view was
+// built from.
 func NewRankerView(view *bicomp.BlockCSR) *Ranker {
 	return &Ranker{g: view.G, view: view}
 }
@@ -125,11 +128,7 @@ func (r *Ranker) clEngineCtx(ctx context.Context) *closeness.Engine {
 	defer r.mu.Unlock()
 	if r.cl == nil {
 		sp := obs.StartLeaf(ctx, "rank.prep.closeness")
-		if r.view != nil {
-			r.cl = closeness.NewEngineView(r.view)
-		} else {
-			r.cl = closeness.NewEngine(r.g)
-		}
+		r.cl = closeness.NewEngine(r.g)
 		sp.End()
 	}
 	return r.cl
@@ -212,17 +211,10 @@ func (r *Ranker) Rank(ctx context.Context, q Query) (*Result, error) {
 		if rankSpan != nil {
 			rankSpan.SetNote("kpath")
 		}
-		kopt := kpath.Options{
+		res, err := kpath.Estimate(ctx, r.g, targets, kpath.Options{
 			K: c.K, Epsilon: c.Epsilon, Delta: c.Delta,
 			Workers: c.Workers, Seed: c.Seed,
-		}
-		var res *kpath.Result
-		var err error
-		if r.view != nil {
-			res, err = kpath.EstimateView(ctx, r.view, targets, kopt)
-		} else {
-			res, err = kpath.Estimate(ctx, r.g, targets, kopt)
-		}
+		})
 		if err != nil {
 			return nil, err
 		}

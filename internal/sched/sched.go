@@ -6,7 +6,7 @@
 //   - deterministic partitioning: Bounds splits a cost-weighted item range
 //     into contiguous chunks and Split divides a sample budget into quotas,
 //     both as pure functions of their inputs — never of the worker count;
-//   - work stealing without order effects: Do and DoWith execute the fixed
+//   - work stealing without order effects: DoCtx and DoWithCtx execute the fixed
 //     chunk list on up to `workers` goroutines pulling from an atomic
 //     counter. Which goroutine runs which chunk varies run to run, but as
 //     long as callers write per-chunk results into per-chunk slots and merge
@@ -92,38 +92,28 @@ func Bounds(cost []float64, chunks int, bounds []int) []int {
 	return bounds
 }
 
-// Do runs fn(c) for every chunk c in [0, chunks) on up to `workers`
+// DoCtx runs fn(c) for every chunk c in [0, chunks) on up to `workers`
 // goroutines pulling chunk indices from a shared atomic counter. With
 // workers <= 1 the chunks run inline on the calling goroutine, in order.
 // fn must be safe for concurrent invocation on distinct chunks.
-func Do(chunks, workers int, fn func(c int)) {
-	DoWith(chunks, workers, func() struct{} { return struct{}{} }, func(struct{}) {},
-		func(_ struct{}, c int) { fn(c) })
-}
-
-// DoCtx is Do with a cancellation checkpoint between chunks: every goroutine
-// polls ctx before stealing the next chunk and stops stealing once it is
-// done. It returns nil when every chunk ran and the context's cause when the
-// run was cut short — in that case an arbitrary subset of chunks never
-// executed, so the caller MUST discard all partial output (the engines'
-// all-or-nothing contract). The poll is one atomic-ish interface call per
-// chunk — chunks are coarse (at most ~64 per run), so it is free relative to
-// chunk work.
+//
+// Between chunks every goroutine polls ctx before stealing the next chunk
+// and stops stealing once it is done. It returns nil when every chunk ran
+// and the context's cause when the run was cut short — in that case an
+// arbitrary subset of chunks never executed, so the caller MUST discard all
+// partial output (the engines' all-or-nothing contract). The poll is one
+// atomic-ish interface call per chunk — chunks are coarse (at most ~64 per
+// run), so it is free relative to chunk work.
 func DoCtx(ctx context.Context, chunks, workers int, fn func(c int)) error {
 	return DoWithCtx(ctx, chunks, workers, func() struct{} { return struct{}{} }, func(struct{}) {},
 		func(_ struct{}, c int) { fn(c) })
 }
 
-// DoWith is Do with a per-goroutine resource: each participating goroutine
-// calls acquire once, processes its stolen chunks with fn, and calls release
-// once. It is the shape the engines use for pooled per-worker scratch —
-// acquire/release bracket a goroutine's lifetime, not a chunk's, so scratch
-// churn is O(workers), not O(chunks).
-func DoWith[W any](chunks, workers int, acquire func() W, release func(W), fn func(w W, c int)) {
-	DoWithCtx(context.Background(), chunks, workers, acquire, release, fn)
-}
-
-// DoWithCtx is DoWith with the DoCtx cancellation checkpoint. Goroutines
+// DoWithCtx is DoCtx with a per-goroutine resource: each participating
+// goroutine calls acquire once, processes its stolen chunks with fn, and
+// calls release once. It is the shape the engines use for pooled
+// per-worker scratch — acquire/release bracket a goroutine's lifetime, not
+// a chunk's, so scratch churn is O(workers), not O(chunks). Goroutines
 // stop stealing chunks once ctx is done; a chunk already started always runs
 // to completion (fn is never interrupted mid-chunk), so per-chunk outputs
 // are whole — but the chunk *set* may be incomplete, and the caller must

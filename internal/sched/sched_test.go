@@ -82,7 +82,9 @@ func TestDoCoversAllChunksOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 33} {
 		const chunks = 100
 		var hits [chunks]atomic.Int32
-		Do(chunks, workers, func(c int) { hits[c].Add(1) })
+		if err := DoCtx(context.Background(), chunks, workers, func(c int) { hits[c].Add(1) }); err != nil {
+			t.Fatal(err)
+		}
 		for c := range hits {
 			if got := hits[c].Load(); got != 1 {
 				t.Fatalf("workers=%d: chunk %d ran %d times", workers, c, got)
@@ -94,10 +96,13 @@ func TestDoCoversAllChunksOnce(t *testing.T) {
 func TestDoWithBracketsGoroutines(t *testing.T) {
 	var mu sync.Mutex
 	acquired, released := 0, 0
-	DoWith(50, 4,
+	err := DoWithCtx(context.Background(), 50, 4,
 		func() int { mu.Lock(); acquired++; mu.Unlock(); return 0 },
 		func(int) { mu.Lock(); released++; mu.Unlock() },
 		func(_ int, c int) {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if acquired != released {
 		t.Fatalf("acquire/release mismatch: %d vs %d", acquired, released)
 	}
@@ -108,7 +113,9 @@ func TestDoWithBracketsGoroutines(t *testing.T) {
 
 func TestDoSequentialInOrder(t *testing.T) {
 	var order []int
-	Do(5, 1, func(c int) { order = append(order, c) })
+	if err := DoCtx(context.Background(), 5, 1, func(c int) { order = append(order, c) }); err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range order {
 		if c != i {
 			t.Fatalf("sequential Do out of order: %v", order)

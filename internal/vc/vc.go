@@ -54,66 +54,6 @@ func LHop(l int) int {
 	return DimFromMaxInner(int64(2*l + 1))
 }
 
-// SubsetBound computes the Lemma 23 upper bound on BS(A), the maximum
-// number of A-nodes that are inner nodes of one intra-component shortest
-// path:
-//
-//	BS(A) <= max_i min( VD(C_i)-1, VD(A ∩ C_i)+1, |A ∩ C_i| )
-//
-// over blocks i in I(A). Block and subset diameters are themselves upper
-// bounds: block diameters come from Decomposition.BlockDiameterUpperBound
-// (exact up to bicomp.ExactDiameterMaxBlock nodes, double-sweep 2*ecc
-// above); subset diameters use the 2*max-distance bound of Section IV-C.
-func SubsetBound(d *bicomp.Decomposition, a []graph.Node) int64 {
-	if len(a) == 0 {
-		return 0
-	}
-	// Group A by block, iterating a in caller order (not map order): the
-	// first member of each group seeds the subset-diameter BFS below, so a
-	// nondeterministic order would make the bound — and with it the sample
-	// budget and the estimates — vary between identically-seeded runs.
-	seen := make(map[graph.Node]struct{}, len(a))
-	byBlock := make(map[int32][]graph.Node)
-	for _, v := range a {
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		for _, b := range d.NodeBlocks(v) {
-			byBlock[b] = append(byBlock[b], v)
-		}
-	}
-	var bs int64
-	for b, members := range byBlock {
-		// Cheap terms first; the per-block BFS work only runs when it could
-		// still lower the running minimum.
-		cand := int64(len(members))
-		if v := int64(d.BlockDiameterUpperBound(b)) - 1; v < cand {
-			cand = v
-		}
-		// subVD+1 >= 2 whenever |members| >= 2, so the subset-diameter BFS
-		// can only tighten candidates above 2.
-		if cand > 2 && len(members) >= 2 {
-			if v := int64(subsetDiameterUB(d.G, members)) + 1; v < cand {
-				cand = v
-			}
-		}
-		if cand < 0 {
-			cand = 0
-		}
-		if cand > bs {
-			bs = cand
-		}
-	}
-	return bs
-}
-
-// Subset returns the SaPHyRa_bc VC bound for an arbitrary target set A
-// (Corollary 22 with Lemma 23): floor(log2(BS(A))) + 1.
-func Subset(d *bicomp.Decomposition, a []graph.Node) int {
-	return DimFromMaxInner(SubsetBound(d, a))
-}
-
 // SubsetScratch is the reusable workspace of SubsetCapped. The zero value
 // is ready to use; the n-entry label array is allocated by the first BFS
 // that needs it and then reused, epoch-stamped, by every later call. A
@@ -125,20 +65,28 @@ type SubsetScratch struct {
 	queue  []graph.Node
 }
 
-// SubsetCapped returns min(Subset(d, a), full): the subset
-// bound capped by the full-network dimension full, the form the sampler
-// uses. a must be sorted and duplicate-free (graph.DedupSorted), so each
-// block's subset-diameter BFS starts at its smallest member, as Subset's
-// does on the same slice.
+// SubsetCapped returns the SaPHyRa_bc VC bound for an arbitrary target set
+// A (Corollary 22 with Lemma 23), floor(log2(BS(A))) + 1, capped by the
+// full-network dimension full. BS(A) is bounded as
 //
-// The result is Subset's, but the per-block BFS is capped at the depth that
-// can still matter. A block whose cheap terms give the capped dimension
-// dim can only be lowered by the BFS term floor(log2(2*far+1))+1, and that
-// falls below dim exactly when far < f* = 2^(dim-2). So the BFS labels
-// nodes to depth f*-1 only. If a member is left unlabelled, far >= f* and
-// the uncapped BFS would have kept dim; otherwise far is exact. A block
-// whose dim cannot raise the running maximum is skipped, and the scan stops
-// once the maximum reaches full.
+//	BS(A) <= max_i min( VD(C_i)-1, VD(A ∩ C_i)+1, |A ∩ C_i| )
+//
+// over blocks i in I(A). Block and subset diameters are themselves upper
+// bounds: block diameters come from Decomposition.BlockDiameterUpperBound
+// (exact up to bicomp.ExactDiameterMaxBlock nodes, double-sweep 2*ecc
+// above); a subset diameter is 2 * the largest BFS depth of a member from
+// the block's first (smallest) member, the bound of Section IV-C. a must
+// be sorted and duplicate-free (graph.DedupSorted), which fixes that
+// first member.
+//
+// The per-block BFS is capped at the depth that can still matter. A block
+// whose cheap terms give the capped dimension dim can only be lowered by
+// the BFS term floor(log2(2*far+1))+1, and that falls below dim exactly
+// when far < f* = 2^(dim-2). So the BFS labels nodes to depth f*-1 only.
+// If a member is left unlabelled, far >= f* and the uncapped BFS would
+// have kept dim; otherwise far is exact. A block whose dim cannot raise
+// the running maximum is skipped, and the scan stops once the maximum
+// reaches full.
 func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, full int, s *SubsetScratch) int {
 	s.groups = s.groups[:0]
 	for _, v := range a {
@@ -164,8 +112,8 @@ func SubsetCapped(d *bicomp.Decomposition, a []graph.Node, full int, s *SubsetSc
 		if dim <= best {
 			continue
 		}
-		// Subset runs its BFS only for cand > 2, and the BFS term is at
-		// least 2, so it can lower only a dim of 3 or more.
+		// subVD+1 >= 2 whenever a block has two members, so the BFS term
+		// can lower only a dim of 3 or more.
 		if cand > 2 && dim >= 3 {
 			if far, ok := s.farWithin(d.G, members, int64(1)<<(dim-2)); ok {
 				dim = min(dim, DimFromMaxInner(2*int64(far)+1))
@@ -235,23 +183,6 @@ func (s *SubsetScratch) farWithin(g *graph.Graph, members []uint64, limit int64)
 	return int32(limit - 1), true
 }
 
-// subsetDiameterUB bounds the pairwise distance among nodes (all in one
-// block, so graph distances equal block distances) by 2*max distance from
-// the first member.
-func subsetDiameterUB(g *graph.Graph, members []graph.Node) int32 {
-	if len(members) < 2 {
-		return 0
-	}
-	dist := graph.BFSDistances(g, members[0], nil)
-	var far int32
-	for _, t := range members {
-		if d := dist[t]; d > far {
-			far = d
-		}
-	}
-	return 2 * far
-}
-
 // TableIRow bundles the three Table I bounds for one network/subset pair so
 // experiment drivers can print the comparison.
 type TableIRow struct {
@@ -268,15 +199,13 @@ type TableIRow struct {
 // heuristic diameter estimates would invert it.
 func TableI(d *bicomp.Decomposition, a []graph.Node, diameterUB int32) TableIRow {
 	row := TableIRow{
-		RiondatoFull:  Riondato(diameterUB),
-		SaPHyRaFull:   FullNetwork(d.MaxBlockDiameterUpperBound()),
-		SaPHyRaSubset: Subset(d, a),
+		RiondatoFull: Riondato(diameterUB),
+		SaPHyRaFull:  FullNetwork(d.MaxBlockDiameterUpperBound()),
 	}
 	if row.SaPHyRaFull > row.RiondatoFull {
 		row.SaPHyRaFull = row.RiondatoFull
 	}
-	if row.SaPHyRaSubset > row.SaPHyRaFull {
-		row.SaPHyRaSubset = row.SaPHyRaFull
-	}
+	var s SubsetScratch
+	row.SaPHyRaSubset = SubsetCapped(d, graph.DedupSorted(a), row.SaPHyRaFull, &s)
 	return row
 }

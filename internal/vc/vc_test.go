@@ -11,6 +11,87 @@ import (
 	"saphyra/internal/testutil"
 )
 
+// The map-based Lemma 23 bound is the reference SubsetCapped is checked
+// against: a direct transcription of the bound with an uncapped per-block
+// BFS.
+
+// SubsetBound computes the Lemma 23 upper bound on BS(A), the maximum
+// number of A-nodes that are inner nodes of one intra-component shortest
+// path:
+//
+//	BS(A) <= max_i min( VD(C_i)-1, VD(A ∩ C_i)+1, |A ∩ C_i| )
+//
+// over blocks i in I(A). Block and subset diameters are themselves upper
+// bounds: block diameters come from Decomposition.BlockDiameterUpperBound
+// (exact up to bicomp.ExactDiameterMaxBlock nodes, double-sweep 2*ecc
+// above); subset diameters use the 2*max-distance bound of Section IV-C.
+func SubsetBound(d *bicomp.Decomposition, a []graph.Node) int64 {
+	if len(a) == 0 {
+		return 0
+	}
+	// Group A by block, iterating a in caller order (not map order): the
+	// first member of each group seeds the subset-diameter BFS below, so a
+	// nondeterministic order would make the bound — and with it the sample
+	// budget and the estimates — vary between identically-seeded runs.
+	seen := make(map[graph.Node]struct{}, len(a))
+	byBlock := make(map[int32][]graph.Node)
+	for _, v := range a {
+		if _, dup := seen[v]; dup {
+			continue
+		}
+		seen[v] = struct{}{}
+		for _, b := range d.NodeBlocks(v) {
+			byBlock[b] = append(byBlock[b], v)
+		}
+	}
+	var bs int64
+	for b, members := range byBlock {
+		// Cheap terms first; the per-block BFS work only runs when it could
+		// still lower the running minimum.
+		cand := int64(len(members))
+		if v := int64(d.BlockDiameterUpperBound(b)) - 1; v < cand {
+			cand = v
+		}
+		// subVD+1 >= 2 whenever |members| >= 2, so the subset-diameter BFS
+		// can only tighten candidates above 2.
+		if cand > 2 && len(members) >= 2 {
+			if v := int64(subsetDiameterUB(d.G, members)) + 1; v < cand {
+				cand = v
+			}
+		}
+		if cand < 0 {
+			cand = 0
+		}
+		if cand > bs {
+			bs = cand
+		}
+	}
+	return bs
+}
+
+// Subset returns the SaPHyRa_bc VC bound for an arbitrary target set A
+// (Corollary 22 with Lemma 23): floor(log2(BS(A))) + 1.
+func Subset(d *bicomp.Decomposition, a []graph.Node) int {
+	return DimFromMaxInner(SubsetBound(d, a))
+}
+
+// subsetDiameterUB bounds the pairwise distance among nodes (all in one
+// block, so graph distances equal block distances) by 2*max distance from
+// the first member.
+func subsetDiameterUB(g *graph.Graph, members []graph.Node) int32 {
+	if len(members) < 2 {
+		return 0
+	}
+	dist := graph.BFSDistances(g, members[0], nil)
+	var far int32
+	for _, t := range members {
+		if d := dist[t]; d > far {
+			far = d
+		}
+	}
+	return 2 * far
+}
+
 func TestDimFromMaxInner(t *testing.T) {
 	cases := []struct {
 		pi   int64

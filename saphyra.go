@@ -119,12 +119,13 @@ type Ranker = query.Ranker
 func NewRanker(g *Graph) *Ranker { return query.NewRanker(g) }
 
 // View is the shared graph-view layer (DESIGN.md section 7): the
-// block-annotated adjacency arrays that power the exact 2-hop phase, the
-// sampler fast paths, and the k-path and closeness estimators. A View is
-// built once per graph (BuildView), can be serialized to a versioned binary
-// file (WriteFile), and reopened zero-copy by any number of serving
-// processes (OpenView, mmap-backed where the platform supports it — the
-// kernel then shares one physical copy of the arrays across all of them).
+// block-annotated adjacency arrays that power the exact 2-hop phase and the
+// sampler fast paths, plus the embedded graph the k-path and closeness
+// estimators read. A View is built once per graph (BuildView), can be
+// serialized to a versioned binary file (WriteFile), and reopened
+// zero-copy by any number of serving processes (OpenView, mmap-backed
+// where the platform supports it — the kernel then shares one physical
+// copy of the arrays across all of them).
 // Every engine produces bitwise-identical results on a reopened view.
 type View struct {
 	v   *bicomp.BlockCSR
