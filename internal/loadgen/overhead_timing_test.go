@@ -6,17 +6,18 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
-
-	"saphyra/internal/obs/hist"
 )
 
 // TestInstrumentationOverheadWallClock is the wall-clock half of the
 // telemetry gate: the cache-hit p99 of a server with tracing armed on every
-// request must stay within 20% of an uninstrumented server's. Min-of-rounds
-// p99 filters scheduler and GC noise from both sides, but not a loaded
-// machine, so it runs alone:
+// request must stay within 20% of an uninstrumented server's. Each round
+// serves both handlers interleaved and yields one paired ratio of their
+// p99s; the gate reads the median ratio over an odd number of rounds, so no
+// round that scheduler or GC noise hit on one side decides it. It filters
+// noise, not a loaded machine, so it runs alone:
 //
 //	go test -tags timing -p 1 -count=1 -run WallClock ./internal/loadgen/
 func TestInstrumentationOverheadWallClock(t *testing.T) {
@@ -24,37 +25,46 @@ func TestInstrumentationOverheadWallClock(t *testing.T) {
 		t.Skip("timing test")
 	}
 	plain, instr, body := overheadPair(t)
-	serveOne := func(h http.Handler, rec *hist.Histogram) {
+	serveOne := func(h http.Handler, rec *[]time.Duration) {
 		w := httptest.NewRecorder()
 		start := time.Now()
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/rank", bytes.NewReader(body)))
-		rec.Observe(time.Since(start))
+		*rec = append(*rec, time.Since(start))
 		if w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
 	}
 	// One round serves both handlers strictly interleaved, so scheduler and
-	// GC noise land on both sides of the comparison alike.
+	// GC noise land on both sides of the comparison alike. The p99s are
+	// exact order statistics: a histogram's buckets would step the ratio by
+	// several percent.
 	p99Pair := func(n int) (plainP99, instrP99 time.Duration) {
-		var rp, ri hist.Histogram
+		rp, ri := make([]time.Duration, 0, n), make([]time.Duration, 0, n)
 		for i := 0; i < n; i++ {
 			serveOne(plain, &rp)
 			serveOne(instr, &ri)
 		}
-		return rp.Quantile(0.99), ri.Quantile(0.99)
+		slices.Sort(rp)
+		slices.Sort(ri)
+		return rp[n*99/100], ri[n*99/100]
 	}
 	p99Pair(100) // warm caches and page mappings
 
-	const rounds, per = 5, 2000
-	minPlain, minInstr := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < rounds; r++ {
+	// A round's p99 is its 80th slowest request of 8,000: at 2,000 (the
+	// 20th) single scheduler stalls moved a round's ratio anywhere from 0.5
+	// to 2.4x, and the median of 15 such rounds crossed 1.20x in about one
+	// run in six on an idle 2-vCPU VM.
+	const rounds, per = 15, 8000
+	ratios := make([]float64, rounds)
+	for r := range ratios {
 		p, i := p99Pair(per)
-		minPlain, minInstr = min(minPlain, p), min(minInstr, i)
+		ratios[r] = float64(i) / float64(p)
+		t.Logf("round %d cache-hit p99: uninstrumented %v, instrumented %v (%.2fx)", r, p, i, ratios[r])
 	}
-	ratio := float64(minInstr) / float64(minPlain)
-	t.Logf("cache-hit p99: uninstrumented %v, instrumented %v (%.2fx)", minPlain, minInstr, ratio)
+	slices.Sort(ratios)
+	ratio := ratios[rounds/2]
+	t.Logf("median paired p99 ratio over %d rounds: %.2fx", rounds, ratio)
 	if ratio > 1.20 {
-		t.Errorf("instrumented cache-hit p99 %v is %.2fx the uninstrumented %v, want <= 1.20x",
-			minInstr, ratio, minPlain)
+		t.Errorf("instrumented cache-hit p99 is %.2fx the uninstrumented in the median round, want <= 1.20x", ratio)
 	}
 }

@@ -11,6 +11,15 @@ import (
 // explores O(sqrt(n)) nodes per query (Lemma 21 / Theorem 4 of [12]),
 // which is what makes path-sampling estimators fast.
 //
+// The level on which the waves meet is the last one, and only its meet
+// nodes (those the other wave has reached) can be on a shortest path. Once
+// the scan of that level has found the first one, it stops discovering any
+// other node: a neighbour the other wave has not reached is skipped, not
+// stamped, queued or priced. The meet nodes are gathered as they are
+// discovered, and σ still accumulates onto every node of the level already
+// stamped, so distances, path counts and the meeting cut are those of the
+// full level.
+//
 // State is epoch-stamped so consecutive queries cost O(touched), not O(n),
 // and packed into one 32-byte record per node, so discovering a node touches
 // one cache line rather than one per array.
@@ -19,14 +28,10 @@ type BiBFS struct {
 	epoch          uint32
 	frontF, frontB []graph.Node
 	nextF, nextB   []graph.Node
-	meet           []graph.Node
+	meet           []graph.Node // the meeting cut, in discovery order
 
 	// Query results
-	s, t      graph.Node
 	dist      int32
-	sigma     float64
-	cutSide   int8  // 0: cut on forward side, 1: cut on backward side
-	cutLevel  int32 // completed level on the cut side where waves met
 	meetTotal float64
 }
 
@@ -59,7 +64,6 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 		}
 		b.epoch = 1
 	}
-	b.s, b.t = s, t
 	b.evenFrontiers()
 	ns, nt := &b.node[s], &b.node[t]
 	ns.stampF, ns.distF, ns.sigF = b.epoch, 0, 1
@@ -74,70 +78,129 @@ func (b *BiBFS) Query(g *graph.Graph, s, t graph.Node) (dist int32, sigma float6
 
 	for len(b.frontF) > 0 && len(b.frontB) > 0 {
 		if costF <= costB {
-			b.nextF = b.nextF[:0]
-			newLevel := levelF + 1
-			met := false
-			best := int32(1 << 30)
-			var nextCost int64
-			for _, u := range b.frontF {
-				su := b.node[u].sigF
-				for _, v := range g.Neighbors(u) {
-					nv := &b.node[v]
-					if nv.stampF != b.epoch {
-						nv.stampF, nv.distF, nv.sigF = b.epoch, newLevel, su
-						b.nextF = append(b.nextF, v)
-						nextCost += int64(g.Degree(v))
-						if nv.stampB == b.epoch {
-							met = true
-							if d := newLevel + nv.distB; d < best {
-								best = d
-							}
-						}
-					} else if nv.distF == newLevel {
-						nv.sigF += su
-					}
-				}
-			}
-			levelF = newLevel
-			b.frontF, b.nextF = b.nextF, b.frontF
-			costF = nextCost
-			if met {
-				return b.finish(newLevel, best, 0)
+			levelF++
+			if costF = b.expandF(g, levelF); costF < 0 {
+				return b.finish(levelF, true)
 			}
 		} else {
-			b.nextB = b.nextB[:0]
-			newLevel := levelB + 1
-			met := false
-			best := int32(1 << 30)
-			var nextCost int64
-			for _, u := range b.frontB {
-				su := b.node[u].sigB
-				for _, v := range g.Neighbors(u) {
-					nv := &b.node[v]
-					if nv.stampB != b.epoch {
-						nv.stampB, nv.distB, nv.sigB = b.epoch, newLevel, su
-						b.nextB = append(b.nextB, v)
-						nextCost += int64(g.Degree(v))
-						if nv.stampF == b.epoch {
-							met = true
-							if d := newLevel + nv.distF; d < best {
-								best = d
-							}
-						}
-					} else if nv.distB == newLevel {
-						nv.sigB += su
-					}
-				}
-			}
-			levelB = newLevel
-			b.frontB, b.nextB = b.nextB, b.frontB
-			costB = nextCost
-			if met {
-				return b.finish(newLevel, best, 1)
+			levelB++
+			if costB = b.expandB(g, levelB); costB < 0 {
+				return b.finish(levelB, false)
 			}
 		}
 	}
 	return 0, 0, false
+}
+
+// expandF scans the forward frontier into the next level and returns that
+// level's total degree, or -1 when the level met the backward wave; then
+// meetF has scanned the rest of the level and b.meet holds its meet nodes.
+func (b *BiBFS) expandF(g *graph.Graph, level int32) int64 {
+	ep := b.epoch
+	next := b.nextF[:0]
+	var cost int64
+	for i, u := range b.frontF {
+		su := b.node[u].sigF
+		nbrs := g.Neighbors(u)
+		for j, v := range nbrs {
+			nv := &b.node[v]
+			if nv.stampF != ep {
+				nv.stampF, nv.distF, nv.sigF = ep, level, su
+				if nv.stampB == ep {
+					b.nextF = next // keep a regrown buffer
+					b.meet = append(b.meet[:0], v)
+					b.meetF(g, i, nbrs[j+1:], su, level)
+					return -1
+				}
+				next = append(next, v)
+				cost += int64(g.Degree(v))
+			} else if nv.distF == level {
+				nv.sigF += su
+			}
+		}
+	}
+	b.frontF, b.nextF = next, b.frontF
+	return cost
+}
+
+// meetF finishes a forward level that has met the backward wave, from the
+// neighbours rest of frontier node i on: it discovers only nodes the
+// backward wave has reached, appending them to b.meet, and adds path counts
+// to the level's nodes already stamped.
+func (b *BiBFS) meetF(g *graph.Graph, i int, rest []graph.Node, su float64, level int32) {
+	ep := b.epoch
+	for {
+		for _, v := range rest {
+			nv := &b.node[v]
+			if nv.stampF != ep {
+				if nv.stampB != ep {
+					continue
+				}
+				nv.stampF, nv.distF, nv.sigF = ep, level, su
+				b.meet = append(b.meet, v)
+			} else if nv.distF == level {
+				nv.sigF += su
+			}
+		}
+		if i++; i == len(b.frontF) {
+			return
+		}
+		u := b.frontF[i]
+		su, rest = b.node[u].sigF, g.Neighbors(u)
+	}
+}
+
+// expandB is expandF for the backward wave.
+func (b *BiBFS) expandB(g *graph.Graph, level int32) int64 {
+	ep := b.epoch
+	next := b.nextB[:0]
+	var cost int64
+	for i, u := range b.frontB {
+		su := b.node[u].sigB
+		nbrs := g.Neighbors(u)
+		for j, v := range nbrs {
+			nv := &b.node[v]
+			if nv.stampB != ep {
+				nv.stampB, nv.distB, nv.sigB = ep, level, su
+				if nv.stampF == ep {
+					b.nextB = next // keep a regrown buffer
+					b.meet = append(b.meet[:0], v)
+					b.meetB(g, i, nbrs[j+1:], su, level)
+					return -1
+				}
+				next = append(next, v)
+				cost += int64(g.Degree(v))
+			} else if nv.distB == level {
+				nv.sigB += su
+			}
+		}
+	}
+	b.frontB, b.nextB = next, b.frontB
+	return cost
+}
+
+// meetB is meetF for the backward wave.
+func (b *BiBFS) meetB(g *graph.Graph, i int, rest []graph.Node, su float64, level int32) {
+	ep := b.epoch
+	for {
+		for _, v := range rest {
+			nv := &b.node[v]
+			if nv.stampB != ep {
+				if nv.stampF != ep {
+					continue
+				}
+				nv.stampB, nv.distB, nv.sigB = ep, level, su
+				b.meet = append(b.meet, v)
+			} else if nv.distB == level {
+				nv.sigB += su
+			}
+		}
+		if i++; i == len(b.frontB) {
+			return
+		}
+		u := b.frontB[i]
+		su, rest = b.node[u].sigB, g.Neighbors(u)
+	}
 }
 
 // evenFrontiers gives the four frontier buffers the capacity of the largest.
@@ -152,37 +215,24 @@ func (b *BiBFS) evenFrontiers() {
 	}
 }
 
-// finish collects the meeting cut: all nodes at the just-completed level of
-// the expanded side whose other-side distance completes a path of length d.
-func (b *BiBFS) finish(cutLevel, d int32, side int8) (int32, float64, bool) {
-	b.dist = d
-	b.cutSide = side
-	b.cutLevel = cutLevel
-	b.meet = b.meet[:0]
-	b.meetTotal = 0
-	var front []graph.Node
-	if side == 0 {
-		front = b.frontF
+// finish takes the meet nodes gathered on the completed level of the
+// expanded side (forward when forward is set) as the meeting cut and sums
+// their path-count products. Every one completes a shortest path: the other
+// wave reached each at its current level, since a node it reached below
+// that level had all its neighbours reached too, this wave's frontier among
+// them, and the waves would have met a level earlier.
+func (b *BiBFS) finish(level int32, forward bool) (int32, float64, bool) {
+	first := &b.node[b.meet[0]]
+	if forward {
+		b.dist = level + first.distB
 	} else {
-		front = b.frontB
+		b.dist = level + first.distF
 	}
-	other := d - cutLevel
-	for _, u := range front {
-		nu := &b.node[u]
-		if side == 0 {
-			if nu.stampB == b.epoch && nu.distB == other {
-				b.meet = append(b.meet, u)
-				b.meetTotal += nu.sigF * nu.sigB
-			}
-		} else {
-			if nu.stampF == b.epoch && nu.distF == other {
-				b.meet = append(b.meet, u)
-				b.meetTotal += nu.sigF * nu.sigB
-			}
-		}
+	b.meetTotal = 0
+	for _, u := range b.meet {
+		b.meetTotal += b.node[u].sigF * b.node[u].sigB
 	}
-	b.sigma = b.meetTotal
-	return b.dist, b.sigma, true
+	return b.dist, b.meetTotal, true
 }
 
 // SamplePath draws a uniform random shortest path s..t for the pair of the
@@ -229,20 +279,51 @@ func (b *BiBFS) SamplePathAppend(g *graph.Graph, rng Rand, buf []graph.Node) []g
 	return path
 }
 
-// stepDown picks a neighbor one level closer to the respective source,
-// weighted by its sigma.
-func (b *BiBFS) stepDown(g *graph.Graph, x graph.Node, rng Rand, forward bool) graph.Node {
+// exactSigma bounds the path counts that are exact sums. Path counts are
+// sums of integers, and float64 rounding is monotone and holds 2^53
+// exactly, so a sum that reads below 2^53 never rounded: every partial sum
+// in any order is exact, and the parents' counts add up to the stored count
+// bit for bit whatever order they are added in.
+const exactSigma = 1 << 53
+
+// parentSigma is the total path count of x's parents in one wave (forward
+// when forward is set), the weight a path-walk step draws against. Below
+// exactSigma that is x's own count; above, the parents are added up again in
+// adjacency order, the order the step scans them in.
+func (b *BiBFS) parentSigma(g *graph.Graph, x graph.Node, forward bool) float64 {
+	nx := &b.node[x]
 	var total float64
 	if forward {
-		want := b.node[x].distF - 1
+		if nx.sigF < exactSigma {
+			return nx.sigF
+		}
 		for _, w := range g.Neighbors(x) {
-			if nw := &b.node[w]; nw.stampF == b.epoch && nw.distF == want {
+			if nw := &b.node[w]; nw.stampF == b.epoch && nw.distF == nx.distF-1 {
 				total += nw.sigF
 			}
 		}
-		target := rng.Float64() * total
-		var acc float64
-		var last graph.Node = -1
+		return total
+	}
+	if nx.sigB < exactSigma {
+		return nx.sigB
+	}
+	for _, w := range g.Neighbors(x) {
+		if nw := &b.node[w]; nw.stampB == b.epoch && nw.distB == nx.distB-1 {
+			total += nw.sigB
+		}
+	}
+	return total
+}
+
+// stepDown picks a neighbor one level closer to the respective source,
+// weighted by its sigma.
+func (b *BiBFS) stepDown(g *graph.Graph, x graph.Node, rng Rand, forward bool) graph.Node {
+	total := b.parentSigma(g, x, forward)
+	target := rng.Float64() * total
+	var acc float64
+	var last graph.Node = -1
+	if forward {
+		want := b.node[x].distF - 1
 		for _, w := range g.Neighbors(x) {
 			if nw := &b.node[w]; nw.stampF == b.epoch && nw.distF == want {
 				acc += nw.sigF
@@ -255,14 +336,6 @@ func (b *BiBFS) stepDown(g *graph.Graph, x graph.Node, rng Rand, forward bool) g
 		return last
 	}
 	want := b.node[x].distB - 1
-	for _, w := range g.Neighbors(x) {
-		if nw := &b.node[w]; nw.stampB == b.epoch && nw.distB == want {
-			total += nw.sigB
-		}
-	}
-	target := rng.Float64() * total
-	var acc float64
-	var last graph.Node = -1
 	for _, w := range g.Neighbors(x) {
 		if nw := &b.node[w]; nw.stampB == b.epoch && nw.distB == want {
 			acc += nw.sigB
