@@ -15,8 +15,7 @@ import (
 )
 
 // skewedGraph builds the benchmark reference: a preferential-attachment
-// ("social") graph whose r(s)(S-r(s)) stage-2 mass concentrates on hubs —
-// the regime the source-grouped batch engine is designed for.
+// ("social") graph whose r(s)(S-r(s)) stage-2 mass concentrates on hubs.
 func skewedGraph() *graph.Graph {
 	return graph.BarabasiAlbert(4000, 3, 42)
 }
@@ -40,8 +39,8 @@ func testSpace(t testing.TB, g *graph.Graph, nTargets int, seed int64) *bcSpace 
 
 // TestEstimateDeterministicGolden is the batching golden test: a fixed seed
 // and fixed worker count must give bitwise-identical Estimate.Risks across
-// repeated runs of the full pipeline — the batched engine reorders BFS work
-// inside a batch but never the sample stream's dependence on the seed.
+// repeated runs of the full pipeline — the batched engine serves pairs in
+// draw order, so its work is a function of the seed alone.
 func TestEstimateDeterministicGolden(t *testing.T) {
 	g := skewedGraph()
 	targets := []graph.Node{1, 5, 17, 99, 250, 777, 1234, 2500, 3999}
@@ -82,8 +81,9 @@ func TestEstimateDeterministicGolden(t *testing.T) {
 // DrawBatch must statistically match repeated single Draw, on the skewed
 // reference graph and on a high-diameter road grid where most pairs sit at
 // distance >= 4. Both paths sample the same (block, src, dst, path)
-// distribution — only the grouping and the distance <= 3 shortcuts differ —
-// so per-hypothesis hit frequencies must agree within binomial noise.
+// distribution — only the distance <= 3 shortcuts differ — so
+// per-hypothesis hit frequencies must agree within binomial noise, and
+// each shortcut must see the pair's true distance and σ_st.
 func TestDrawBatchMatchesDraw(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical parity test")
@@ -108,15 +108,8 @@ func TestDrawBatchMatchesDraw(t *testing.T) {
 			batched := make([]int64, k)
 			s2 := sp.NewSampler(2).(*bcSampler)
 			s2.DrawBatch(n, batched)
-			// One full grouping round, measured with a reference BFS, must
-			// send pairs down the distance >= 4 path on both graphs.
-			s3 := sp.NewSampler(3).(*bcSampler)
-			s3.drawGrouped(batchProbe, make([]int64, k))
-			far := farPairShare(g, s3.pairs)
-			t.Logf("one round of %d pairs: %.1f%% at distance >= 4", len(s3.pairs), 100*far)
-			if far == 0 {
-				t.Fatal("a grouping round drew no distance >= 4 pair: the BFS path is untested")
-			}
+
+			checkScanPairs(t, g, sp.NewSampler(3).(*bcSampler), 4096)
 
 			for i := 0; i < k; i++ {
 				p1 := float64(single[i]) / n
@@ -132,24 +125,39 @@ func TestDrawBatchMatchesDraw(t *testing.T) {
 	}
 }
 
-// farPairShare returns the share of the source-sorted pairs whose endpoints
-// sit at distance >= 4, measured with a reference full-source BFS per
-// distinct source: the pairs only the sampler's BFS path serves.
-func farPairShare(g *graph.Graph, pairs []srcDst) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
+// checkScanPairs holds scanPair to reference traversals pair by pair over m
+// drawn pairs: a full-source BFS for the distance and BiBFS for σ_st. A
+// pair the scans resolve must have that distance and σ_st — the common
+// neighbor count at distance 2, len(mid3) at distance 3 — and every pair
+// they leave to BiBFS must sit at distance >= 4. Some pair must, or the
+// BiBFS path is untested.
+func checkScanPairs(t *testing.T, g *graph.Graph, s *bcSampler, m int) {
+	t.Helper()
 	dag := shortestpath.NewDAG(g.NumNodes())
+	ref := shortestpath.NewBiBFS(g.NumNodes())
 	far := 0
-	for i, p := range pairs {
-		if i == 0 || pairs[i-1].src() != p.src() {
-			dag.Run(g, p.src())
-		}
-		if dag.Dist[p.dst()] >= 4 {
+	for range m {
+		src, dst := s.drawPair()
+		dist, sigma, _ := s.scanPair(src, dst)
+		dag.Run(g, src)
+		want := dag.Dist[dst]
+		if dist == 0 {
+			if want < 4 {
+				t.Fatalf("pair (%d, %d) at distance %d left to BiBFS", src, dst, want)
+			}
 			far++
+			continue
+		}
+		_, wantSigma, ok := ref.Query(g, src, dst)
+		if !ok || int32(dist) != want || float64(sigma) != wantSigma {
+			t.Fatalf("pair (%d, %d): scan distance %d σ %d, reference distance %d σ %v",
+				src, dst, dist, sigma, want, wantSigma)
 		}
 	}
-	return float64(far) / float64(len(pairs))
+	t.Logf("%d pairs: %.1f%% at distance >= 4", m, 100*float64(far)/float64(m))
+	if far == 0 {
+		t.Fatal("no drawn pair at distance >= 4: the BFS path is untested")
+	}
 }
 
 // TestDrawBatchExactCount: DrawBatch(n) must account for exactly n accepted
@@ -190,42 +198,6 @@ func TestDrawBatchExactCount(t *testing.T) {
 	m2 := float64(t2) / n
 	if math.Abs(m1-m2) > 0.05*(m1+m2)/2+0.002 {
 		t.Fatalf("mean hits per sample: Draw %.4f vs DrawBatch %.4f", m1, m2)
-	}
-}
-
-// TestAdaptiveRoundQuota: the per-round pre-draw quota must follow the
-// measured batch/#distinct-sources ratio — probe-sized before anything is
-// measured, sources*groupScale afterwards, floored for concentrated
-// samplers and capped for diffuse ones.
-func TestAdaptiveRoundQuota(t *testing.T) {
-	g := skewedGraph()
-	sp := testSpace(t, g, 60, 7)
-	s := sp.NewSampler(3).(*bcSampler)
-	if q := s.roundQuota(); q != batchProbe {
-		t.Fatalf("pre-measurement quota = %d, want probe %d", q, batchProbe)
-	}
-	hits := make([]int64, sp.NumHypotheses())
-	s.DrawBatch(batchProbe, hits)
-	if s.lastSources <= 0 {
-		t.Fatal("DrawBatch measured no sources")
-	}
-	want := s.lastSources * groupScale
-	if want < batchProbe {
-		want = batchProbe
-	}
-	if want > batchCap {
-		want = batchCap
-	}
-	if q := s.roundQuota(); q != want {
-		t.Fatalf("quota = %d, want %d (sources %d)", q, want, s.lastSources)
-	}
-	s.lastSources = 3 // concentrated support: floor applies
-	if q := s.roundQuota(); q != batchProbe {
-		t.Fatalf("concentrated quota = %d, want floor %d", q, batchProbe)
-	}
-	s.lastSources = batchCap // diffuse support: cap applies
-	if q := s.roundQuota(); q != batchCap {
-		t.Fatalf("diffuse quota = %d, want cap %d", q, batchCap)
 	}
 }
 
@@ -387,30 +359,42 @@ func BenchmarkSamplerDraw(b *testing.B) {
 	}
 }
 
-// BenchmarkSamplerDrawBatch measures the batched source-grouped engine;
-// compare samples/sec against BenchmarkSamplerDraw. Allocations per op must
-// be 0 in steady state.
+// BenchmarkSamplerDrawBatch measures the batched engine's cost per
+// accepted sample for a 100-target space, on the skewed reference graph
+// and on three social stand-ins; compare the ba case against
+// BenchmarkSamplerDraw. Allocations per op must be 0 in steady state.
 func BenchmarkSamplerDrawBatch(b *testing.B) {
-	g := skewedGraph()
-	sp := testSpace(b, g, 100, 7)
-	s := sp.NewSampler(1).(*bcSampler)
-	hits := make([]int64, sp.NumHypotheses())
-	s.DrawBatch(batchCap, hits) // warm scratch to steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.DrawBatch(int64(b.N), hits)
+	for _, c := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"ba", skewedGraph},
+		{"flickr-sim-4", func() *graph.Graph { return datasets.Flickr.Build(4) }},
+		{"livejournal-sim-1", func() *graph.Graph { return datasets.LiveJournal.Build(1) }},
+		{"orkut-sim-1", func() *graph.Graph { return datasets.Orkut.Build(1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sp := testSpace(b, c.g(), 100, 7)
+			s := sp.NewSampler(1).(*bcSampler)
+			hits := make([]int64, sp.NumHypotheses())
+			s.DrawBatch(1<<14, hits) // warm scratch to steady state
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.DrawBatch(int64(b.N), hits)
+		})
+	}
 }
 
 // TestDrawBatchAllocatesNothing pins the steady state
-// BenchmarkSamplerDrawBatch prices: once the grouping scratch has grown to
+// BenchmarkSamplerDrawBatch prices: once the sampler's scratch has grown to
 // its working size, batches of 4,096 samples allocate nothing per sample.
-// A few buffers (the pair buffer, BiBFS's frontiers and meeting cut) still
-// grow when the sample stream sets a new high-water mark, which it does
-// rarely and at rounds the seed decides, so the test bounds the total over
-// many rounds instead of asking one round for zero. After one warm-up
-// round, 16 rounds of 4 batches allocated 1–2 times in all for seeds 1, 7
-// and 13 (3 or fewer in 200 rounds); an allocation per distance-≥4 pair
-// would be thousands per round.
+// A few buffers (mid3, BiBFS's frontiers and meeting cut) still grow when
+// the sample stream sets a new high-water mark, which it does rarely and
+// at rounds the seed decides, so the test bounds the total over many
+// rounds instead of asking one round for zero. After one warm-up round,
+// 16 rounds of 4 batches allocated once in all for seeds 1, 7 and 13 (3
+// or fewer in 200 rounds); an allocation per distance-≥4 pair would be
+// thousands per round.
 func TestDrawBatchAllocatesNothing(t *testing.T) {
 	const rounds, bound = 16, 8
 	sp := testSpace(t, skewedGraph(), 100, 7)

@@ -210,24 +210,22 @@ type bcQuery struct {
 }
 
 // bcSamplerScratch is the pooled state of one sampler stream: the n-sized
-// BFS workspace and neighbor stamps plus the reusable batch buffers. All
-// of it is valid to reuse as a finished or canceled query leaves it — the
-// BFS workspace and nbrStamp are both epoch-stamped — and none of it feeds
-// a draw, so a recycled stream is bitwise a fresh one.
+// BFS workspace and neighbor stamps plus the reusable path buffers. All of
+// it is valid to reuse as a finished or canceled query leaves it — the BFS
+// workspace and nbrStamp are both epoch-stamped — and none of it feeds a
+// draw, so a recycled stream is bitwise a fresh one.
 type bcSamplerScratch struct {
 	bfs *shortestpath.BiBFS
 
-	// nbrStamp marks the current group source's neighbors (epoch-stamped):
-	// the distance <= 2 fast path resolves a pair's disposition from one
-	// adjacency scan, with no BFS and no path materialization. mid3 holds
-	// the enumerated interior pairs of the current distance-3 destination,
-	// so repeated samples of one (src, dst) pair index instead of re-scan.
+	// nbrStamp marks the current pair's source neighbors (epoch-stamped):
+	// a pair within distance 3 resolves from adjacency scans against it,
+	// with no BFS and no path materialization. mid3 holds the enumerated
+	// interior pairs of the current distance-3 pair.
 	nbrStamp []int32
 	nbrEpoch int32
 	mid3     []srcDst
 
 	// reusable scratch: the steady-state DrawBatch loop is allocation-free
-	pairs   []srcDst
 	pathBuf []graph.Node
 	hits    []int32
 }
@@ -491,13 +489,6 @@ func (sp *bcSpace) release() {
 	for _, v := range sp.nodes {
 		q.aIndex[v] = -1
 	}
-	for _, sc := range sp.taken {
-		// A huge round's pair buffer (up to batchCap pairs) is not worth
-		// keeping on the free list; small-query rounds stay allocation-free.
-		if cap(sc.pairs) > batchProbe {
-			sc.pairs = nil
-		}
-	}
 	p := sp.p
 	p.mu.Lock()
 	p.freeQueries = append(p.freeQueries, q)
@@ -532,15 +523,13 @@ func (sp *bcSpace) ExactPhase(context.Context) (float64, []float64, error) {
 
 // NewSampler implements Space: Algorithm Gen_bc (Algorithm 2), multistage
 // alias-table sampling with rejection of exact-subspace paths. The returned
-// sampler's DrawBatch pre-draws a batch of (src, dst) pairs, groups them by
-// source, and marks each source's neighborhood once for its whole group —
-// on skewed graphs the stage-2 r(s)(S-r(s)) mass concentrates on few hub
-// sources, so one stamp serves hundreds of pairs, and every pair within
-// distance 3 resolves from adjacency scans against it, with no BFS. Only
-// farther pairs pay for a bidirectional BFS each.
+// sampler's DrawBatch serves each (src, dst) pair as it draws it: it marks
+// the source's neighborhood, resolves a pair within distance 3 from
+// adjacency scans against the marks, with no BFS, and pays a bidirectional
+// BFS only for a farther pair.
 //
-// The sampler's workspaces come from p's free list; its RNG and round
-// sizing start fresh, so a sampler is a pure function of its seed.
+// The sampler's workspaces come from p's free list and its RNG starts
+// fresh, so a sampler is a pure function of its seed.
 func (sp *bcSpace) NewSampler(seed int64) Sampler {
 	sc := sp.p.getSampler()
 	sp.mu.Lock()
@@ -553,9 +542,8 @@ func (sp *bcSpace) NewSampler(seed int64) Sampler {
 	}
 }
 
-// srcDst packs one pre-drawn stage-1..3 sample (src in the high 32 bits,
-// dst in the low) so a batch sorts with the specialized slices.Sort for
-// uint64 — no comparator calls in the grouping step.
+// srcDst packs two nodes into one word (src in the high 32 bits, dst in
+// the low): a distance-3 interior pair (a, b) in mid3.
 type srcDst uint64
 
 func packSrcDst(src, dst graph.Node) srcDst {
@@ -570,43 +558,21 @@ type bcSampler struct {
 	sp  *bcSpace
 	rng *rand.Rand
 
-	// lastSources is the distinct-source count of the last grouping round:
-	// the measured quantity behind the adaptive per-round quota.
-	lastSources int64
-
 	// stop, when wired by the framework, is polled every cancelPollPairs
-	// pairs inside the grouping rounds (and before every BFS): the
-	// sub-round cancellation bound. The polls consume no randomness, so a
-	// run whose stop never fires is bitwise-identical to an unwired run.
+	// pairs and before every BFS: the sub-round cancellation bound. The
+	// polls consume no randomness, so a run whose stop never fires is
+	// bitwise-identical to an unwired run.
 	stop *sched.Stop
 }
 
 // SetStop wires the sub-round cancellation flag (core.stoppable).
 func (s *bcSampler) SetStop(st *sched.Stop) { s.stop = st }
 
-// cancelPollPairs is the pair stride between stop polls inside a grouping
-// round: coarse enough that the atomic load vanishes against the per-pair
+// cancelPollPairs is the pair stride between stop polls inside a batch:
+// coarse enough that the atomic load vanishes against the per-pair
 // adjacency scans, fine enough that time-to-cancel is bounded by a few
 // thousand cheap pairs or a single BFS rather than a whole round.
 const cancelPollPairs = 1 << 12
-
-// batchCap bounds the number of pairs pre-drawn per grouping round (8 bytes
-// each — 8 MiB of reusable scratch at the cap, allocated only up to the
-// quota actually requested). The larger the round, the more pairs share a
-// source: at production budgets (full-network ranking, tight eps) groups
-// grow into the hundreds and one neighborhood stamp, and one scan per
-// distinct destination, serves them all.
-const batchCap = 1 << 20
-
-// batchProbe is the first-round quota (and the floor of the adaptive round
-// sizing): large enough that grouping is measurable, small enough that tiny
-// sampling budgets behave exactly like a single round.
-const batchProbe = 1 << 14
-
-// groupScale is the average group size the adaptive round sizing aims for:
-// past ~1k pairs per source the stamp and scan amortization has flattened,
-// so larger rounds only grow the pair buffer.
-const groupScale = 1 << 10
 
 // drawPair runs stages 1-3 of Algorithm 2 on the alias tables: O(1) — three
 // uniform variates — instead of three binary searches. Stage 3 must exclude
@@ -615,7 +581,7 @@ const groupScale = 1 << 10
 // to the exact conditional via interval excision over the cumulative table.
 // The fallback matters: in a pendant block {leaf, hub} the hub holds nearly
 // all the target mass, so pure rejection would spin for the component size.
-func (s *bcSampler) drawPair() srcDst {
+func (s *bcSampler) drawPair() (src, dst graph.Node) {
 	sp := s.sp
 	j := sp.blockTab.Draw(s.rng.Float64())
 	members := sp.members[j]
@@ -650,7 +616,7 @@ func (s *bcSampler) drawPair() srcDst {
 			}
 		}
 	}
-	return packSrcDst(members[si], members[ti])
+	return members[si], members[ti]
 }
 
 // countPath accumulates one accepted path sample: hit indices are appended
@@ -679,9 +645,9 @@ func (s *bcSampler) countPath(path []graph.Node, hits []int64) bool {
 func (s *bcSampler) Draw() []int32 {
 	g := s.sp.p.G
 	for {
-		p := s.drawPair()
+		src, dst := s.drawPair()
 		// stage 4: uniform shortest path between src and dst
-		if _, _, ok := s.bfs.Query(g, p.src(), p.dst()); !ok {
+		if _, _, ok := s.bfs.Query(g, src, dst); !ok {
 			continue // defensive: members of one block are always connected
 		}
 		s.pathBuf = s.bfs.SamplePathAppend(g, s.rng, s.pathBuf)
@@ -692,99 +658,62 @@ func (s *bcSampler) Draw() []int32 {
 	}
 }
 
-// roundQuota derives the next grouping round's pre-draw quota from the
-// measured batch/#distinct-sources ratio (the ROADMAP's adaptive batch
-// sizing): rounds aim for an average group size of groupScale, so a sampler
-// whose stage-2 mass concentrates on few hub sources keeps rounds — and
-// therefore the pair buffer — small with nothing lost (its groups are
-// already saturated), while a diffuse sampler takes rounds as large as the
-// batchCap scratch bound allows. The measurement evolves deterministically
-// with the seeded sample stream, so fixed seed + workers still implies
-// identical output.
-func (s *bcSampler) roundQuota() int64 {
-	if s.lastSources <= 0 {
-		return batchProbe // nothing measured yet
-	}
-	q := s.lastSources * groupScale
-	if q < batchProbe {
-		q = batchProbe
-	}
-	if q > batchCap {
-		q = batchCap
-	}
-	return q
-}
-
-// DrawBatch implements Sampler: n samples with per-source amortized
-// stage-4 work. Rejected samples (exact-subspace paths) are redrawn in the
-// next grouping round, so exactly n accepted samples are accumulated —
-// unless the wired stop fires, in which case the batch returns early with a
-// short count (the framework discards the whole canceled estimate, so the
-// shortfall never surfaces).
-func (s *bcSampler) DrawBatch(n int64, hits []int64) {
-	for n > 0 && !s.stop.Stopped() {
-		m := n
-		if q := s.roundQuota(); m > q {
-			m = q
-		}
-		n -= s.drawGrouped(int(m), hits)
-	}
-}
-
-// drawGrouped pre-draws m (src, dst) pairs, sorts them by (src, dst) so
-// samples sharing a source are adjacent, and serves each source group via
-// serveGroup. Returns the number of accepted samples.
-func (s *bcSampler) drawGrouped(m int, hits []int64) int64 {
-	s.pairs = s.pairs[:0]
-	for i := 0; i < m; i++ {
-		if i&(cancelPollPairs-1) == 0 && s.stop.Stopped() {
-			break // sub-round cancel: the short round is discarded upstream
-		}
-		s.pairs = append(s.pairs, s.drawPair())
-	}
-	// Sorting by the packed (src, dst) key makes the serve order — and
-	// therefore the rng stream — a deterministic function of the drawn
-	// pairs.
-	slices.Sort(s.pairs)
-	var accepted, sources int64
-	for lo := 0; lo < len(s.pairs); {
-		if s.stop.Stopped() {
-			break // between source groups: no group state to unwind
-		}
-		src := s.pairs[lo].src()
-		hi := lo + 1
-		for hi < len(s.pairs) && s.pairs[hi].src() == src {
-			hi++
-		}
-		sources++
-		accepted += s.serveGroup(src, s.pairs[lo:hi], hits)
-		lo = hi
-	}
-	s.lastSources = sources
-	return accepted
-}
-
-// serveGroup answers every pair of one source group. Pairs at distance at
-// most 3 resolve on the spot from scans of the destination side's adjacency
-// against the marked source neighborhood, with no BFS and no path
-// materialization:
+// DrawBatch implements Sampler: n samples, each pair served as it is
+// drawn. A pair within distance 3 resolves on the spot from the adjacency
+// scans of scanPair, with no BFS and no path materialization:
 //
 //   - distance 1: the unique path has no interior — always accepted, never a
 //     hit;
 //   - distance 2: the only interior node is a uniform common neighbor, so
 //     the sample's entire effect reduces to whether that middle lands in A
-//     (rejection — the mass the exact phase covers — or a hit under the
-//     DisableExactSubspace ablation). The rejection-redraw cycle therefore
-//     costs one adjacency scan;
-//   - distance 3: every shortest path is src-a-b-dst with a marked, b an
-//     unmarked neighbor of dst, and (a, b) an edge; sigma3 counts such pairs
-//     by scanning N(b) for marks over b in N(dst), and a uniform path is a
-//     uniform (a, b) index into that scan.
+//     (serveMiddle). The rejection-redraw cycle therefore costs one
+//     adjacency scan;
+//   - distance 3: a uniform path is a uniform interior pair (a, b) of the
+//     enumeration in mid3.
 //
-// The source stamp is paid once per group and the scans once per distinct
-// destination. Only distance >= 4 pairs need a BFS: one bidirectional BFS
-// per pair, which reads neither nbrStamp nor mid3, so it runs in place.
-func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64) int64 {
+// Only a pair at distance >= 4 pays for a bidirectional BFS. Rejected
+// samples (exact-subspace paths) are redrawn, so exactly n accepted
+// samples are accumulated — unless the wired stop fires, in which case the
+// batch returns early with a short count (the framework discards the whole
+// canceled estimate, so the shortfall never surfaces).
+func (s *bcSampler) DrawBatch(n int64, hits []int64) {
+	aIndex := s.sp.aIndex
+	for i := 0; n > 0; i++ {
+		if i&(cancelPollPairs-1) == 0 && s.stop.Stopped() {
+			return
+		}
+		src, dst := s.drawPair()
+		switch dist, sigma, cA := s.scanPair(src, dst); dist {
+		case 1:
+			n--
+		case 2:
+			n -= s.serveMiddle(dst, sigma, cA, hits)
+		case 3:
+			mid := s.mid3[s.rng.Int64N(sigma)]
+			if ai := aIndex[mid.src()]; ai >= 0 {
+				hits[ai]++
+			}
+			if ai := aIndex[mid.dst()]; ai >= 0 {
+				hits[ai]++
+			}
+			n--
+		default:
+			if s.stop.Stopped() {
+				return // no BFS once canceled: it could outlast the stride
+			}
+			n -= s.serveFromBiBFS(src, dst, hits)
+		}
+	}
+}
+
+// scanPair marks N(src) and classifies the pair from scans of the
+// destination side's adjacency against the marks. For a pair within
+// distance 3 it returns the distance, σ_st and, at distance 2, cA, the
+// number of common neighbors in A; at distance 3 it leaves the σ_st
+// interior pairs (a, b) in mid3. Every shortest path at distance 3 is
+// src-a-b-dst with a marked, b a neighbor of dst and (a, b) an edge, so
+// the enumeration is exact. A pair farther apart returns distance 0.
+func (s *bcSampler) scanPair(src, dst graph.Node) (dist int, sigma, cA int64) {
 	sp := s.sp
 	g := sp.p.G
 	if s.nbrEpoch == math.MaxInt32 {
@@ -796,98 +725,71 @@ func (s *bcSampler) serveGroup(src graph.Node, run []srcDst, hits []int64) int64
 	for _, w := range g.Neighbors(src) {
 		s.nbrStamp[w] = e
 	}
-	var accepted int64
-	lastDst := graph.Node(-1)
-	var sigma, cA int32
-	var sigma3 int64
-	for pi, p := range run {
-		if pi&(cancelPollPairs-1) == cancelPollPairs-1 && s.stop.Stopped() {
-			break // giant hub group: bound time-to-cancel within it too
-		}
-		dst := p.dst()
-		if s.nbrStamp[dst] == e {
-			accepted++ // distance 1: no interior, no hit
-			continue
-		}
-		if dst != lastDst { // pairs are dst-sorted: repeats share the scans
-			lastDst = dst
-			sigma, cA = 0, 0
-			for _, w := range g.Neighbors(dst) {
-				if s.nbrStamp[w] == e {
-					sigma++
-					if sp.aIndex[w] >= 0 {
-						cA++
-					}
-				}
+	if s.nbrStamp[dst] == e {
+		return 1, 1, 0
+	}
+	for _, w := range g.Neighbors(dst) {
+		if s.nbrStamp[w] == e {
+			sigma++
+			if sp.aIndex[w] >= 0 {
+				cA++
 			}
-			if sigma == 0 {
-				// No common neighbor and not adjacent: src cannot appear
-				// in N(dst) here, nor can any b be marked (either would
-				// contradict distance > 2), so the scan needs no filters.
-				s.mid3 = s.mid3[:0]
-				for _, b := range g.Neighbors(dst) {
-					for _, a := range g.Neighbors(b) {
-						if s.nbrStamp[a] == e {
-							s.mid3 = append(s.mid3, packSrcDst(a, b))
-						}
-					}
-				}
-				sigma3 = int64(len(s.mid3))
-			}
-		}
-		switch {
-		case sigma > 0:
-			// distance 2: sigma common neighbors, cA of them in A.
-			if sp.disableExact {
-				// Ablation: length-2 paths stay in the sample space, so a
-				// hit requires the identity of the uniform middle.
-				if cA > 0 {
-					k := int32(s.rng.IntN(int(sigma)))
-					for _, w := range g.Neighbors(dst) {
-						if s.nbrStamp[w] == e {
-							if k == 0 {
-								if ai := sp.aIndex[w]; ai >= 0 {
-									hits[ai]++
-								}
-								break
-							}
-							k--
-						}
-					}
-				}
-				accepted++
-				continue
-			}
-			switch {
-			case cA == 0:
-				accepted++ // accepted, middle outside A: no hit
-			case cA == sigma:
-				// every middle is in A: certain rejection, redraw upstream
-			default:
-				if int32(s.rng.IntN(int(sigma))) >= cA {
-					accepted++
-				}
-			}
-		case sigma3 > 0:
-			// distance 3: a uniform interior pair (a, b), read off the
-			// enumeration buffer.
-			pair := s.mid3[s.rng.Int64N(sigma3)]
-			if ai := sp.aIndex[pair.src()]; ai >= 0 {
-				hits[ai]++
-			}
-			if ai := sp.aIndex[pair.dst()]; ai >= 0 {
-				hits[ai]++
-			}
-			accepted++
-		default:
-			// distance >= 4: one bidirectional BFS per pair.
-			if s.stop.Stopped() {
-				return accepted
-			}
-			accepted += s.serveFromBiBFS(src, dst, hits)
 		}
 	}
-	return accepted
+	if sigma > 0 {
+		return 2, sigma, cA
+	}
+	// No common neighbor and not adjacent: src cannot appear in N(dst)
+	// here, nor can any b be marked (either would contradict distance > 2),
+	// so the scan needs no filters.
+	s.mid3 = s.mid3[:0]
+	for _, b := range g.Neighbors(dst) {
+		for _, a := range g.Neighbors(b) {
+			if s.nbrStamp[a] == e {
+				s.mid3 = append(s.mid3, packSrcDst(a, b))
+			}
+		}
+	}
+	if len(s.mid3) == 0 {
+		return 0, 0, 0
+	}
+	return 3, int64(len(s.mid3)), 0
+}
+
+// serveMiddle serves a distance-2 pair from its scan: sigma common
+// neighbors, cA of them in A. It returns 1 when the sample is accepted and
+// 0 when its uniform middle lies in A — the exact subspace's mass, redrawn
+// by the caller.
+func (s *bcSampler) serveMiddle(dst graph.Node, sigma, cA int64, hits []int64) int64 {
+	sp := s.sp
+	if sp.disableExact {
+		// Ablation: length-2 paths stay in the sample space, so a hit
+		// requires the identity of the uniform middle.
+		if cA > 0 {
+			k := s.rng.IntN(int(sigma))
+			for _, w := range sp.p.G.Neighbors(dst) {
+				if s.nbrStamp[w] == s.nbrEpoch {
+					if k == 0 {
+						if ai := sp.aIndex[w]; ai >= 0 {
+							hits[ai]++
+						}
+						break
+					}
+					k--
+				}
+			}
+		}
+		return 1
+	}
+	switch {
+	case cA == 0:
+		return 1 // middle outside A: no hit
+	case cA == sigma:
+		return 0 // every middle is in A: certain rejection
+	case int64(s.rng.IntN(int(sigma))) >= cA:
+		return 1
+	}
+	return 0
 }
 
 // serveFromBiBFS answers one pair with balanced bidirectional BFS.

@@ -11,12 +11,12 @@ import (
 	"saphyra/internal/sched"
 )
 
-// TestDrawBatchStopBound bounds time-to-cancel inside one grouping round:
-// raising the wired Stop mid-batch must return DrawBatch within the poll
-// stride, not at the end of the round. The requested batch is astronomically
-// large, so any return at all proves the sub-round polls fired — the bound
+// TestDrawBatchStopBound bounds time-to-cancel inside one batch: raising
+// the wired Stop mid-batch must return DrawBatch within the poll stride,
+// not at the end of the batch. The requested batch is astronomically
+// large, so any return at all proves the in-batch polls fired — the bound
 // below is pure scheduling slack, orders of magnitude under the uncanceled
-// round time.
+// batch time.
 func TestDrawBatchStopBound(t *testing.T) {
 	g := skewedGraph()
 	sp := testSpace(t, g, 80, 11)
@@ -31,7 +31,7 @@ func TestDrawBatchStopBound(t *testing.T) {
 		s.DrawBatch(1<<40, hits)
 	}()
 
-	time.Sleep(20 * time.Millisecond) // let the round get going
+	time.Sleep(20 * time.Millisecond) // let the batch get going
 	raised := time.Now()
 	stop.Raise()
 	select {
@@ -71,7 +71,7 @@ func TestStopWiringIsBitwiseNeutral(t *testing.T) {
 // TestEstimateCancelLatency: end to end, canceling the request context mid
 // sampling must surface a *params.CanceledError well before the run would
 // have finished — the chunk-boundary checkpoints alone bound cancel latency
-// by a whole grouping round; the sub-round polls bring it to the stride.
+// by a whole sampling round; the in-batch polls bring it to the stride.
 func TestEstimateCancelLatency(t *testing.T) {
 	g := skewedGraph()
 	targets := make([]graph.Node, 0, 200)
@@ -94,7 +94,7 @@ func TestEstimateCancelLatency(t *testing.T) {
 	}
 	// The eps above asks for hundreds of millions of samples — minutes of
 	// work. Returning within a few seconds of the 30ms cancel proves the
-	// run aborted sub-round rather than finishing a full grouping round.
+	// run aborted sub-round rather than finishing a full sampling round.
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancel took %v end to end; want bounded sub-round latency", elapsed)
 	}

@@ -49,8 +49,8 @@ type Space interface {
 // Sampler draws samples from the approximate subspace. DrawBatch draws n
 // samples and accumulates hit counts directly into hits (hits[i] += number
 // of samples whose loss is 1 on hypothesis i). Implementations are free to
-// reorder the work inside a batch — e.g. group samples by BFS source so one
-// truncated traversal serves many samples — as long as the marginal sample
+// choose how each sample is served — e.g. resolve near pairs from adjacency
+// scans and pay a BFS only for far ones — as long as the marginal sample
 // distribution is unchanged and the output is deterministic for a fixed
 // seed.
 type Sampler interface {

@@ -35,6 +35,7 @@ var epochPins = map[uint32]string{
 	5: "5c9ea9c998f8a54235ccbda802889dc9a43bb68d3422209e6682befff6da7d38",
 	6: "6155c5068da9f83978bb095c529e2aa08afb50c4dc04549ba04b683b602cf213",
 	7: "d43f7c450f25fdd354e203c2399bcb0c52bbd0cf83923e13597a7b0316aff78b",
+	8: "420bd0ceeda6db93724395c9d2bc22181ba011023c46d2968533a7bcbbd4848b",
 }
 
 // TestEngineEpochPin holds engineEpoch to the bits it names: every measure,

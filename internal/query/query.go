@@ -172,7 +172,7 @@ const keyMagic = "saphyra.Query/v2"
 // estimate's bits bumps engineEpoch, so binaries with different engines
 // never share a key (a mixed fleet's peer fill or stale rung would
 // otherwise serve the other engine's bits under an equal key).
-const engineEpoch uint32 = 7
+const engineEpoch uint32 = 8
 
 // Key returns a stable 256-bit digest identifying the query up to bitwise
 // result equality: two queries with equal keys are guaranteed bitwise-equal

@@ -168,9 +168,9 @@ func DoWithCtx[W any](ctx context.Context, chunks, workers int, acquire func() W
 // Stop is the sub-chunk cancellation flag: a single atomic bool the
 // engines' innermost loops can poll far more often than the chunk-boundary
 // checkpoints of DoCtx allow. The chunk checkpoints bound time-to-cancel by
-// one chunk — which for the sampling engine means one whole grouping round,
-// seconds at tight eps on huge budgets — while a Stop polled every few
-// thousand pairs bounds it by the poll stride.
+// one chunk — which for the sampling engine means one stream's whole
+// per-round quota, seconds at tight eps on huge budgets — while a Stop
+// polled every few thousand pairs bounds it by the poll stride.
 //
 // The poll (Stopped) is one atomic load with no ordering obligations beyond
 // the load itself — the flag only ever transitions false -> true, and a
